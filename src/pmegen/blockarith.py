@@ -46,6 +46,7 @@ from .partition import BlockedOperand, apply_rule
 __all__ = [
     "ConformanceError",
     "QuadrantEquation",
+    "QuadrantCells",
     "BlockedEquationGrid",
     "STATUS_UNSOLVED",
     "STATUS_SOLVED",
@@ -77,11 +78,14 @@ class QuadrantEquation:
     partner: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class BlockedEquationGrid:
-    cells: tuple[tuple[QuadrantEquation, ...], ...]
-    row_sizes: tuple[str, ...]
-    col_sizes: tuple[str, ...]
+class QuadrantCells:
+    """Accessors for a grid of quadrant equations.
+
+    Subclasses provide ``cells`` (rows of :class:`QuadrantEquation`),
+    ``row_sizes`` and ``col_sizes``.
+    """
+
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,6 +100,13 @@ class BlockedEquationGrid:
 
     def all_cells(self) -> tuple[QuadrantEquation, ...]:
         return tuple(q for row in self.cells for q in row)
+
+
+@dataclass(frozen=True, slots=True)
+class BlockedEquationGrid(QuadrantCells):
+    cells: tuple[tuple[QuadrantEquation, ...], ...]
+    row_sizes: tuple[str, ...]
+    col_sizes: tuple[str, ...]
 
     def scan_positions(self) -> tuple[str, ...]:
         """Column-major scan order: TL, BL, TR, BR (T, B / L, R / whole)."""
@@ -317,8 +328,6 @@ def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
             # pairs without one, the later cell in reading order yields
             if j > i and not bi_j > bi_i:
                 star_cell, keep_cell = a, b
-            elif bi_j > bi_i and not j > i:
-                star_cell, keep_cell = b, a
             else:
                 star_cell, keep_cell = b, a
             out = out.with_cell(

@@ -8,8 +8,9 @@ Commands::
     pmegen kb list|show <name> [--kb PATH]
 
 The environment variable ``PME_KB`` supplies the default knowledge-base
-path.  Exit codes: 0 success, 1 parse error, 2 no viable partitionings,
-3 stuck derivation, 4 failed numeric check, 64 usage error.
+path.  Exit codes: 0 success, 1 parse error, unsupported operation or
+malformed knowledge base, 2 no viable partitionings, 3 stuck derivation,
+4 failed or impossible numeric check, 64 usage error.
 """
 
 from __future__ import annotations
@@ -33,20 +34,14 @@ from .engine import (
     PatternConflictError,
     StuckDerivation,
 )
-from .expr import (
-    Expression,
-    Inverse,
-    Minus,
-    OperandRef,
-    Plus,
-    SolvedBy,
-    Times,
-    Transpose,
-    Zero,
-    parse_prefix_equation,
-    serialize_equation,
+from .expr import parse_prefix_equation, serialize_equation
+from .opspec import (
+    OperationSpec,
+    SpecError,
+    equation_to_text,
+    expr_to_latex,
+    parse_operation,
 )
-from .opspec import OperationSpec, SpecError, equation_to_text, parse_operation
 from .partition import PartitionRule, PartitionShape
 
 __all__ = ["main"]
@@ -67,56 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# latex rendering
-
-
-_OPERATOR_LATEX = {"Gamma": r"\Gamma", "Omega": r"\Omega"}
-
-
-def _latex_name(name: str) -> str:
-    if "_" in name:
-        base, suffix = name.split("_", 1)
-        return f"{base}_{{{suffix}}}"
-    return name
-
-
-def _latex_base(e: Expression) -> str:
-    text = expr_to_latex(e)
-    if isinstance(e, (Plus, Times, Minus)):
-        return f"\\left({text}\\right)"
-    return text
-
-
-def expr_to_latex(e: Expression) -> str:
-    if isinstance(e, OperandRef):
-        return _latex_name(e.name)
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, Transpose):
-        if isinstance(e.operand, Inverse):
-            return _latex_base(e.operand.operand) + "^{-T}"
-        return _latex_base(e.operand) + "^{T}"
-    if isinstance(e, Inverse):
-        if isinstance(e.operand, Transpose):
-            return _latex_base(e.operand.operand) + "^{-T}"
-        return _latex_base(e.operand) + "^{-1}"
-    if isinstance(e, Minus):
-        return "-" + _latex_base(e.operand)
-    if isinstance(e, Times):
-        return " ".join(_latex_base(f) for f in e.factors)
-    if isinstance(e, Plus):
-        pos = [t for t in e.terms if not isinstance(t, Minus)]
-        neg = [t.operand for t in e.terms if isinstance(t, Minus)]
-        head = (
-            " + ".join(expr_to_latex(t) for t in pos)
-            if pos
-            else "-" + expr_to_latex(neg.pop(0))
-        )
-        return head + "".join(" - " + expr_to_latex(t) for t in neg)
-    if isinstance(e, SolvedBy):
-        op = _OPERATOR_LATEX.get(e.operator_name, rf"\mathrm{{{e.operator_name}}}")
-        return op + "(" + ", ".join(expr_to_latex(a) for a in e.arguments) + ")"
-    raise ValueError(f"cannot render node {type(e).__name__}")
+# rendering
 
 
 def _cell_text(q: QuadrantEquation) -> str:
@@ -315,6 +261,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
             stuck.extend(lines)
             out.extend(lines)
             continue
+        except PatternConflictError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         pmes.append(pme)
         if args.format == "text":
             out.extend(render_pme_text(pme))
@@ -362,9 +311,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
     failed = False
     for pme in pmes:
-        report = oracle.check_pme(
-            pme, spec, trials=args.trials, tolerance=args.tolerance, seed=args.seed
-        )
+        try:
+            report = oracle.check_pme(
+                pme, spec, trials=args.trials, tolerance=args.tolerance, seed=args.seed
+            )
+        except oracle.OracleError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         print(report.render())
         failed = failed or not report.ok
     return EXIT_CHECK_FAILED if failed else EXIT_OK

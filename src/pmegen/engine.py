@@ -26,7 +26,6 @@ the middle between the query expression and the known SPD facts.
 from __future__ import annotations
 
 import os
-import re
 import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
@@ -36,6 +35,7 @@ from .blockarith import (
     STATUS_SOLVED,
     STATUS_UNSOLVED,
     BlockedEquationGrid,
+    QuadrantCells,
     QuadrantEquation,
     blocked_operands,
     blocked_postcondition,
@@ -74,6 +74,7 @@ from .expr import (
 from .opspec import (
     KIND_MATRIX,
     KIND_SCALAR,
+    KIND_VECTOR,
     OperationSpec,
     Property,
     ROLE_KNOWN,
@@ -81,7 +82,7 @@ from .opspec import (
     STRUCTURAL,
     parse_operation,
 )
-from .partition import BlockedOperand, PropertyFact, inheritance_facts, spd_facts
+from .partition import PropertyFact, inheritance_facts, spd_facts
 
 __all__ = [
     "PatternSlot",
@@ -106,8 +107,6 @@ __all__ = [
     "save_kb",
     "initial_state",
 ]
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 SPD_SEARCH_DEPTH = 8
 SPD_SEARCH_NODES = 4000
@@ -323,9 +322,6 @@ class KnowledgeBase:
     builtins: tuple[Pattern, ...]
     learned: tuple[Pattern, ...] = ()
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.builtins + self.learned)
-
     def get(self, name: str) -> Optional[Pattern]:
         for p in self.builtins + self.learned:
             if p.name == name:
@@ -382,41 +378,22 @@ def _match_expr(tpl: Expression, sub: Expression, binds: dict[str, Expression]) 
             return binds[tpl.name] == sub
         binds[tpl.name] = sub
         return True
-    if isinstance(tpl, Zero):
-        return isinstance(sub, Zero)
-    if isinstance(tpl, Minus):
-        return isinstance(sub, Minus) and _match_expr(tpl.operand, sub.operand, binds)
-    if isinstance(tpl, Transpose):
-        return isinstance(sub, Transpose) and _match_expr(tpl.operand, sub.operand, binds)
-    if isinstance(tpl, Inverse):
-        return isinstance(sub, Inverse) and _match_expr(tpl.operand, sub.operand, binds)
-    if isinstance(tpl, Times):
-        if not isinstance(sub, Times) or len(tpl.factors) != len(sub.factors):
-            return False
-        snapshot = dict(binds)
-        for t, s in zip(tpl.factors, sub.factors):
-            if not _match_expr(t, s, binds):
-                binds.clear()
-                binds.update(snapshot)
-                return False
-        return True
+    if type(tpl) is not type(sub):
+        return False
+    tpl_kids, sub_kids = tpl.children(), sub.children()
+    if len(tpl_kids) != len(sub_kids):
+        return False
     if isinstance(tpl, Plus):
-        if not isinstance(sub, Plus) or len(tpl.terms) != len(sub.terms):
+        return _match_terms(list(tpl_kids), list(sub_kids), binds)
+    if isinstance(tpl, SolvedBy) and tpl.operator_name != sub.operator_name:
+        return False
+    snapshot = dict(binds)
+    for t, s in zip(tpl_kids, sub_kids):
+        if not _match_expr(t, s, binds):
+            binds.clear()
+            binds.update(snapshot)
             return False
-        return _match_terms(list(tpl.terms), list(sub.terms), binds)
-    if isinstance(tpl, SolvedBy):
-        if not isinstance(sub, SolvedBy) or tpl.operator_name != sub.operator_name:
-            return False
-        if len(tpl.arguments) != len(sub.arguments):
-            return False
-        snapshot = dict(binds)
-        for t, s in zip(tpl.arguments, sub.arguments):
-            if not _match_expr(t, s, binds):
-                binds.clear()
-                binds.update(snapshot)
-                return False
-        return True
-    return False
+    return True
 
 
 def _match_terms(
@@ -467,10 +444,7 @@ class TraceStep:
 class DerivationState:
     """Mutable working state of one PME derivation."""
 
-    spec: OperationSpec
-    combination: RuleCombination
     grid: BlockedEquationGrid
-    blocked: dict[str, BlockedOperand]
     known: set[str]
     facts: list[PropertyFact]
     tautologies: list[Equation]
@@ -484,12 +458,12 @@ class DerivationState:
         )
 
 
-def initial_state(
-    spec: OperationSpec, rules: RuleCombination, grid: Optional[BlockedEquationGrid] = None
-) -> DerivationState:
+def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationState:
     blocked = blocked_operands(spec, rules)
-    if grid is None:
-        grid = blocked_postcondition(spec, rules)
+    # the grid goes before the facts: the other order leaves serialize's
+    # cache keyed by equal but distinct nodes, and later lookups then pay
+    # for full tree comparisons
+    grid = blocked_postcondition(spec, rules)
     known: set[str] = set()
     facts: list[PropertyFact] = []
     dims: dict[str, Dimension] = {}
@@ -509,10 +483,7 @@ def initial_state(
                 for cell in row:
                     known |= operand_names(cell)
     return DerivationState(
-        spec=spec,
-        combination=rules,
         grid=grid,
-        blocked=blocked,
         known=known,
         facts=facts,
         tautologies=[],
@@ -597,9 +568,6 @@ class MatchResult:
     bindings: tuple[tuple[str, Expression], ...]
     solved: Equation
     outputs: tuple[str, ...]
-
-    def binding_map(self) -> dict[str, Expression]:
-        return dict(self.bindings)
 
 
 class GuardFailure(Exception):
@@ -739,33 +707,14 @@ def match_equation(
 def _substitute(e: Expression, binds: dict[str, Expression]) -> Expression:
     if isinstance(e, OperandRef):
         return binds.get(e.name, e)
-    if isinstance(e, Plus):
-        return plus(*(_substitute(t, binds) for t in e.terms))
-    if isinstance(e, Times):
-        return times(*(_substitute(f, binds) for f in e.factors))
-    if isinstance(e, Minus):
-        return minus(_substitute(e.operand, binds))
-    if isinstance(e, Transpose):
-        return trans(_substitute(e.operand, binds))
-    if isinstance(e, Inverse):
-        return inv(_substitute(e.operand, binds))
-    if isinstance(e, SolvedBy):
-        return SolvedBy(
-            e.operator_name, tuple(_substitute(a, binds) for a in e.arguments)
-        )
-    return e
+    return e.rebuild([_substitute(c, binds) for c in e.children()])
 
 
 # ---------------------------------------------------------------------------
 # spd proving
 
 
-def prove_spd(
-    e: Expression,
-    state: DerivationState,
-    max_depth: int = SPD_SEARCH_DEPTH,
-    max_nodes: int = SPD_SEARCH_NODES,
-) -> bool:
+def prove_spd(e: Expression, state: DerivationState) -> bool:
     """Bounded equational search for membership in the SPD fact set.
 
     Returns False when no proof is found within the bounds; that is a
@@ -786,27 +735,24 @@ def prove_spd(
     bwd_seen: set[str] = set(target_keys)
     fwd_frontier: list[Expression] = [start]
     bwd_frontier: list[Expression] = list(targets)
-    for _ in range(max_depth):
+    for _ in range(SPD_SEARCH_DEPTH):
         if not fwd_frontier and not bwd_frontier:
             break
-        fwd_frontier = _expand(fwd_frontier, rules, fwd_seen, max_nodes)
+        fwd_frontier = _expand(fwd_frontier, rules, fwd_seen)
         if any(serialize(x) in bwd_seen for x in fwd_frontier):
             return True
-        bwd_frontier = _expand(bwd_frontier, rules, bwd_seen, max_nodes)
+        bwd_frontier = _expand(bwd_frontier, rules, bwd_seen)
         if any(serialize(x) in fwd_seen for x in bwd_frontier):
             return True
     return False
 
 
 def _expand(
-    frontier: list[Expression],
-    rules: list[Equation],
-    seen: set[str],
-    max_nodes: int,
+    frontier: list[Expression], rules: list[Equation], seen: set[str]
 ) -> list[Expression]:
     out: list[Expression] = []
     for node in frontier:
-        if len(seen) >= max_nodes:
+        if len(seen) >= SPD_SEARCH_NODES:
             break
         for cand in rewrite_candidates(node, rules):
             key = serialize(cand)
@@ -852,7 +798,7 @@ class AllCombinationsStuck(Exception):
 
 
 @dataclass(frozen=True, slots=True)
-class PME:
+class PME(QuadrantCells):
     """A fully solved grid: each output block expressed over known inputs."""
 
     operation: str
@@ -862,20 +808,6 @@ class PME:
     cells: tuple[tuple[QuadrantEquation, ...], ...]
     order: tuple[str, ...]
     trace: tuple[TraceStep, ...] = field(compare=False, default=())
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_sizes), len(self.col_sizes))
-
-    def cell(self, position: str) -> QuadrantEquation:
-        for row in self.cells:
-            for q in row:
-                if q.position == position:
-                    return q
-        raise KeyError(position)
-
-    def all_cells(self) -> tuple[QuadrantEquation, ...]:
-        return tuple(q for row in self.cells for q in row)
 
     def assignments(self) -> tuple[QuadrantEquation, ...]:
         return tuple(self.cell(pos) for pos in self.order)
@@ -1124,6 +1056,10 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
                     raise KnowledgeBaseError(
                         "slot records need name, kind, role, rows and cols"
                     )
+                if fields[2] not in (KIND_MATRIX, KIND_VECTOR, KIND_SCALAR):
+                    raise KnowledgeBaseError(f"unknown slot kind {fields[2]!r}")
+                if fields[3] not in (ROLE_KNOWN, ROLE_UNKNOWN):
+                    raise KnowledgeBaseError(f"unknown slot role {fields[3]!r}")
                 rows, cols = fields[4], fields[5]
                 dims = None if rows == "-" else Dimension(rows, cols)
                 props = frozenset(Property(p) for p in fields[6:])

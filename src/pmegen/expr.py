@@ -22,8 +22,8 @@ normalized children and keep the following invariants:
 
 A grouped inverse such as ``inv(L * trans(L))`` is deliberately left
 alone by :func:`normalize`; expanding or contracting product inverses is
-the job of the bounded rewriter :func:`rewrite_with`, which also uses
-solved equations as ground rewrite rules.
+one of the steps :func:`rewrite_candidates` offers, next to ground
+rewriting with solved equations.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "Expression",
@@ -49,7 +49,6 @@ __all__ = [
     "StructuralError",
     "normalize",
     "normalize_equation",
-    "is_normalized",
     "plus",
     "times",
     "minus",
@@ -62,16 +61,15 @@ __all__ = [
     "parse_prefix",
     "parse_prefix_equation",
     "operand_names",
+    "walk",
     "additive_terms",
     "has_unknown",
     "known_only",
     "to_canonical_equation",
     "is_tautology_candidate",
     "transpose_equation",
-    "contains_subterm",
     "replace_all",
     "rewrite_candidates",
-    "rewrite_with",
 ]
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -83,9 +81,22 @@ class StructuralError(ValueError):
 
 
 class Expression:
-    """Base class for expression nodes; all instances are immutable."""
+    """Base class for expression nodes; all instances are immutable.
+
+    Every node exposes its subexpressions through :meth:`children` and
+    builds its normalized counterpart over new children through
+    :meth:`rebuild`; generic walkers use this pair and never inspect node
+    types.  Interior nodes carry their prefix-form keyword in ``head``.
+    """
 
     __slots__ = ()
+
+    def children(self) -> tuple[Expression, ...]:
+        return ()
+
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        """The same node over ``children``, through the smart constructors."""
+        return self
 
 
 def _check_child(e: object) -> None:
@@ -116,6 +127,7 @@ ZERO = Zero()
 class Plus(Expression):
     """Flat n-ary sum, at least two terms, no direct Plus children."""
 
+    head = "plus"
     terms: tuple[Expression, ...]
 
     def __post_init__(self) -> None:
@@ -126,11 +138,18 @@ class Plus(Expression):
             if isinstance(t, Plus):
                 raise StructuralError("Plus may not contain a direct Plus child")
 
+    def children(self) -> tuple[Expression, ...]:
+        return self.terms
+
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        return plus(*children)
+
 
 @dataclass(frozen=True, slots=True)
 class Times(Expression):
     """Flat ordered n-ary product; matrix product is non-commutative."""
 
+    head = "times"
     factors: tuple[Expression, ...]
 
     def __post_init__(self) -> None:
@@ -141,39 +160,59 @@ class Times(Expression):
             if isinstance(f, Times):
                 raise StructuralError("Times may not contain a direct Times child")
 
+    def children(self) -> tuple[Expression, ...]:
+        return self.factors
+
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        return times(*children)
+
 
 @dataclass(frozen=True, slots=True)
-class Minus(Expression):
+class _Unary(Expression):
+    """Shape shared by the one-operand nodes."""
+
+    operand: Expression
+
+    def __post_init__(self) -> None:
+        _check_child(self.operand)
+
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
+
+
+@dataclass(frozen=True, slots=True)
+class Minus(_Unary):
     """Unary negation."""
 
-    operand: Expression
+    head = "minus"
 
-    def __post_init__(self) -> None:
-        _check_child(self.operand)
-
-
-@dataclass(frozen=True, slots=True)
-class Transpose(Expression):
-    operand: Expression
-
-    def __post_init__(self) -> None:
-        _check_child(self.operand)
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        return minus(*children)
 
 
 @dataclass(frozen=True, slots=True)
-class Inverse(Expression):
+class Transpose(_Unary):
+    head = "trans"
+
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        return trans(*children)
+
+
+@dataclass(frozen=True, slots=True)
+class Inverse(_Unary):
     """Formal inverse; no invertibility check happens at this layer."""
 
-    operand: Expression
+    head = "inv"
 
-    def __post_init__(self) -> None:
-        _check_child(self.operand)
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        return inv(*children)
 
 
 @dataclass(frozen=True, slots=True)
 class SolvedBy(Expression):
     """Application of a solution operator, e.g. ``Gamma(A_TL)``."""
 
+    head = "solved"
     operator_name: str
     arguments: tuple[Expression, ...]
 
@@ -184,6 +223,12 @@ class SolvedBy(Expression):
             raise StructuralError("SolvedBy needs at least one argument")
         for a in self.arguments:
             _check_child(a)
+
+    def children(self) -> tuple[Expression, ...]:
+        return self.arguments
+
+    def rebuild(self, children: Sequence[Expression]) -> Expression:
+        return SolvedBy(self.operator_name, tuple(children))
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,25 +264,8 @@ def serialize(e: Expression) -> str:
         return e.name
     if isinstance(e, Zero):
         return "0"
-    if isinstance(e, Plus):
-        return "(plus " + " ".join(serialize(t) for t in e.terms) + ")"
-    if isinstance(e, Times):
-        return "(times " + " ".join(serialize(f) for f in e.factors) + ")"
-    if isinstance(e, Minus):
-        return "(minus " + serialize(e.operand) + ")"
-    if isinstance(e, Transpose):
-        return "(trans " + serialize(e.operand) + ")"
-    if isinstance(e, Inverse):
-        return "(inv " + serialize(e.operand) + ")"
-    if isinstance(e, SolvedBy):
-        return (
-            "(solved "
-            + e.operator_name
-            + " "
-            + " ".join(serialize(a) for a in e.arguments)
-            + ")"
-        )
-    raise StructuralError(f"unknown node type: {type(e).__name__}")
+    head = f"solved {e.operator_name}" if isinstance(e, SolvedBy) else e.head
+    return f"({head} {' '.join([serialize(c) for c in e.children()])})"
 
 
 def serialize_equation(eq: Equation) -> str:
@@ -249,6 +277,9 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 def _tokens(text: str) -> list[str]:
     return _TOKEN.findall(text)
+
+
+_PREFIX_NODES = {cls.head: cls for cls in (Plus, Times, Minus, Transpose, Inverse, SolvedBy)}
 
 
 def _read(toks: list[str], i: int) -> tuple[Expression, int]:
@@ -263,37 +294,28 @@ def _read(toks: list[str], i: int) -> tuple[Expression, int]:
         return OperandRef(t), i + 1
     head = toks[i + 1] if i + 1 < len(toks) else None
     i += 2
-    args: list[Expression] = []
-    if head == "solved":
+    cls = _PREFIX_NODES.get(head)
+    if cls is None:
+        raise StructuralError(f"unknown prefix head: {head!r}")
+    if cls is SolvedBy:
         if i >= len(toks) or toks[i] in ("(", ")"):
             raise StructuralError("solved needs an operator name")
         op_name = toks[i]
         i += 1
-    elif head not in ("plus", "minus", "times", "trans", "inv"):
-        raise StructuralError(f"unknown prefix head: {head!r}")
+    args: list[Expression] = []
     while i < len(toks) and toks[i] != ")":
         node, i = _read(toks, i)
         args.append(node)
     if i >= len(toks):
         raise StructuralError("missing ')' in prefix form")
     i += 1
-    if head == "plus":
-        return Plus(tuple(args)), i
-    if head == "times":
-        return Times(tuple(args)), i
-    if head == "minus":
+    if cls is SolvedBy:
+        return SolvedBy(op_name, tuple(args)), i
+    if issubclass(cls, _Unary):
         if len(args) != 1:
-            raise StructuralError("minus takes exactly one argument")
-        return Minus(args[0]), i
-    if head == "trans":
-        if len(args) != 1:
-            raise StructuralError("trans takes exactly one argument")
-        return Transpose(args[0]), i
-    if head == "inv":
-        if len(args) != 1:
-            raise StructuralError("inv takes exactly one argument")
-        return Inverse(args[0]), i
-    return SolvedBy(op_name, tuple(args)), i
+            raise StructuralError(f"{head} takes exactly one argument")
+        return cls(args[0]), i
+    return cls(tuple(args)), i
 
 
 def parse_prefix(text: str) -> Expression:
@@ -417,56 +439,40 @@ def solved_by(operator_name: str, arguments: Sequence[Expression]) -> SolvedBy:
 
 def normalize(e: Expression) -> Expression:
     """Rewrite ``e`` bottom-up to the canonical form (idempotent)."""
-    if isinstance(e, (OperandRef, Zero)):
+    kids = e.children()
+    if not kids:
         return e
-    if isinstance(e, Plus):
-        return plus(*(normalize(t) for t in e.terms))
-    if isinstance(e, Times):
-        return times(*(normalize(f) for f in e.factors))
-    if isinstance(e, Minus):
-        return minus(normalize(e.operand))
-    if isinstance(e, Transpose):
-        return trans(normalize(e.operand))
-    if isinstance(e, Inverse):
-        return inv(normalize(e.operand))
-    if isinstance(e, SolvedBy):
-        return SolvedBy(e.operator_name, tuple(normalize(a) for a in e.arguments))
-    raise StructuralError(f"unknown node type: {type(e).__name__}")
+    return e.rebuild([normalize(c) for c in kids])
 
 
 def normalize_equation(eq: Equation) -> Equation:
     return Equation(normalize(eq.lhs), normalize(eq.rhs))
 
 
-def is_normalized(e: Expression) -> bool:
-    return normalize(e) == e
-
-
 # ---------------------------------------------------------------------------
 # queries
+
+
+def walk(e: Expression) -> Iterator[Expression]:
+    """``e`` and all of its subexpressions, in pre-order."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def operand_names(e: Expression) -> frozenset[str]:
     """All operand/block names referenced anywhere in ``e``."""
     out: set[str] = set()
-    _collect_names(e, out)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, OperandRef):
+            out.add(node.name)
+        else:
+            stack.extend(node.children())
     return frozenset(out)
-
-
-def _collect_names(e: Expression, out: set[str]) -> None:
-    if isinstance(e, OperandRef):
-        out.add(e.name)
-    elif isinstance(e, Plus):
-        for t in e.terms:
-            _collect_names(t, out)
-    elif isinstance(e, Times):
-        for f in e.factors:
-            _collect_names(f, out)
-    elif isinstance(e, (Minus, Transpose, Inverse)):
-        _collect_names(e.operand, out)
-    elif isinstance(e, SolvedBy):
-        for a in e.arguments:
-            _collect_names(a, out)
 
 
 def additive_terms(e: Expression) -> tuple[Expression, ...]:
@@ -532,40 +538,14 @@ def transpose_equation(eq: Equation) -> Equation:
 # ground rewriting
 
 
-def contains_subterm(e: Expression, target: Expression) -> bool:
-    if e == target:
-        return True
-    if isinstance(e, Plus):
-        return any(contains_subterm(t, target) for t in e.terms)
-    if isinstance(e, Times):
-        return any(contains_subterm(f, target) for f in e.factors)
-    if isinstance(e, (Minus, Transpose, Inverse)):
-        return contains_subterm(e.operand, target)
-    if isinstance(e, SolvedBy):
-        return any(contains_subterm(a, target) for a in e.arguments)
-    return False
-
-
 def replace_all(e: Expression, target: Expression, replacement: Expression) -> Expression:
     """Replace every occurrence of ``target``; result is renormalized."""
     if e == target:
         return replacement
-    if isinstance(e, Plus):
-        return plus(*(replace_all(t, target, replacement) for t in e.terms))
-    if isinstance(e, Times):
-        return times(*(replace_all(f, target, replacement) for f in e.factors))
-    if isinstance(e, Minus):
-        return minus(replace_all(e.operand, target, replacement))
-    if isinstance(e, Transpose):
-        return trans(replace_all(e.operand, target, replacement))
-    if isinstance(e, Inverse):
-        return inv(replace_all(e.operand, target, replacement))
-    if isinstance(e, SolvedBy):
-        return SolvedBy(
-            e.operator_name,
-            tuple(replace_all(a, target, replacement) for a in e.arguments),
-        )
-    return e
+    kids = e.children()
+    if not kids:
+        return e
+    return e.rebuild([replace_all(c, target, replacement) for c in kids])
 
 
 def _uninvert(e: Expression) -> Optional[Expression]:
@@ -601,30 +581,11 @@ def _local_variants(e: Expression) -> list[Expression]:
 
 
 def _positional_variants(e: Expression) -> list[Expression]:
-    out = list(_local_variants(e))
-    if isinstance(e, Plus):
-        for i, t in enumerate(e.terms):
-            for v in _positional_variants(t):
-                out.append(plus(*e.terms[:i], v, *e.terms[i + 1 :]))
-    elif isinstance(e, Times):
-        for i, f in enumerate(e.factors):
-            for v in _positional_variants(f):
-                out.append(times(*e.factors[:i], v, *e.factors[i + 1 :]))
-    elif isinstance(e, Minus):
-        out.extend(minus(v) for v in _positional_variants(e.operand))
-    elif isinstance(e, Transpose):
-        out.extend(trans(v) for v in _positional_variants(e.operand))
-    elif isinstance(e, Inverse):
-        out.extend(inv(v) for v in _positional_variants(e.operand))
-    elif isinstance(e, SolvedBy):
-        for i, a in enumerate(e.arguments):
-            for v in _positional_variants(a):
-                out.append(
-                    SolvedBy(
-                        e.operator_name,
-                        e.arguments[:i] + (v,) + e.arguments[i + 1 :],
-                    )
-                )
+    out = _local_variants(e)
+    kids = e.children()
+    for i, child in enumerate(kids):
+        for v in _positional_variants(child):
+            out.append(e.rebuild(kids[:i] + (v,) + kids[i + 1 :]))
     return out
 
 
@@ -653,25 +614,3 @@ def rewrite_candidates(e: Expression, rules: Sequence[Equation]) -> list[Express
             seen.add(key)
             out.append(cand)
     return out
-
-
-def rewrite_with(e: Expression, rules: Sequence[Equation], max_depth: int) -> Expression:
-    """Greedy bounded rewriting; each step takes the first unseen candidate.
-
-    Mostly useful for single-step transcripts; search-style proving sits
-    on top of :func:`rewrite_candidates` instead.
-    """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    cur = normalize(e)
-    seen = {serialize(cur)}
-    for _ in range(max_depth):
-        for cand in rewrite_candidates(cur, rules):
-            key = serialize(cand)
-            if key not in seen:
-                seen.add(key)
-                cur = cand
-                break
-        else:
-            break
-    return cur

@@ -19,9 +19,11 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .expr import (
+    _IDENT,
+    _RESERVED as _EXPR_RESERVED,
     Dimension,
     Equation,
     Expression,
@@ -40,6 +42,7 @@ from .expr import (
     times,
     trans,
     inv,
+    walk,
 )
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "render_spec",
     "build_spec",
     "expr_to_text",
+    "expr_to_latex",
     "equation_to_text",
     "KIND_MATRIX",
     "KIND_VECTOR",
@@ -91,14 +95,10 @@ KIND_SCALAR = "scalar"
 ROLE_KNOWN = "known"
 ROLE_UNKNOWN = "unknown"
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RESERVED = frozenset(
-    {
-        "plus", "minus", "times", "trans", "inv", "solved", "eq",
-        "operation", "operand", "postcondition", "solve",
-        "matrix", "vector", "scalar", "known", "unknown",
-    }
-) | {p.value for p in Property}
+_RESERVED = _EXPR_RESERVED | {
+    "operation", "operand", "postcondition", "solve",
+    "matrix", "vector", "scalar", "known", "unknown",
+} | {p.value for p in Property}
 
 
 class SpecError(ValueError):
@@ -227,21 +227,9 @@ def build_spec(
         if d.name not in used:
             raise SpecValidationError(f"operand {d.name} declared but unused")
     for side in (post.lhs, post.rhs):
-        if _mentions_solved(side):
+        if any(isinstance(n, SolvedBy) for n in walk(side)):
             raise SpecValidationError("postconditions may not contain solution operators")
     return OperationSpec(name, decls, post, solution_operator)
-
-
-def _mentions_solved(e: Expression) -> bool:
-    if isinstance(e, SolvedBy):
-        return True
-    if isinstance(e, Plus):
-        return any(_mentions_solved(t) for t in e.terms)
-    if isinstance(e, Times):
-        return any(_mentions_solved(f) for f in e.factors)
-    if isinstance(e, (Minus, Transpose, Inverse)):
-        return _mentions_solved(e.operand)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -443,34 +431,89 @@ def parse_operation(text: str) -> OperationSpec:
 # rendering
 
 
-def expr_to_text(e: Expression) -> str:
+@dataclass(frozen=True, slots=True)
+class _InfixStyle:
+    """What distinguishes one infix notation from another."""
+
+    name: Callable[[str], str]
+    operator: Callable[[str], str]
+    product: str
+    # children of a product, a negation or a postfix operator that need brackets
+    bracketed: tuple[type, ...]
+    brackets: tuple[str, str]
+    # postfix marks for "trans", "inv" and their composition; None prints
+    # transposes and inverses as calls, ``trans(x)`` and ``inv(x)``
+    postfix: Optional[dict[str, str]]
+
+
+def _latex_name(name: str) -> str:
+    if "_" in name:
+        base, suffix = name.split("_", 1)
+        return f"{base}_{{{suffix}}}"
+    return name
+
+
+_OPERATOR_LATEX = {"Gamma": r"\Gamma", "Omega": r"\Omega"}
+
+_TEXT = _InfixStyle(
+    name=str,
+    operator=str,
+    product=" * ",
+    bracketed=(Plus, Minus),
+    brackets=("(", ")"),
+    postfix=None,
+)
+_LATEX = _InfixStyle(
+    name=_latex_name,
+    operator=lambda op: _OPERATOR_LATEX.get(op, rf"\mathrm{{{op}}}"),
+    product=" ",
+    bracketed=(Plus, Times, Minus),
+    brackets=(r"\left(", r"\right)"),
+    postfix={"trans": "^{T}", "inv": "^{-1}", "inv trans": "^{-T}"},
+)
+
+
+def _infix(e: Expression, style: _InfixStyle) -> str:
     """Infix rendering; sums print positive terms before negated ones."""
     if isinstance(e, OperandRef):
-        return e.name
+        return style.name(e.name)
     if isinstance(e, Zero):
         return "0"
     if isinstance(e, SolvedBy):
-        return f"{e.operator_name}({', '.join(expr_to_text(a) for a in e.arguments)})"
-    if isinstance(e, Transpose):
-        return f"trans({expr_to_text(e.operand)})"
-    if isinstance(e, Inverse):
-        return f"inv({expr_to_text(e.operand)})"
+        args = ", ".join(_infix(a, style) for a in e.arguments)
+        return f"{style.operator(e.operator_name)}({args})"
+    if isinstance(e, (Transpose, Inverse)):
+        if style.postfix is None:
+            return f"{e.head}({_infix(e.operand, style)})"
+        inner, mark = e.operand, style.postfix[e.head]
+        if {type(e), type(inner)} == {Transpose, Inverse}:
+            inner, mark = inner.operand, style.postfix["inv trans"]
+        return _operand(inner, style) + mark
     if isinstance(e, Minus):
-        return "-" + _factor_text(e.operand)
+        return "-" + _operand(e.operand, style)
     if isinstance(e, Times):
-        return " * ".join(_factor_text(f) for f in e.factors)
-    if isinstance(e, Plus):
-        pos = [t for t in e.terms if not isinstance(t, Minus)]
-        neg = [t.operand for t in e.terms if isinstance(t, Minus)]
-        parts = [expr_to_text(t) for t in pos]
-        head = " + ".join(parts) if parts else "-" + expr_to_text(neg.pop(0))
-        return head + "".join(" - " + expr_to_text(t) for t in neg)
-    raise SpecValidationError(f"cannot render node {type(e).__name__}")
+        return style.product.join(_operand(f, style) for f in e.factors)
+    pos = [t for t in e.terms if not isinstance(t, Minus)]
+    neg = [t.operand for t in e.terms if isinstance(t, Minus)]
+    parts = [_infix(t, style) for t in pos]
+    head = " + ".join(parts) if parts else "-" + _infix(neg.pop(0), style)
+    return head + "".join(" - " + _infix(t, style) for t in neg)
 
 
-def _factor_text(e: Expression) -> str:
-    text = expr_to_text(e)
-    return f"({text})" if isinstance(e, (Plus, Minus)) else text
+def _operand(e: Expression, style: _InfixStyle) -> str:
+    text = _infix(e, style)
+    if isinstance(e, style.bracketed):
+        return style.brackets[0] + text + style.brackets[1]
+    return text
+
+
+def expr_to_text(e: Expression) -> str:
+    """Plain-text infix form, the syntax of operation files."""
+    return _infix(e, _TEXT)
+
+
+def expr_to_latex(e: Expression) -> str:
+    return _infix(e, _LATEX)
 
 
 def equation_to_text(eq: Equation) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .expr import (
     Transpose,
     Zero,
 )
-from .opspec import KIND_SCALAR, OperandDecl, OperationSpec, Property
+from .opspec import KIND_SCALAR, OperationSpec, Property
 from .partition import BlockedOperand
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "min_symmetric_eigenvalue",
     "eval_size",
     "sample_value",
-    "sample_binding",
     "evaluate",
     "check_pme",
     "relative_residual",
@@ -271,38 +270,18 @@ def sample_value(
     return a
 
 
-def sample_binding(
-    operands: Sequence[OperandDecl],
-    sizes: Mapping[str, int],
-    rng: np.random.Generator,
-    only: Optional[set[str]] = None,
-) -> NumericBinding:
-    """Sample values for the given operands at the given symbol sizes."""
-    values: dict[str, np.ndarray] = {}
-    for decl in operands:
-        if only is not None and decl.name not in only:
-            continue
-        shape = (eval_size(decl.dims.rows, sizes), eval_size(decl.dims.cols, sizes))
-        values[decl.name] = sample_value(decl.kind, shape, decl.properties, rng)
-    return NumericBinding(sizes=dict(sizes), values=values)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
 
 def evaluate(
-    e: Expression,
-    binding: NumericBinding,
-    base_solvers: Optional[Mapping[str, Callable[..., np.ndarray]]] = None,
-    shape: Optional[tuple[int, int]] = None,
+    e: Expression, binding: NumericBinding, shape: Optional[tuple[int, int]] = None
 ) -> np.ndarray:
     """Evaluate an expression under a numeric binding.
 
     ``shape`` supplies the dimensions of a bare zero block, which carries
     no size information of its own.
     """
-    solvers = BASE_SOLVERS if base_solvers is None else base_solvers
     if isinstance(e, OperandRef):
         try:
             return binding.values[e.name]
@@ -313,29 +292,29 @@ def evaluate(
             raise OracleError("cannot size a bare zero block without context")
         return np.zeros(shape)
     if isinstance(e, Plus):
-        acc = evaluate(e.terms[0], binding, solvers, shape)
+        acc = evaluate(e.terms[0], binding, shape)
         for t in e.terms[1:]:
-            acc = acc + evaluate(t, binding, solvers, shape)
+            acc = acc + evaluate(t, binding, shape)
         return acc
     if isinstance(e, Times):
-        acc = evaluate(e.factors[0], binding, solvers)
+        acc = evaluate(e.factors[0], binding)
         for f in e.factors[1:]:
-            acc = acc @ evaluate(f, binding, solvers)
+            acc = acc @ evaluate(f, binding)
         return acc
     if isinstance(e, Minus):
-        return -evaluate(e.operand, binding, solvers, shape)
+        return -evaluate(e.operand, binding, shape)
     if isinstance(e, Transpose):
-        return evaluate(e.operand, binding, solvers).T
+        return evaluate(e.operand, binding).T
     if isinstance(e, Inverse):
-        return gauss_jordan_inverse(evaluate(e.operand, binding, solvers))
+        return gauss_jordan_inverse(evaluate(e.operand, binding))
     if isinstance(e, SolvedBy):
         try:
-            solver = solvers[e.operator_name]
+            solver = BASE_SOLVERS[e.operator_name]
         except KeyError:
             raise OracleError(
                 f"no base solver for operator {e.operator_name}"
             ) from None
-        args = [evaluate(a, binding, solvers) for a in e.arguments]
+        args = [evaluate(a, binding) for a in e.arguments]
         return solver(*args)
     raise OracleError(f"cannot evaluate node {type(e).__name__}")
 
@@ -409,7 +388,6 @@ def check_pme(
     trials: int = 50,
     tolerance: float = 1e-8,
     seed: int = 0,
-    base_solvers: Optional[Mapping[str, Callable[..., np.ndarray]]] = None,
 ) -> CheckReport:
     """Numerically verify a PME against the unblocked postcondition.
 
@@ -439,7 +417,7 @@ def check_pme(
                 sizes[split] = limit - 1
             else:
                 sizes[split] = int(rng.integers(1, limit))
-        residual = _run_trial(pme, spec, blocks, sizes, rng, base_solvers)
+        residual = _run_trial(pme, spec, blocks, sizes, rng)
         ok = residual <= tolerance
         worst = max(worst, residual)
         results.append(
@@ -466,7 +444,6 @@ def _run_trial(
     blocks: Mapping[str, BlockedOperand],
     sizes: Mapping[str, int],
     rng: np.random.Generator,
-    base_solvers: Optional[Mapping[str, Callable[..., np.ndarray]]],
 ) -> float:
     values: dict[str, np.ndarray] = {}
     # sample full inputs, then slice them into their blocks
@@ -482,14 +459,12 @@ def _run_trial(
         if not isinstance(out_ref, OperandRef):
             raise OracleError(f"cell {pos} does not assign a single block")
         shape = _cell_shape(pme, pos, sizes)
-        values[out_ref.name] = evaluate(
-            cell.equation.rhs, binding, base_solvers, shape
-        )
+        values[out_ref.name] = evaluate(cell.equation.rhs, binding, shape)
     # assemble blocked outputs into full operands
     for decl in spec.outputs():
-        values[decl.name] = _assemble(blocks[decl.name], sizes, binding, base_solvers)
-    lhs = evaluate(spec.postcondition.lhs, binding, base_solvers)
-    rhs = evaluate(spec.postcondition.rhs, binding, base_solvers)
+        values[decl.name] = _assemble(blocks[decl.name], sizes, binding)
+    lhs = evaluate(spec.postcondition.lhs, binding)
+    rhs = evaluate(spec.postcondition.rhs, binding)
     return relative_residual(lhs, rhs)
 
 
@@ -528,10 +503,7 @@ def _cell_shape(pme: PME, position: str, sizes: Mapping[str, int]) -> tuple[int,
 
 
 def _assemble(
-    b: BlockedOperand,
-    sizes: Mapping[str, int],
-    binding: NumericBinding,
-    base_solvers: Optional[Mapping[str, Callable[..., np.ndarray]]],
+    b: BlockedOperand, sizes: Mapping[str, int], binding: NumericBinding
 ) -> np.ndarray:
     rows, cols = _parent_shape(b, sizes)
     out = np.zeros((rows, cols))
@@ -545,5 +517,5 @@ def _assemble(
             )
             out[
                 row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]
-            ] = evaluate(cell, binding, base_solvers, shape)
+            ] = evaluate(cell, binding, shape)
     return out

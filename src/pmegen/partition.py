@@ -120,9 +120,6 @@ class BlockedOperand:
     def block_properties(self) -> dict[str, frozenset[Property]]:
         return dict(self.props)
 
-    def named_blocks(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.props)
-
     def block_dims(self) -> dict[str, Dimension]:
         out: dict[str, Dimension] = {}
         for i, row in enumerate(self.cells):

@@ -34,6 +34,15 @@ from pmegen.opspec import (
 from pmegen.oracle import NumericBinding, eval_size, evaluate, sample_value
 
 OPS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "ops")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a ``python -m pmegen.cli`` child that imports this
+    checkout's ``src/``, like the test process itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def load_op(name: str) -> OperationSpec:

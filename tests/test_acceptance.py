@@ -48,7 +48,7 @@ from pmegen.oracle import (
     min_symmetric_eigenvalue,
 )
 
-from conftest import OPS_DIR, check_blocking_faithful, load_op, random_spec
+from conftest import OPS_DIR, check_blocking_faithful, cli_env, load_op, random_spec
 
 CHOLESKY_OP = os.path.join(OPS_DIR, "cholesky.op")
 SYLVESTER_OP = os.path.join(OPS_DIR, "sylvester.op")
@@ -66,7 +66,7 @@ def criterion(number: int, description: str):
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
+    env = cli_env()
     env.pop("PME_KB", None)
     if env_extra:
         env.update(env_extra)

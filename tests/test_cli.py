@@ -24,7 +24,7 @@ from pmegen.cli import (
 )
 from pmegen.engine import derive_all, seed_builtins
 
-from conftest import OPS_DIR
+from conftest import OPS_DIR, cli_env
 
 CHOLESKY_OP = os.path.join(OPS_DIR, "cholesky.op")
 SYLVESTER_OP = os.path.join(OPS_DIR, "sylvester.op")
@@ -138,6 +138,23 @@ class TestDerive:
         assert r"\star" in out
         assert r"\begin{array}" in out
 
+    def test_multiple_unknowns_exit_without_traceback(self, tmp_path):
+        op = tmp_path / "lu.op"
+        op.write_text(
+            "operation lu\n"
+            "  operand L : matrix(m,m) , unknown , lower_triangular\n"
+            "  operand U : matrix(m,m) , unknown , upper_triangular\n"
+            "  operand A : matrix(m,m) , known\n"
+            "  postcondition: L * U = A\n"
+            "  solve: LU\n"
+        )
+        r = _run_subprocess(["derive", str(op)])
+        assert r.returncode == EXIT_PARSE
+        assert b"Traceback" not in r.stderr
+        assert r.stderr.decode() == (
+            "error: operation lu: patterns need exactly one unknown operand\n"
+        )
+
 
 class TestLearnAndKb:
     def test_learn_persists_pattern(self, tmp_path, capsys):
@@ -233,6 +250,25 @@ class TestCheck:
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out2 and "seed=" in out2
 
+    def test_unsupported_operator_exits_without_traceback(self, tmp_path, capsys):
+        op = tmp_path / "trmm.op"
+        op.write_text(
+            "operation trmm\n"
+            "  operand L : matrix(m,m) , known , lower_triangular\n"
+            "  operand B : matrix(m,n) , known\n"
+            "  operand X : matrix(m,n) , unknown\n"
+            "  postcondition: X = L * B\n"
+            "  solve: Trmm\n"
+        )
+        code, out, _ = run_main(["derive", str(op), "--format", "json"], capsys)
+        assert code == EXIT_OK
+        pme_file = tmp_path / "trmm.json"
+        pme_file.write_text(out)
+        r = _run_subprocess(["check", str(op), str(pme_file), "--trials", "2"])
+        assert r.returncode == EXIT_CHECK_FAILED
+        assert b"Traceback" not in r.stderr
+        assert r.stderr.decode() == "error: no base solver for operator Trmm\n"
+
     def test_zero_trials_warns(self, tmp_path, capsys):
         code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
         pme_file = tmp_path / "c.json"
@@ -253,7 +289,7 @@ class TestCheck:
 
 
 def _run_subprocess(args, env_extra=None):
-    env = dict(os.environ)
+    env = cli_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

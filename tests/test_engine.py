@@ -59,7 +59,7 @@ def cholesky_state(cholesky_spec):
 class TestBuiltins:
     def test_seed_names_stable(self):
         kb = seed_builtins()
-        assert kb.names() == (
+        assert tuple(p.name for p in kb.builtins) == (
             "assign",
             "add_isolate",
             "solve_left",
@@ -108,8 +108,9 @@ class TestBuiltins:
 
     def test_disabled_family_removed(self):
         kb = seed_builtins().without_builtins(["trsm"])
-        assert all(not n.startswith("trsm") for n in kb.names())
-        assert "solve_left" in kb.names()
+        names = [p.name for p in kb.builtins]
+        assert all(not n.startswith("trsm") for n in names)
+        assert "solve_left" in names
 
 
 class TestMatchEquation:
@@ -486,4 +487,27 @@ class TestKnowledgeBaseFile:
                 "end\n"
             )
         with pytest.raises(KnowledgeBaseError, match="slot records need"):
+            load_kb(path)
+
+    @pytest.mark.parametrize(
+        "slot, message",
+        [
+            ("slot X bogus unknown m n", "unknown slot kind 'bogus'"),
+            ("slot X matrix weird m n", "unknown slot role 'weird'"),
+        ],
+    )
+    def test_invalid_slot_kind_or_role_rejected(self, tmp_path, slot, message):
+        path = str(tmp_path / "badslot.kb")
+        with open(path, "w") as fh:
+            fh.write(
+                "pattern bad\n"
+                "provenance learned-from:bad\n"
+                "solve S\n"
+                f"{slot}\n"
+                "slot E matrix known m n\n"
+                "post (eq X E)\n"
+                "solved (eq X E)\n"
+                "end\n"
+            )
+        with pytest.raises(KnowledgeBaseError, match=f"badslot.kb:4: {message}"):
             load_kb(path)

@@ -1,4 +1,4 @@
-"""Normal form, canonical equations, and the bounded rewriter."""
+"""Normal form, canonical equations, the node interface and one-step rewriting."""
 
 from __future__ import annotations
 
@@ -28,9 +28,10 @@ from pmegen.expr import (
     parse_prefix_equation,
     plus,
     ref,
-    rewrite_with,
+    rewrite_candidates,
     serialize,
     serialize_equation,
+    solved_by,
     times,
     to_canonical_equation,
     trans,
@@ -186,6 +187,26 @@ class TestNormalFormProperties:
         assert (n1 == n2) == (serialize(n1) == serialize(n2))
 
 
+@pytest.mark.parametrize(
+    "e",
+    [
+        A,
+        ZERO,
+        plus(A, minus(times(B, C))),
+        times(A, trans(B), inv(C)),
+        minus(times(A, B)),
+        trans(inv(A)),
+        inv(times(A, B)),
+        solved_by("Gamma", [A, plus(B, C)]),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_node_interface_round_trip(e):
+    assert normalize(e) == e
+    assert e.rebuild(e.children()) == e
+    assert parse_prefix(serialize(e)) == e
+
+
 def test_serialization_golden():
     eq = Equation(times(ref("L"), trans(ref("L"))), ref("A"))
     assert serialize_equation(eq) == "(eq (times L (trans L)) A)"
@@ -249,11 +270,11 @@ class TestCanonicalEquation:
         assert flipped <= 1e-12 * max(np.linalg.norm(before), 1.0)
 
 
-class TestRewriteWith:
+class TestRewriteCandidates:
     def test_substitutes_solved_block(self):
         e = plus(A_BR, minus(times(L_BL, trans(L_BL))))
         rule = Equation(L_BL, times(A_BL, trans(inv(L_TL))))
-        out = rewrite_with(e, [rule], max_depth=1)
+        out = rewrite_candidates(e, [rule])[0]
         expected = plus(
             A_BR,
             minus(times(A_BL, trans(inv(L_TL)), inv(L_TL), trans(A_BL))),
@@ -266,16 +287,12 @@ class TestRewriteWith:
             minus(times(A_BL, inv(times(L_TL, trans(L_TL))), trans(A_BL))),
         )
         rule = Equation(times(L_TL, trans(L_TL)), A_TL)
-        out = rewrite_with(e, [rule], max_depth=1)
+        out = rewrite_candidates(e, [rule])[0]
         assert out == plus(A_BR, minus(times(A_BL, inv(A_TL), trans(A_BL))))
 
     def test_no_rules_fixpoint(self):
         e = plus(A, times(B, C))
-        assert rewrite_with(e, [], max_depth=5) == e
-
-    def test_max_depth_validated(self):
-        with pytest.raises(ValueError):
-            rewrite_with(A, [], max_depth=0)
+        assert rewrite_candidates(e, []) == []
 
 
 @pytest.mark.parametrize("seed", range(60))
