@@ -25,7 +25,7 @@ from .expr import (
 )
 from .opspec import OperandDecl, OperationSpec, Property, parse_operation, render_spec
 from .partition import BlockedOperand, PartitionRule, PartitionShape, PropertyFact
-from .binding import DimensionVar, RuleCombination, bind_dimensions, enumerate_combinations
+from .binding import DimensionVar, RuleCombination, enumerate_combinations
 from .blockarith import BlockedEquationGrid, QuadrantEquation, blocked_postcondition
 from .engine import (
     KnowledgeBase,
@@ -67,7 +67,6 @@ __all__ = [
     "PropertyFact",
     "DimensionVar",
     "RuleCombination",
-    "bind_dimensions",
     "enumerate_combinations",
     "BlockedEquationGrid",
     "QuadrantEquation",

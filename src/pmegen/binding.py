@@ -40,7 +40,6 @@ __all__ = [
     "BindingError",
     "DimensionConflictError",
     "NoViablePartitioningsError",
-    "bind_dimensions",
     "analyze",
     "BindingAnalysis",
     "enumerate_combinations",
@@ -233,11 +232,6 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
         canonical_sizes=canonical,
         split_symbols=tuple(f"k{i + 1}" for i in range(len(groups))),
     )
-
-
-def bind_dimensions(spec: OperationSpec) -> tuple[frozenset[DimensionVar], ...]:
-    """Equivalence groups of operand axes, in first-encounter order."""
-    return analyze(spec).groups
 
 
 def enumerate_combinations(

@@ -30,7 +30,6 @@ from .expr import (
     Transpose,
     is_tautology_candidate,
     minus,
-    normalize,
     operand_names,
     plus,
     serialize_equation,
@@ -52,7 +51,7 @@ __all__ = [
     "STATUS_SOLVED",
     "STATUS_STAR",
     "blocked_operands",
-    "validate_conformance",
+    "known_blocks",
     "blocked_postcondition",
     "raw_blocked_equations",
     "detect_star",
@@ -227,10 +226,9 @@ def _eval_blocked(e: Expression, blocks: dict[str, BlockedOperand]) -> _Grid:
 
 
 def raw_blocked_equations(
-    spec: OperationSpec, rules: RuleCombination
+    spec: OperationSpec, blocks: dict[str, BlockedOperand]
 ) -> BlockedEquationGrid:
-    """Distribute ``=`` over the blockings without canonicalization."""
-    blocks = blocked_operands(spec, rules)
+    """Distribute ``=`` over the given blockings without canonicalization."""
     lhs = _eval_blocked(spec.postcondition.lhs, blocks)
     rhs = _eval_blocked(spec.postcondition.rhs, blocks)
     _same_shape(lhs, rhs, "equation")
@@ -249,15 +247,6 @@ def raw_blocked_equations(
     return BlockedEquationGrid(cells, lhs.row_sizes, lhs.col_sizes)
 
 
-def validate_conformance(spec: OperationSpec, rules: RuleCombination) -> bool:
-    """True when every product, sum and the equality are well defined."""
-    try:
-        raw_blocked_equations(spec, rules)
-    except ConformanceError:
-        return False
-    return True
-
-
 def blocked_postcondition(
     spec: OperationSpec, rules: RuleCombination
 ) -> BlockedEquationGrid:
@@ -266,21 +255,29 @@ def blocked_postcondition(
     Cells that hold trivially (zero equals zero) are marked solved right
     away so the derivation loop only ever sees informative equations.
     """
+    blocks = blocked_operands(spec, rules)
+    return _blocked_grid(spec, rules, blocks, known_blocks(spec, blocks))
+
+
+def _blocked_grid(
+    spec: OperationSpec,
+    rules: RuleCombination,
+    blocks: dict[str, BlockedOperand],
+    known: frozenset[str],
+) -> BlockedEquationGrid:
+    """:func:`blocked_postcondition` over blocks and known names already built."""
     if rules.is_all_identity():
         raise ConformanceError(
             "the all-identity combination does not partition anything"
         )
-    raw = raw_blocked_equations(spec, rules)
-    known = _known_blocks(spec, rules)
+    raw = raw_blocked_equations(spec, blocks)
     rows: list[tuple[QuadrantEquation, ...]] = []
     for row in raw.cells:
         out_row: list[QuadrantEquation] = []
         for q in row:
             eq = to_canonical_equation(q.equation, known)
             status = STATUS_UNSOLVED
-            if is_tautology_candidate(eq, known) and normalize(eq.lhs) == normalize(
-                eq.rhs
-            ):
+            if is_tautology_candidate(eq, known) and eq.lhs == eq.rhs:
                 status = STATUS_SOLVED
             out_row.append(QuadrantEquation(q.position, eq, status))
         rows.append(tuple(out_row))
@@ -288,8 +285,8 @@ def blocked_postcondition(
     return detect_star(grid)
 
 
-def _known_blocks(spec: OperationSpec, rules: RuleCombination) -> frozenset[str]:
-    blocks = blocked_operands(spec, rules)
+def known_blocks(spec: OperationSpec, blocks: dict[str, BlockedOperand]) -> frozenset[str]:
+    """Names of every block of every input operand."""
     known: set[str] = set()
     for decl in spec.inputs():
         for row in blocks[decl.name].cells:
@@ -304,9 +301,13 @@ def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
     Only one cell of each pair is marked; for the mirrored quadrants of a
     2x2 grid the strictly-upper cell yields to the lower one.  Already
     marked or solved cells are left alone, so the marking is idempotent.
+    Transposition keeps operand names, so only cells naming the same
+    operands are compared.  Cell equations must be normalized.
     """
     nr, nc = grid.shape
     flat = [(i, j, grid.cells[i][j]) for i in range(nr) for j in range(nc)]
+    keys = [serialize_equation(q.equation) for _, _, q in flat]
+    names = [operand_names(q.equation.lhs) | operand_names(q.equation.rhs) for _, _, q in flat]
     out = grid
     starred: set[str] = {
         q.position for _, _, q in flat if q.status == STATUS_STAR
@@ -319,10 +320,9 @@ def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
             bi_i, bi_j, b = flat[bi]
             if b.status != STATUS_UNSOLVED or b.position in starred:
                 continue
-            mirrored = transpose_equation(b.equation)
-            if serialize_equation(mirrored) != serialize_equation(
-                Equation(normalize(a.equation.lhs), normalize(a.equation.rhs))
-            ):
+            if names[bi] != names[ai]:
+                continue
+            if serialize_equation(transpose_equation(b.equation)) != keys[ai]:
                 continue
             # the strictly-upper cell of the pair carries the star; for
             # pairs without one, the later cell in reading order yields

@@ -37,8 +37,9 @@ from .blockarith import (
     BlockedEquationGrid,
     QuadrantCells,
     QuadrantEquation,
+    _blocked_grid,
     blocked_operands,
-    blocked_postcondition,
+    known_blocks,
     position_names,
 )
 from .expr import (
@@ -460,11 +461,11 @@ class DerivationState:
 
 def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationState:
     blocked = blocked_operands(spec, rules)
+    known = known_blocks(spec, blocked)
     # the grid goes before the facts: the other order leaves serialize's
     # cache keyed by equal but distinct nodes, and later lookups then pay
     # for full tree comparisons
-    grid = blocked_postcondition(spec, rules)
-    known: set[str] = set()
+    grid = _blocked_grid(spec, rules, blocked, known)
     facts: list[PropertyFact] = []
     dims: dict[str, Dimension] = {}
     for decl in spec.operands:
@@ -478,13 +479,9 @@ def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationStat
                 ):
                     facts.append(f)
         dims.update(b.block_dims())
-        if decl.is_input:
-            for row in b.cells:
-                for cell in row:
-                    known |= operand_names(cell)
     return DerivationState(
         grid=grid,
-        known=known,
+        known=set(known),
         facts=facts,
         tautologies=[],
         dims=dims,
@@ -860,7 +857,7 @@ def derive_pme(
         for pos in unsolved:
             q = cells[pos]
             if is_tautology_candidate(q.equation, state.known):
-                if normalize(q.equation.lhs) == normalize(q.equation.rhs):
+                if q.equation.lhs == q.equation.rhs:
                     cells[pos] = replace(q, status=STATUS_SOLVED)
                     progressed = True
                     break
@@ -944,17 +941,21 @@ def _try_nested(
     """Acquire a pattern from the operations directory for a stuck equation."""
     if not ops_dir or depth >= NESTED_DEPTH_LIMIT:
         return False
-    candidates = [
-        c
-        for c in _ops_dir_specs(ops_dir)
-        if c.name != spec.name and c.name not in tried and kb.get(c.name) is None
-    ]
+    candidates: list[tuple[OperationSpec, Pattern]] = []
+    for cand in _ops_dir_specs(ops_dir):
+        if cand.name == spec.name or cand.name in tried or kb.get(cand.name) is not None:
+            continue
+        try:
+            pattern = pattern_from_spec(cand, provenance=f"learned-from:{cand.name}")
+        except PatternConflictError:
+            # an operation that yields no pattern cannot solve anything
+            continue
+        candidates.append((cand, pattern))
     for pos in scan:
         q = cells[pos]
         if q.status != STATUS_UNSOLVED:
             continue
-        for cand in candidates:
-            pattern = pattern_from_spec(cand, provenance=f"learned-from:{cand.name}")
+        for cand, pattern in candidates:
             if match_equation(q, [pattern], state) is None:
                 continue
             tried.add(cand.name)

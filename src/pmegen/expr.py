@@ -505,10 +505,10 @@ def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equ
     unchanged (a tautology candidate, see :func:`is_tautology_candidate`);
     a single term mixing unknown and known factors legally stays on the
     left.  When every left-hand term ends up negated, both sides are
-    negated once more so the leading side reads positively.
+    negated once more so the leading side reads positively.  Both sides
+    must already be normalized, as every smart constructor leaves them.
     """
-    lhs = normalize(eq.lhs)
-    rhs = normalize(eq.rhs)
+    lhs, rhs = eq.lhs, eq.rhs
     new_l: list[Expression] = []
     new_r: list[Expression] = []
     for t in additive_terms(lhs):
@@ -530,8 +530,11 @@ def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equ
 
 
 def transpose_equation(eq: Equation) -> Equation:
-    """Transpose both sides (used for redundancy detection)."""
-    return Equation(trans(normalize(eq.lhs)), trans(normalize(eq.rhs)))
+    """Transpose both sides (used for redundancy detection).
+
+    Both sides must already be normalized.
+    """
+    return Equation(trans(eq.lhs), trans(eq.rhs))
 
 
 # ---------------------------------------------------------------------------

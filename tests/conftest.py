@@ -197,7 +197,7 @@ def check_blocking_faithful(
     relative mismatch beyond ``tol``.
     """
     blocks = blocked_operands(spec, combo)
-    grid = raw_blocked_equations(spec, combo)
+    grid = raw_blocked_equations(spec, blocks)
     sizes = _sizes_for(blocks, rng)
     values: dict[str, np.ndarray] = {}
     for decl in spec.operands:

@@ -11,10 +11,9 @@ from pmegen.binding import (
     DimensionVar,
     NoViablePartitioningsError,
     analyze,
-    bind_dimensions,
     enumerate_combinations,
 )
-from pmegen.blockarith import validate_conformance
+from pmegen.blockarith import blocked_operands, raw_blocked_equations
 from pmegen.expr import Equation, SolvedBy, ref
 from pmegen.opspec import OperationSpec, parse_operation
 from pmegen.partition import PartitionShape
@@ -28,14 +27,14 @@ def V(operand: str, axis: str) -> DimensionVar:
 
 class TestBindDimensions:
     def test_sylvester_two_groups(self, sylvester_spec):
-        groups = bind_dimensions(sylvester_spec)
+        groups = analyze(sylvester_spec).groups
         assert groups == (
             frozenset({V("L", "r"), V("L", "c"), V("X", "r"), V("C", "r")}),
             frozenset({V("U", "r"), V("U", "c"), V("X", "c"), V("C", "c")}),
         )
 
     def test_cholesky_single_group(self, cholesky_spec):
-        groups = bind_dimensions(cholesky_spec)
+        groups = analyze(cholesky_spec).groups
         assert groups == (
             frozenset({V("L", "r"), V("L", "c"), V("A", "r"), V("A", "c")}),
         )
@@ -48,7 +47,7 @@ class TestBindDimensions:
             "  postcondition: X = B\n"
             "  solve: S\n"
         )
-        assert bind_dimensions(spec) == (
+        assert analyze(spec).groups == (
             frozenset({V("X", "r"), V("B", "r")}),
             frozenset({V("X", "c"), V("B", "c")}),
         )
@@ -63,7 +62,7 @@ class TestBindDimensions:
             "  postcondition: L * X + X * U = C\n"
             "  solve: Omega\n"
         )
-        assert set(bind_dimensions(reordered)) == set(bind_dimensions(sylvester_spec))
+        assert set(analyze(reordered).groups) == set(analyze(sylvester_spec).groups)
 
     def test_solution_operator_rejected(self, cholesky_spec):
         bad = OperationSpec(
@@ -73,7 +72,7 @@ class TestBindDimensions:
             "Gamma",
         )
         with pytest.raises(BindingError):
-            bind_dimensions(bad)
+            analyze(bad)
 
     def test_dimension_conflict_with_fixed_size(self):
         spec = parse_operation(
@@ -85,7 +84,7 @@ class TestBindDimensions:
             "  solve: S\n"
         )
         with pytest.raises(DimensionConflictError):
-            bind_dimensions(spec)
+            analyze(spec)
 
     def test_inverse_binds_square_and_pins_group(self):
         spec = parse_operation(
@@ -172,7 +171,7 @@ class TestEnumerate:
 
     def test_groups_argument_checked(self, cholesky_spec, sylvester_spec):
         with pytest.raises(BindingError):
-            enumerate_combinations(cholesky_spec, bind_dimensions(sylvester_spec))
+            enumerate_combinations(cholesky_spec, analyze(sylvester_spec).groups)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -190,4 +189,4 @@ def test_combination_count_law_and_conformance(seed):
     assert len({tuple(c.group_choices) for c in combos}) == len(combos)
     for combo in combos:
         assert not combo.is_all_identity()
-        assert validate_conformance(spec, combo)
+        raw_blocked_equations(spec, blocked_operands(spec, combo))

@@ -2,24 +2,35 @@
 
 from __future__ import annotations
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pmegen.binding import RuleCombination, enumerate_combinations
+from pmegen.binding import BindingError, RuleCombination, enumerate_combinations
 from pmegen.blockarith import (
     ConformanceError,
     STATUS_SOLVED,
     STATUS_STAR,
     STATUS_UNSOLVED,
+    blocked_operands,
     blocked_postcondition,
     detect_star,
-    validate_conformance,
+    raw_blocked_equations,
 )
-from pmegen.expr import serialize_equation, transpose_equation
+from pmegen.expr import (
+    Equation,
+    normalize,
+    normalize_equation,
+    serialize_equation,
+    trans,
+    transpose_equation,
+)
 from pmegen.opspec import parse_operation
 from pmegen.partition import PartitionRule, PartitionShape
 
-from conftest import check_blocking_faithful, random_spec
+from conftest import OPS_DIR, check_blocking_faithful, load_op, random_spec
 
 R = PartitionShape
 
@@ -30,6 +41,11 @@ def combo(rules: dict[str, PartitionRule], index: int = 1) -> RuleCombination:
     )
 
 
+def distribute(spec, rules):
+    """Distribute the postcondition; raises ConformanceError when ill defined."""
+    return raw_blocked_equations(spec, blocked_operands(spec, rules))
+
+
 class TestValidateConformance:
     def test_identity_factor_with_split_rhs_ill_defined(self, cholesky_spec):
         rules = combo(
@@ -38,7 +54,8 @@ class TestValidateConformance:
                 "A": PartitionRule(R.R2x2, "A", "k1", "k1"),
             }
         )
-        assert not validate_conformance(cholesky_spec, rules)
+        with pytest.raises(ConformanceError):
+            distribute(cholesky_spec, rules)
 
     def test_split_factor_with_identity_rhs_ill_defined(self, cholesky_spec):
         rules = combo(
@@ -47,7 +64,8 @@ class TestValidateConformance:
                 "A": PartitionRule(R.R1x1, "A"),
             }
         )
-        assert not validate_conformance(cholesky_spec, rules)
+        with pytest.raises(ConformanceError):
+            distribute(cholesky_spec, rules)
 
     def test_matching_splits_conform(self, cholesky_spec):
         rules = combo(
@@ -56,13 +74,13 @@ class TestValidateConformance:
                 "A": PartitionRule(R.R2x2, "A", "k1", "k1"),
             }
         )
-        assert validate_conformance(cholesky_spec, rules)
+        assert distribute(cholesky_spec, rules).shape
 
     def test_all_identity_conforms_but_is_no_candidate(self, cholesky_spec):
         rules = combo(
             {"L": PartitionRule(R.R1x1, "L"), "A": PartitionRule(R.R1x1, "A")}
         )
-        assert validate_conformance(cholesky_spec, rules)
+        assert distribute(cholesky_spec, rules).shape
         with pytest.raises(ConformanceError, match="identity"):
             blocked_postcondition(cholesky_spec, rules)
 
@@ -73,7 +91,8 @@ class TestValidateConformance:
                 "A": PartitionRule(R.R2x2, "A", "k2", "k2"),
             }
         )
-        assert not validate_conformance(cholesky_spec, rules)
+        with pytest.raises(ConformanceError):
+            distribute(cholesky_spec, rules)
 
 
 def grid_by_position(grid):
@@ -210,3 +229,72 @@ class TestNumericFaithfulness:
             pytest.skip("nothing partitionable")
         for rules in combos:
             check_blocking_faithful(spec, rules, rng)
+
+
+# ---------------------------------------------------------------------------
+# the corpus: every combination of ops/*.op and random_spec seeds 0-299
+
+
+@pytest.fixture(scope="module")
+def corpus_grids():
+    """(label, raw grid, blocked postcondition) for every corpus combination."""
+    specs = [
+        (f"ops:{f}", load_op(f[:-3])) for f in sorted(os.listdir(OPS_DIR)) if f.endswith(".op")
+    ]
+    specs += [(f"seed:{s}", random_spec(np.random.default_rng(s))) for s in range(300)]
+    out = []
+    for label, spec in specs:
+        try:
+            combos = enumerate_combinations(spec)
+        except BindingError:
+            continue
+        for rules in combos:
+            raw = raw_blocked_equations(spec, blocked_operands(spec, rules))
+            out.append((f"{label}:{rules.index}", raw, blocked_postcondition(spec, rules)))
+    return out
+
+
+def test_grid_sides_are_normal(corpus_grids):
+    """Canonicalization and star detection skip normalize on these trees."""
+    assert len(corpus_grids) > 2000
+    for label, raw, grid in corpus_grids:
+        for q in raw.all_cells() + grid.all_cells():
+            for side in (q.equation.lhs, q.equation.rhs):
+                assert normalize(side) == side, (label, q.position)
+
+
+def reference_star(grid):
+    """All-pairs star marking: transpose every partner, compare serializations."""
+    nr, nc = grid.shape
+    flat = [(i, j, grid.cells[i][j]) for i in range(nr) for j in range(nc)]
+    out = grid
+    starred: set[str] = set()
+    for ai, (i, j, a) in enumerate(flat):
+        if a.status != STATUS_UNSOLVED or a.position in starred:
+            continue
+        for bi_i, bi_j, b in flat[ai + 1 :]:
+            if b.status != STATUS_UNSOLVED or b.position in starred:
+                continue
+            eq = normalize_equation(b.equation)
+            mirrored = Equation(trans(eq.lhs), trans(eq.rhs))
+            if serialize_equation(mirrored) != serialize_equation(
+                normalize_equation(a.equation)
+            ):
+                continue
+            star, keep = (a, b) if j > i and not bi_j > bi_i else (b, a)
+            out = out.with_cell(replace(star, status=STATUS_STAR, partner=keep.position))
+            starred.add(star.position)
+            break
+    return out
+
+
+def test_detect_star_matches_all_pairs_reference(corpus_grids):
+    stars = 0
+    for label, _, grid in corpus_grids:
+        unmarked = grid
+        for q in grid.all_cells():
+            if q.status == STATUS_STAR:
+                stars += 1
+                unmarked = unmarked.with_cell(replace(q, status=STATUS_UNSOLVED, partner=None))
+        assert detect_star(unmarked) == reference_star(unmarked) == grid, label
+    assert stars > 0

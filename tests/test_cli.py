@@ -128,6 +128,24 @@ class TestDerive:
         assert code == EXIT_OK
         assert "L_BL = Trsm(L_TL, A_BL)" in out
 
+    def test_ops_dir_skips_operation_without_pattern(self, tmp_path, capsys):
+        ops_dir = tmp_path / "ops"
+        ops_dir.mkdir()
+        (ops_dir / "trsm.op").write_text(open(TRSM_OP).read())
+        args = ["derive", CHOLESKY_OP, "--ops-dir", str(ops_dir), "--no-builtin", "trsm"]
+        expected = run_main(args, capsys)
+        # two unknowns: no pattern, so nested derivation passes it over
+        (ops_dir / "lu.op").write_text(
+            "operation lu\n"
+            "  operand L : matrix(m,m) , unknown , lower_triangular\n"
+            "  operand U : matrix(m,m) , unknown , upper_triangular\n"
+            "  operand A : matrix(m,m) , known\n"
+            "  postcondition: L * U = A\n"
+            "  solve: LU\n"
+        )
+        assert run_main(args, capsys) == expected
+        assert expected[0] == EXIT_OK
+
     def test_latex_format(self, capsys):
         code, out, _ = run_main(
             ["derive", CHOLESKY_OP, "--format", "latex"], capsys

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pmegen import blockarith, engine
 from pmegen.binding import enumerate_combinations
 from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, QuadrantEquation
 from pmegen.engine import (
@@ -386,6 +387,23 @@ class TestDeriveAll:
         with pytest.raises(AllCombinationsStuck) as err:
             derive_all(cholesky_spec, kb)
         assert len(err.value.failures) == 1
+
+    def test_each_combination_blocked_once(self, sylvester_spec, monkeypatch):
+        calls = {"blocked_operands": 0, "raw_blocked_equations": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module in (blockarith, engine):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert len(derive_all(sylvester_spec, seed_builtins())) == 3
+        assert calls == {"blocked_operands": 3, "raw_blocked_equations": 3}
 
 
 class TestLearn:
