@@ -986,7 +986,9 @@ def derive_all(
         try:
             pmes.append(derive_pme(spec, combo, kb, ops_dir=ops_dir, _depth=_depth))
         except StuckDerivation as exc:
-            failures.append(exc)
+            # its traceback reaches this frame, whose list holds the
+            # exception: a cycle that keeps the stuck state until gc runs
+            failures.append(exc.with_traceback(None))
     if not pmes:
         raise AllCombinationsStuck(spec.name, failures)
     return tuple(pmes)

@@ -508,21 +508,20 @@ def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equ
     negated once more so the leading side reads positively.  Both sides
     must already be normalized, as every smart constructor leaves them.
     """
-    lhs, rhs = eq.lhs, eq.rhs
     new_l: list[Expression] = []
     new_r: list[Expression] = []
-    for t in additive_terms(lhs):
+    for t in additive_terms(eq.lhs):
         if has_unknown(t, known):
             new_l.append(t)
         else:
             new_r.append(minus(t))
-    for t in additive_terms(rhs):
+    for t in additive_terms(eq.rhs):
         if has_unknown(t, known):
             new_l.append(minus(t))
         else:
             new_r.append(t)
     if not new_l:
-        return Equation(lhs, rhs)
+        return eq
     if all(isinstance(t, Minus) for t in new_l):
         new_l = [minus(t) for t in new_l]
         new_r = [minus(t) for t in new_r]

@@ -387,6 +387,8 @@ class TestDeriveAll:
         with pytest.raises(AllCombinationsStuck) as err:
             derive_all(cholesky_spec, kb)
         assert len(err.value.failures) == 1
+        # a kept traceback would hold the stuck state in a reference cycle
+        assert err.value.failures[0].__traceback__ is None
 
     def test_each_combination_blocked_once(self, sylvester_spec, monkeypatch):
         calls = {"blocked_operands": 0, "raw_blocked_equations": 0}
