@@ -139,75 +139,73 @@ def _axis_partitionable(spec: OperationSpec, v: DimensionVar) -> bool:
     return True
 
 
+def _visit(
+    e: Expression,
+    spec: OperationSpec,
+    dsu: _DSU,
+    forced_keep: set[DimensionVar],
+) -> tuple[DimensionVar, DimensionVar]:
+    """Row and column variables of ``e``, merging the groups it ties."""
+    if isinstance(e, OperandRef):
+        r, c = DimensionVar(e.name, "r"), DimensionVar(e.name, "c")
+        dsu.add(r)
+        dsu.add(c)
+        if spec.operand(e.name).is_structured:
+            dsu.union(r, c)
+        return (r, c)
+    if isinstance(e, Minus):
+        return _visit(e.operand, spec, dsu, forced_keep)
+    if isinstance(e, Transpose):
+        r, c = _visit(e.operand, spec, dsu, forced_keep)
+        return (c, r)
+    if isinstance(e, Inverse):
+        r, c = _visit(e.operand, spec, dsu, forced_keep)
+        dsu.union(r, c)
+        # blocked inverses of partitioned operands are out of scope, so
+        # an inverted subtree pins its dimension group to "keep"
+        forced_keep.add(r)
+        return (r, c)
+    if isinstance(e, Times):
+        r, c = _visit(e.factors[0], spec, dsu, forced_keep)
+        for f in e.factors[1:]:
+            fr, fc = _visit(f, spec, dsu, forced_keep)
+            dsu.union(c, fr)
+            c = fc
+        return (r, c)
+    if isinstance(e, Plus):
+        r, c = _visit(e.terms[0], spec, dsu, forced_keep)
+        for t in e.terms[1:]:
+            tr_, tc = _visit(t, spec, dsu, forced_keep)
+            dsu.union(r, tr_)
+            dsu.union(c, tc)
+        return (r, c)
+    if isinstance(e, SolvedBy):
+        raise BindingError("solution operators may not appear in postconditions")
+    if isinstance(e, Zero):
+        raise BindingError("the zero block may not appear in postconditions")
+    raise BindingError(f"unsupported node {type(e).__name__}")
+
+
 def analyze(spec: OperationSpec) -> BindingAnalysis:
     """Post-order traversal of the postcondition, returning merged groups."""
     dsu = _DSU()
-    encounter: dict[DimensionVar, int] = {}
     forced_keep: set[DimensionVar] = set()
-    counter = [0]
-
-    def seen(v: DimensionVar) -> DimensionVar:
-        dsu.add(v)
-        if v not in encounter:
-            encounter[v] = counter[0]
-            counter[0] += 1
-        return v
-
-    def visit(e: Expression) -> tuple[DimensionVar, DimensionVar]:
-        if isinstance(e, OperandRef):
-            decl = spec.operand(e.name)
-            r = seen(DimensionVar(e.name, "r"))
-            c = seen(DimensionVar(e.name, "c"))
-            if decl.is_structured:
-                dsu.union(r, c)
-            return (r, c)
-        if isinstance(e, Minus):
-            return visit(e.operand)
-        if isinstance(e, Transpose):
-            r, c = visit(e.operand)
-            return (c, r)
-        if isinstance(e, Inverse):
-            r, c = visit(e.operand)
-            dsu.union(r, c)
-            # blocked inverses of partitioned operands are out of scope, so
-            # an inverted subtree pins its dimension group to "keep"
-            forced_keep.add(r)
-            return (r, c)
-        if isinstance(e, Times):
-            r, c = visit(e.factors[0])
-            for f in e.factors[1:]:
-                fr, fc = visit(f)
-                dsu.union(c, fr)
-                c = fc
-            return (r, c)
-        if isinstance(e, Plus):
-            r, c = visit(e.terms[0])
-            for t in e.terms[1:]:
-                tr_, tc = visit(t)
-                dsu.union(r, tr_)
-                dsu.union(c, tc)
-            return (r, c)
-        if isinstance(e, SolvedBy):
-            raise BindingError("solution operators may not appear in postconditions")
-        if isinstance(e, Zero):
-            raise BindingError("the zero block may not appear in postconditions")
-        raise BindingError(f"unsupported node {type(e).__name__}")
-
-    lr, lc = visit(spec.postcondition.lhs)
-    rr, rc = visit(spec.postcondition.rhs)
+    lr, lc = _visit(spec.postcondition.lhs, spec, dsu, forced_keep)
+    rr, rc = _visit(spec.postcondition.rhs, spec, dsu, forced_keep)
     dsu.union(lr, rr)
     dsu.union(lc, rc)
-
+    # ``add`` is the only insertion into the DSU, so its keys come in the
+    # order the walk first met them: groups are ordered by their first
+    # member, and each group lists that member first
     by_root: dict[DimensionVar, list[DimensionVar]] = {}
-    for v in encounter:
+    for v in list(dsu.parent):
         by_root.setdefault(dsu.find(v), []).append(v)
-    ordered = sorted(by_root.values(), key=lambda vs: min(encounter[v] for v in vs))
 
     groups: list[frozenset[DimensionVar]] = []
     partitionable: list[bool] = []
     var_group: dict[DimensionVar, int] = {}
     canonical: dict[DimensionVar, str] = {}
-    for idx, members in enumerate(ordered):
+    for idx, members in enumerate(by_root.values()):
         fs = frozenset(members)
         groups.append(fs)
         sizes = {_declared_size(spec, v) for v in members}
@@ -216,8 +214,7 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
             raise DimensionConflictError(
                 f"size symbol(s) {', '.join(symbolic)} forced to the fixed size 1"
             )
-        first = min(members, key=lambda v: encounter[v])
-        canon = _declared_size(spec, first)
+        canon = _declared_size(spec, members[0])
         ok = all(_axis_partitionable(spec, v) for v in members) and not (
             fs & forced_keep
         )
@@ -246,6 +243,13 @@ def enumerate_combinations(
     analysis = analyze(spec)
     if groups is not None and tuple(groups) != analysis.groups:
         raise BindingError("groups do not match this spec")
+    return _combinations(spec, analysis)
+
+
+def _combinations(
+    spec: OperationSpec, analysis: BindingAnalysis
+) -> tuple[RuleCombination, ...]:
+    """:func:`enumerate_combinations` over an analysis of ``spec`` already made."""
     part_idx = [i for i, ok in enumerate(analysis.partitionable) if ok]
     g = len(part_idx)
     if g == 0:

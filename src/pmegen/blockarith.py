@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .binding import RuleCombination, analyze
+from .binding import BindingAnalysis, RuleCombination, analyze
 from .expr import (
     Dimension,
     Equation,
@@ -137,7 +137,13 @@ def blocked_operands(
     spec: OperationSpec, rules: RuleCombination
 ) -> dict[str, BlockedOperand]:
     """Apply each operand's rule, with sizes canonicalized per dimension group."""
-    analysis = analyze(spec)
+    return _blocked_operands(spec, rules, analyze(spec))
+
+
+def _blocked_operands(
+    spec: OperationSpec, rules: RuleCombination, analysis: BindingAnalysis
+) -> dict[str, BlockedOperand]:
+    """:func:`blocked_operands` over an analysis of ``spec`` already made."""
     out: dict[str, BlockedOperand] = {}
     for decl in spec.operands:
         rows, cols = analysis.canonical_dims(decl.name)

@@ -28,9 +28,16 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .binding import NoViablePartitioningsError, RuleCombination, enumerate_combinations
+from .binding import (
+    BindingAnalysis,
+    NoViablePartitioningsError,
+    RuleCombination,
+    _combinations,
+    analyze,
+)
 from .blockarith import (
     STATUS_SOLVED,
     STATUS_UNSOLVED,
@@ -38,7 +45,7 @@ from .blockarith import (
     QuadrantCells,
     QuadrantEquation,
     _blocked_grid,
-    blocked_operands,
+    _blocked_operands,
     known_blocks,
     position_names,
 )
@@ -460,11 +467,14 @@ class DerivationState:
 
 
 def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationState:
-    blocked = blocked_operands(spec, rules)
+    return _initial_state(spec, rules, analyze(spec))
+
+
+def _initial_state(
+    spec: OperationSpec, rules: RuleCombination, analysis: BindingAnalysis
+) -> DerivationState:
+    blocked = _blocked_operands(spec, rules, analysis)
     known = known_blocks(spec, blocked)
-    # the grid goes before the facts: the other order leaves serialize's
-    # cache keyed by equal but distinct nodes, and later lookups then pay
-    # for full tree comparisons
     grid = _blocked_grid(spec, rules, blocked, known)
     facts: list[PropertyFact] = []
     dims: dict[str, Dimension] = {}
@@ -810,16 +820,27 @@ class PME(QuadrantCells):
         return tuple(self.cell(pos) for pos in self.order)
 
 
-def _ops_dir_specs(ops_dir: Optional[str]) -> list[OperationSpec]:
-    if not ops_dir or not os.path.isdir(ops_dir):
-        return []
-    specs = []
-    for fname in sorted(os.listdir(ops_dir)):
-        if not fname.endswith(".op"):
-            continue
-        with open(os.path.join(ops_dir, fname), "r", encoding="utf-8") as fh:
-            specs.append(parse_operation(fh.read()))
-    return specs
+class _OpsDir:
+    """An operations directory, parsed when a nested derivation first needs it.
+
+    One instance serves a top-level derivation and every derivation nested
+    in it, so each file is read and parsed at most once per top-level call.
+    """
+
+    def __init__(self, path: Optional[str]) -> None:
+        self.path = path
+
+    @cached_property
+    def specs(self) -> list[OperationSpec]:
+        if not self.path or not os.path.isdir(self.path):
+            return []
+        specs = []
+        for fname in sorted(os.listdir(self.path)):
+            if not fname.endswith(".op"):
+                continue
+            with open(os.path.join(self.path, fname), "r", encoding="utf-8") as fh:
+                specs.append(parse_operation(fh.read()))
+        return specs
 
 
 def derive_pme(
@@ -827,7 +848,6 @@ def derive_pme(
     rules: RuleCombination,
     kb: KnowledgeBase,
     ops_dir: Optional[str] = None,
-    _depth: int = 0,
 ) -> PME:
     """Derive the PME for one rule combination.
 
@@ -837,7 +857,19 @@ def derive_pme(
     directory is given, operation files there are tried as nested
     derivations; a pattern acquired that way is used immediately.
     """
-    state = initial_state(spec, rules)
+    return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, analyze(spec))
+
+
+def _derive_pme(
+    spec: OperationSpec,
+    rules: RuleCombination,
+    kb: KnowledgeBase,
+    ops: _OpsDir,
+    depth: int,
+    analysis: BindingAnalysis,
+) -> PME:
+    """:func:`derive_pme` at nesting ``depth``, under an analysis of ``spec``."""
+    state = _initial_state(spec, rules, analysis)
     patterns: list[Pattern] = [pattern_from_spec(spec, provenance="self")]
     patterns.extend(kb.match_order())
     cells: dict[str, QuadrantEquation] = {
@@ -900,7 +932,7 @@ def derive_pme(
         if progressed:
             continue
         acquired = _try_nested(
-            spec, kb, ops_dir, _depth, cells, scan, state, patterns, tried_nested
+            spec, kb, ops, depth, cells, scan, state, patterns, tried_nested
         )
         if acquired:
             continue
@@ -930,7 +962,7 @@ def derive_pme(
 def _try_nested(
     spec: OperationSpec,
     kb: KnowledgeBase,
-    ops_dir: Optional[str],
+    ops: _OpsDir,
     depth: int,
     cells: dict[str, QuadrantEquation],
     scan: Sequence[str],
@@ -939,10 +971,10 @@ def _try_nested(
     tried: set[str],
 ) -> bool:
     """Acquire a pattern from the operations directory for a stuck equation."""
-    if not ops_dir or depth >= NESTED_DEPTH_LIMIT:
+    if not ops.path or depth >= NESTED_DEPTH_LIMIT:
         return False
     candidates: list[tuple[OperationSpec, Pattern]] = []
-    for cand in _ops_dir_specs(ops_dir):
+    for cand in ops.specs:
         if cand.name == spec.name or cand.name in tried or kb.get(cand.name) is not None:
             continue
         try:
@@ -960,7 +992,7 @@ def _try_nested(
                 continue
             tried.add(cand.name)
             try:
-                derive_all(cand, kb, ops_dir=ops_dir, _depth=depth + 1)
+                derive_all(cand, kb, _depth=depth + 1, _ops=ops)
             except (StuckDerivation, AllCombinationsStuck, NoViablePartitioningsError):
                 continue
             patterns.insert(0, pattern)
@@ -973,18 +1005,21 @@ def derive_all(
     kb: KnowledgeBase,
     ops_dir: Optional[str] = None,
     _depth: int = 0,
+    _ops: Optional[_OpsDir] = None,
 ) -> tuple[PME, ...]:
     """Run the whole pipeline and return one PME per solvable combination.
 
     Raises :class:`AllCombinationsStuck` when no combination at all can
     be completed.
     """
-    combinations = enumerate_combinations(spec)
+    analysis = analyze(spec)
+    combinations = _combinations(spec, analysis)
+    ops = _ops or _OpsDir(ops_dir)
     pmes: list[PME] = []
     failures: list[StuckDerivation] = []
     for combo in combinations:
         try:
-            pmes.append(derive_pme(spec, combo, kb, ops_dir=ops_dir, _depth=_depth))
+            pmes.append(_derive_pme(spec, combo, kb, ops, _depth, analysis))
         except StuckDerivation as exc:
             # its traceback reaches this frame, whose list holds the
             # exception: a cycle that keeps the stuck state until gc runs

@@ -24,13 +24,17 @@ A grouped inverse such as ``inv(L * trans(L))`` is deliberately left
 alone by :func:`normalize`; expanding or contracting product inverses is
 one of the steps :func:`rewrite_candidates` offers, next to ground
 rewriting with solved equations.
+
+Every node computes its prefix serialization once and keeps it as its
+key.  Operand and operator names contain no spaces or parentheses, so a
+subtree's key is a contiguous substring of every tree that contains it;
+the rewriting steps use that to skip subtrees a rule cannot touch.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 __all__ = [
@@ -87,9 +91,11 @@ class Expression:
     builds its normalized counterpart over new children through
     :meth:`rebuild`; generic walkers use this pair and never inspect node
     types.  Interior nodes carry their prefix-form keyword in ``head``.
+    The ``_key`` slot holds the node's serialization once computed; it is
+    not a dataclass field, so equality, hashing and ``repr`` ignore it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
 
     def children(self) -> tuple[Expression, ...]:
         return ()
@@ -257,15 +263,21 @@ def ref(name: str) -> OperandRef:
 # serialization
 
 
-@lru_cache(maxsize=None)
 def serialize(e: Expression) -> str:
     """Parenthesized prefix form; unique on normalized expressions."""
+    try:
+        return e._key
+    except AttributeError:
+        pass
     if isinstance(e, OperandRef):
-        return e.name
-    if isinstance(e, Zero):
-        return "0"
-    head = f"solved {e.operator_name}" if isinstance(e, SolvedBy) else e.head
-    return f"({head} {' '.join([serialize(c) for c in e.children()])})"
+        key = e.name
+    elif isinstance(e, Zero):
+        key = "0"
+    else:
+        head = f"solved {e.operator_name}" if isinstance(e, SolvedBy) else e.head
+        key = f"({head} {' '.join([serialize(c) for c in e.children()])})"
+    object.__setattr__(e, "_key", key)
+    return key
 
 
 def serialize_equation(eq: Equation) -> str:
@@ -541,13 +553,22 @@ def transpose_equation(eq: Equation) -> Equation:
 
 
 def replace_all(e: Expression, target: Expression, replacement: Expression) -> Expression:
-    """Replace every occurrence of ``target``; result is renormalized."""
-    if e == target:
+    """Replace every occurrence of ``target`` in the normalized ``e``.
+
+    Only the paths to replaced occurrences are rebuilt, through the smart
+    constructors; every untouched subtree comes back as the same object.
+    """
+    key = serialize(e)
+    target_key = serialize(target)
+    if key == target_key:
         return replacement
-    kids = e.children()
-    if not kids:
+    if target_key not in key:
         return e
-    return e.rebuild([replace_all(c, target, replacement) for c in kids])
+    kids = e.children()
+    new = [replace_all(c, target, replacement) for c in kids]
+    if all(n is c for n, c in zip(new, kids)):
+        return e
+    return e.rebuild(new)
 
 
 def _uninvert(e: Expression) -> Optional[Expression]:
@@ -583,6 +604,9 @@ def _local_variants(e: Expression) -> list[Expression]:
 
 
 def _positional_variants(e: Expression) -> list[Expression]:
+    # every inverse-group move involves an inverse inside ``e``
+    if "(inv " not in serialize(e):
+        return []
     out = _local_variants(e)
     kids = e.children()
     for i, child in enumerate(kids):
@@ -597,13 +621,16 @@ def rewrite_candidates(e: Expression, rules: Sequence[Equation]) -> list[Express
     A step is either a ground replacement of every occurrence of one rule
     side by the other (both orientations), or one inverse-group move:
     contraction of adjacent inverses, expansion of an inverted product,
-    or cancellation of an adjacent ``x``/``inv(x)`` pair.
+    or cancellation of an adjacent ``x``/``inv(x)`` pair.  ``e`` must be
+    normalized.
     """
-    seen = {serialize(e)}
+    e_key = serialize(e)
+    seen = {e_key}
     out: list[Expression] = []
     for rule in rules:
         for frm, to in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-            if frm == to:
+            frm_key = serialize(frm)
+            if frm_key == serialize(to) or frm_key not in e_key:
                 continue
             cand = replace_all(e, frm, to)
             key = serialize(cand)

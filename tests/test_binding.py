@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from pmegen.expr import Equation, SolvedBy, ref
 from pmegen.opspec import OperationSpec, parse_operation
 from pmegen.partition import PartitionShape
 
-from conftest import random_spec
+from conftest import OPS_DIR, load_op, random_spec
 
 
 def V(operand: str, axis: str) -> DimensionVar:
@@ -105,6 +108,20 @@ class TestBindDimensions:
         combos = enumerate_combinations(spec)
         assert len(combos) == 1
         assert combos[0].rule_for("A").shape is PartitionShape.R1x1
+
+
+    @pytest.mark.parametrize(
+        "name", sorted(f[: -len(".op")] for f in os.listdir(OPS_DIR) if f.endswith(".op"))
+    )
+    def test_analysis_leaves_no_cyclic_garbage(self, name):
+        spec = load_op(name)
+        gc.collect()
+        gc.disable()
+        try:
+            analyze(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumerate:

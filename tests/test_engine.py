@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from pmegen import blockarith, engine
+from pmegen import binding, blockarith, engine
 from pmegen.binding import enumerate_combinations
 from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, QuadrantEquation
 from pmegen.engine import (
@@ -26,10 +30,14 @@ from pmegen.engine import (
 )
 from pmegen.expr import (
     Equation,
+    Expression,
+    _local_variants,
     inv,
     minus,
     plus,
     ref,
+    rewrite_candidates,
+    serialize,
     serialize_equation,
     solved_by,
     times,
@@ -38,7 +46,7 @@ from pmegen.expr import (
 from pmegen.opspec import parse_operation
 from pmegen.oracle import cholesky_lower, min_symmetric_eigenvalue
 
-from conftest import load_op
+from conftest import OPS_DIR, load_op
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
@@ -227,6 +235,77 @@ class TestProveSpd:
         for e in accepted:
             assert min_symmetric_eigenvalue(evaluate(e, binding)) > 0
 
+    @pytest.mark.parametrize("with_ops_dir", [False, True])
+    def test_pruned_search_step_matches_full_rebuild(self, with_ops_dir, monkeypatch):
+        """Every search step on the Cholesky-family corpus offers exactly the
+        candidates, in the same order, that rebuilding every subtree offers."""
+        expanded: dict[tuple[str, ...], tuple[Expression, list[Equation]]] = {}
+
+        def recorded(e, rules):
+            key = (serialize(e), *(serialize_equation(r) for r in rules))
+            expanded.setdefault(key, (e, list(rules)))
+            return rewrite_candidates(e, rules)
+
+        monkeypatch.setattr(engine, "rewrite_candidates", recorded)
+        for _, text in _bench_corpus().spd_family():
+            try:
+                derive_all(
+                    parse_operation(text),
+                    seed_builtins(),
+                    ops_dir=OPS_DIR if with_ops_dir else None,
+                )
+            except AllCombinationsStuck:
+                pass
+        assert expanded
+        for e, rules in expanded.values():
+            assert rewrite_candidates(e, rules) == _full_rebuild_candidates(e, rules)
+
+
+def _bench_corpus():
+    """The benchmark's input generators (``bench/corpus.py``)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.py")
+    module_spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def _full_replace_all(e: Expression, target: Expression, replacement: Expression) -> Expression:
+    """Reference ground rewrite: compares trees and rebuilds every subtree."""
+    if e == target:
+        return replacement
+    kids = e.children()
+    if not kids:
+        return e
+    return e.rebuild([_full_replace_all(c, target, replacement) for c in kids])
+
+
+def _full_positional_variants(e: Expression) -> list[Expression]:
+    """Reference inverse-group moves: visits every subtree."""
+    out = _local_variants(e)
+    kids = e.children()
+    for i, child in enumerate(kids):
+        for v in _full_positional_variants(child):
+            out.append(e.rebuild(kids[:i] + (v,) + kids[i + 1 :]))
+    return out
+
+
+def _full_rebuild_candidates(e: Expression, rules: Sequence[Equation]) -> list[Expression]:
+    """Reference for ``rewrite_candidates`` without pruning or node keys."""
+    seen = {e}
+    out: list[Expression] = []
+    moves = [
+        _full_replace_all(e, frm, to)
+        for rule in rules
+        for frm, to in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs))
+        if frm != to
+    ]
+    for cand in moves + _full_positional_variants(e):
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    return out
+
 
 EXPECTED_CHOLESKY = {
     "TL": "(eq L_TL (solved Gamma A_TL))",
@@ -391,7 +470,7 @@ class TestDeriveAll:
         assert err.value.failures[0].__traceback__ is None
 
     def test_each_combination_blocked_once(self, sylvester_spec, monkeypatch):
-        calls = {"blocked_operands": 0, "raw_blocked_equations": 0}
+        calls = {"analyze": 0, "_blocked_operands": 0, "raw_blocked_equations": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -400,12 +479,38 @@ class TestDeriveAll:
 
             return wrapper
 
-        for module in (blockarith, engine):
+        for module in (binding, blockarith, engine):
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert len(derive_all(sylvester_spec, seed_builtins())) == 3
-        assert calls == {"blocked_operands": 3, "raw_blocked_equations": 3}
+        # one analysis per spec, one blocking per combination
+        assert calls == {"analyze": 1, "_blocked_operands": 3, "raw_blocked_equations": 3}
+
+    def test_ops_dir_parsed_once(self, monkeypatch):
+        # each of the three combinations tries a nested derivation from
+        # ops/ before it gets stuck
+        spec = parse_operation(
+            "operation chol_down\n"
+            "  operand L : matrix(m,m) , unknown , lower_triangular\n"
+            "  operand A : matrix(m,m) , known , spd\n"
+            "  operand B : matrix(m,m) , known\n"
+            "  postcondition: L * trans(L) = A - B * trans(B)\n"
+            "  solve: Gamma\n"
+        )
+        parsed: list[str] = []
+
+        def counted(text):
+            op = parse_operation(text)
+            parsed.append(op.name)
+            return op
+
+        monkeypatch.setattr(engine, "parse_operation", counted)
+        with pytest.raises(AllCombinationsStuck) as err:
+            derive_all(spec, seed_builtins(), ops_dir=OPS_DIR)
+        assert len(err.value.failures) == 3
+        names = sorted(f[: -len(".op")] for f in os.listdir(OPS_DIR) if f.endswith(".op"))
+        assert sorted(parsed) == names
 
 
 class TestLearn:

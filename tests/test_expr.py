@@ -204,7 +204,15 @@ class TestNormalFormProperties:
 def test_node_interface_round_trip(e):
     assert normalize(e) == e
     assert e.rebuild(e.children()) == e
-    assert parse_prefix(serialize(e)) == e
+    key = serialize(e)
+    assert serialize(e) == key
+    fresh = parse_prefix(key)
+    assert fresh == e
+    # the key a node carries takes no part in equality, hashing or repr
+    assert hash(fresh) == hash(e)
+    assert repr(fresh) == repr(e)
+    assert serialize(fresh) == key
+    assert repr(fresh) == repr(e)
 
 
 def test_serialization_golden():
