@@ -8,9 +8,10 @@ Commands::
     pmegen kb list|show <name> [--kb PATH]
 
 The environment variable ``PME_KB`` supplies the default knowledge-base
-path.  Exit codes: 0 success, 1 parse error, unsupported operation or
-malformed knowledge base, 2 no viable partitionings, 3 stuck derivation,
-4 failed or impossible numeric check, 64 usage error.
+path.  Exit codes: 0 success, 1 parse error, unsupported operation,
+malformed knowledge base, or a file that cannot be read, decoded or
+written, 2 no viable partitionings, 3 stuck derivation, 4 failed or
+impossible numeric check, 64 usage error.
 """
 
 from __future__ import annotations
@@ -21,19 +22,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import binding, engine, oracle
-from .binding import (
-    DimensionConflictError,
-    NoViablePartitioningsError,
-    RuleCombination,
-)
+from . import engine
+from .binding import BindingError, NoViablePartitioningsError, RuleCombination
 from .blockarith import STATUS_STAR, QuadrantEquation, position_names
-from .engine import (
-    PME,
-    KnowledgeBaseError,
-    PatternConflictError,
-    StuckDerivation,
-)
+from .engine import PME, KnowledgeBaseError, PatternConflictError, StuckDerivation
 from .expr import parse_prefix_equation, serialize_equation
 from .opspec import (
     OperationSpec,
@@ -52,6 +44,18 @@ EXIT_NO_VIABLE = 2
 EXIT_STUCK = 3
 EXIT_CHECK_FAILED = 4
 EXIT_USAGE = 64
+
+# The exit code of each failure that ends a command, tried in order:
+# NoViablePartitioningsError is a BindingError, so it comes first.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (NoViablePartitioningsError, EXIT_NO_VIABLE),
+    (SpecError, EXIT_PARSE),
+    (BindingError, EXIT_PARSE),
+    (KnowledgeBaseError, EXIT_PARSE),
+    (PatternConflictError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+    (UnicodeDecodeError, EXIT_PARSE),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,28 +214,13 @@ def _kb_path(args: argparse.Namespace) -> Optional[str]:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.op_file)
-    except (OSError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    spec = _load_spec(args.op_file)
     kb_path = _kb_path(args)
-    try:
-        kb = engine.load_kb(kb_path)
-    except KnowledgeBaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    kb = engine.load_kb(kb_path)
     if args.no_builtin:
         kb = kb.without_builtins(args.no_builtin)
-    try:
-        combinations = binding.enumerate_combinations(spec)
-    except NoViablePartitioningsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_VIABLE
-    except DimensionConflictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    total = len(combinations)
+    results = engine.derive_each(spec, kb, ops_dir=args.ops_dir)
+    total = len(results)
     if args.combination is not None:
         if not 1 <= args.combination <= total:
             print(
@@ -239,37 +228,32 @@ def cmd_derive(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        combinations = (combinations[args.combination - 1],)
+        results = results[args.combination - 1 : args.combination]
 
     pmes: list[PME] = []
     stuck: list[str] = []
     header = f"combinations: {total}"
-    if len(combinations) != total:
+    if len(results) != total:
         header += f" (selected: {args.combination})"
     out: list[str] = [f"operation {spec.name}", header]
-    for combo in combinations:
+    for result in results:
         out.append("")
-        out.extend(render_combination(combo))
-        try:
-            pme = engine.derive_pme(spec, combo, kb, ops_dir=args.ops_dir)
-        except StuckDerivation as exc:
-            lines = [f"combination {combo.index}: stuck"]
-            for q in exc.unsolved:
+        out.extend(render_combination(result.combination))
+        if isinstance(result, StuckDerivation):
+            lines = [f"combination {result.combination.index}: stuck"]
+            for q in result.unsolved:
                 lines.append(f"  unsolved {q.position}: {equation_to_text(q.equation)}")
-            for note in exc.notes:
+            for note in result.notes:
                 lines.append(f"  note: {note}")
             stuck.extend(lines)
             out.extend(lines)
             continue
-        except PatternConflictError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        pmes.append(pme)
+        pmes.append(result)
         if args.format == "text":
-            out.extend(render_pme_text(pme))
+            out.extend(render_pme_text(result))
         elif args.format == "latex":
-            out.append(f"PME (combination {pme.combination.index}):")
-            out.extend(render_pme_latex(pme))
+            out.append(f"PME (combination {result.combination.index}):")
+            out.extend(render_pme_latex(result))
     if args.format == "json":
         # stdout stays machine-readable; diagnostics go to stderr
         print(document_to_json(spec.name, pmes))
@@ -281,23 +265,17 @@ def cmd_derive(args: argparse.Namespace) -> int:
         if not kb_path:
             print("error: --learn needs --kb or PME_KB", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            stored = engine.learn(spec, engine.load_kb(kb_path))
-        except PatternConflictError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        engine.save_kb(stored, kb_path)
+        engine.save_kb(engine.learn(spec, engine.load_kb(kb_path)), kb_path)
     # mirrors the aggregate error of the library pipeline: stuck only
     # when no selected combination could be completed
     return EXIT_STUCK if stuck and not pmes else EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.op_file)
-    except (OSError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    # the numeric oracle, and numpy with it, is loaded for this command only
+    from . import oracle
+
+    spec = _load_spec(args.op_file)
     try:
         with open(args.pme_json, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -324,12 +302,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_kb(args: argparse.Namespace) -> int:
-    kb_path = _kb_path(args)
-    try:
-        kb = engine.load_kb(kb_path)
-    except KnowledgeBaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    kb = engine.load_kb(_kb_path(args))
     if args.action == "list":
         for p in kb.builtins:
             print(f"{p.name} (builtin)")
@@ -389,9 +362,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -88,6 +88,7 @@ from .opspec import (
     ROLE_KNOWN,
     ROLE_UNKNOWN,
     STRUCTURAL,
+    SpecError,
     parse_operation,
 )
 from .partition import PropertyFact, inheritance_facts, spd_facts
@@ -109,6 +110,7 @@ __all__ = [
     "match_equation",
     "prove_spd",
     "derive_pme",
+    "derive_each",
     "derive_all",
     "learn",
     "load_kb",
@@ -838,8 +840,12 @@ class _OpsDir:
         for fname in sorted(os.listdir(self.path)):
             if not fname.endswith(".op"):
                 continue
-            with open(os.path.join(self.path, fname), "r", encoding="utf-8") as fh:
-                specs.append(parse_operation(fh.read()))
+            path = os.path.join(self.path, fname)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    specs.append(parse_operation(fh.read()))
+            except (SpecError, UnicodeDecodeError) as exc:
+                raise SpecError(f"{path}: {exc}") from exc
         return specs
 
 
@@ -992,41 +998,56 @@ def _try_nested(
                 continue
             tried.add(cand.name)
             try:
-                derive_all(cand, kb, _depth=depth + 1, _ops=ops)
-            except (StuckDerivation, AllCombinationsStuck, NoViablePartitioningsError):
+                results = _derive_each(cand, kb, ops, depth + 1)
+            except NoViablePartitioningsError:
+                continue
+            if not any(isinstance(r, PME) for r in results):
                 continue
             patterns.insert(0, pattern)
             return True
     return False
 
 
+def derive_each(
+    spec: OperationSpec, kb: KnowledgeBase, ops_dir: Optional[str] = None
+) -> list[PME | StuckDerivation]:
+    """Derive every viable combination: its PME, or why it got stuck.
+
+    The results follow combination order.  The spec is analyzed once, and
+    ``ops_dir`` is parsed at most once for the whole call.
+    """
+    return _derive_each(spec, kb, _OpsDir(ops_dir), 0)
+
+
+def _derive_each(
+    spec: OperationSpec, kb: KnowledgeBase, ops: _OpsDir, depth: int
+) -> list[PME | StuckDerivation]:
+    """:func:`derive_each` at nesting ``depth``, sharing ``ops``."""
+    analysis = analyze(spec)
+    results: list[PME | StuckDerivation] = []
+    for combo in _combinations(spec, analysis):
+        try:
+            results.append(_derive_pme(spec, combo, kb, ops, depth, analysis))
+        except StuckDerivation as exc:
+            # its traceback reaches this frame, whose list holds the
+            # exception: a cycle that keeps the stuck state until gc runs
+            results.append(exc.with_traceback(None))
+    return results
+
+
 def derive_all(
-    spec: OperationSpec,
-    kb: KnowledgeBase,
-    ops_dir: Optional[str] = None,
-    _depth: int = 0,
-    _ops: Optional[_OpsDir] = None,
+    spec: OperationSpec, kb: KnowledgeBase, ops_dir: Optional[str] = None
 ) -> tuple[PME, ...]:
     """Run the whole pipeline and return one PME per solvable combination.
 
     Raises :class:`AllCombinationsStuck` when no combination at all can
     be completed.
     """
-    analysis = analyze(spec)
-    combinations = _combinations(spec, analysis)
-    ops = _ops or _OpsDir(ops_dir)
-    pmes: list[PME] = []
-    failures: list[StuckDerivation] = []
-    for combo in combinations:
-        try:
-            pmes.append(_derive_pme(spec, combo, kb, ops, _depth, analysis))
-        except StuckDerivation as exc:
-            # its traceback reaches this frame, whose list holds the
-            # exception: a cycle that keeps the stuck state until gc runs
-            failures.append(exc.with_traceback(None))
+    results = derive_each(spec, kb, ops_dir)
+    pmes = tuple(r for r in results if isinstance(r, PME))
     if not pmes:
-        raise AllCombinationsStuck(spec.name, failures)
-    return tuple(pmes)
+        raise AllCombinationsStuck(spec.name, results)
+    return pmes
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pmegen.cli import (
     render_pme_latex,
     render_pme_text,
 )
+from pmegen import binding, engine
 from pmegen.engine import derive_all, seed_builtins
 
 from conftest import OPS_DIR, cli_env
@@ -346,3 +347,152 @@ class TestDeterminism:
             )
             assert r.returncode == 0
         assert open(kb1, "rb").read() == open(kb2, "rb").read()
+
+
+def _zero_side(tmp_path):
+    op = tmp_path / "zero.op"
+    op.write_text(
+        "operation zero\n"
+        "  operand A : matrix(m,m) , known\n"
+        "  operand X : matrix(m,m) , unknown\n"
+        "  postcondition: X * A = A - A\n"
+        "  solve: Z\n"
+    )
+    return ["derive", str(op)]
+
+
+def _malformed_ops_file(tmp_path):
+    ops_dir = tmp_path / "ops"
+    ops_dir.mkdir()
+    (ops_dir / "bad.op").write_text("operation oops\n  operand ! : matrix(m,m) , known\n")
+    return ["derive", CHOLESKY_OP, "--no-builtin", "trsm", "--ops-dir", str(ops_dir)]
+
+
+def _kb_is_directory(tmp_path):
+    return ["derive", CHOLESKY_OP, "--kb", str(tmp_path)]
+
+
+def _undecodable_op(tmp_path):
+    op = tmp_path / "latin.op"
+    op.write_bytes(b"operation caf\xe9\n")
+    return ["derive", str(op)]
+
+
+def _undecodable_kb(tmp_path):
+    kb = tmp_path / "latin.kb"
+    kb.write_bytes(b"# pattern knowledge base\npattern caf\xe9\n")
+    return ["kb", "list", "--kb", str(kb)]
+
+
+def _learn_into_missing_directory(tmp_path):
+    return ["derive", CHOLESKY_OP, "--kb", str(tmp_path / "missing" / "kb.txt"), "--learn"]
+
+
+def _cholesky_without_trsm(tmp_path):
+    return ["derive", CHOLESKY_OP, "--no-builtin", "trsm"]
+
+
+def _chol_down(tmp_path):
+    # each of its three combinations tries a nested derivation before it
+    # gets stuck
+    op = tmp_path / "chol_down.op"
+    op.write_text(
+        "operation chol_down\n"
+        "  operand L : matrix(m,m) , unknown , lower_triangular\n"
+        "  operand A : matrix(m,m) , known , spd\n"
+        "  operand B : matrix(m,m) , known\n"
+        "  postcondition: L * trans(L) = A - B * trans(B)\n"
+        "  solve: Gamma\n"
+    )
+    return ["derive", str(op)]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "make_args",
+        [
+            _zero_side,
+            _malformed_ops_file,
+            _kb_is_directory,
+            _undecodable_op,
+            _undecodable_kb,
+            _learn_into_missing_directory,
+        ],
+    )
+    def test_input_error_exits_without_traceback(self, tmp_path, make_args):
+        r = _run_subprocess(make_args(tmp_path))
+        assert r.returncode == EXIT_PARSE
+        assert b"Traceback" not in r.stderr
+        lines = r.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"operation oops\n  operand ! : matrix(m,m) , known\n",
+             "line 2, column 11: unexpected character '!'"),
+            (b"operation caf\xe9\n",
+             "'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte"),
+        ],
+    )
+    def test_malformed_ops_file_named(self, content, message, tmp_path, capsys):
+        args = _malformed_ops_file(tmp_path)
+        bad = os.path.join(args[-1], "bad.op")
+        with open(bad, "wb") as fh:
+            fh.write(content)
+        code, _, err = run_main(args, capsys)
+        assert code == EXIT_PARSE
+        assert err == f"error: {bad}: {message}\n"
+
+
+class TestOneDerivation:
+    def test_spec_analyzed_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.name)
+            return real(spec)
+
+        real = binding.analyze
+        for module in (binding, engine):
+            monkeypatch.setattr(module, "analyze", counted)
+        code, out, _ = run_main(["derive", SYLVESTER_OP], capsys)
+        assert code == EXIT_OK and out.count("PME (combination") == 3
+        assert calls == ["sylvester"]
+
+    @pytest.mark.parametrize(
+        "make_args, expected",
+        [(_cholesky_without_trsm, EXIT_OK), (_chol_down, EXIT_STUCK)],
+    )
+    def test_ops_dir_parsed_once(self, make_args, expected, tmp_path, monkeypatch, capsys):
+        parsed: list[str] = []
+
+        def counted(text):
+            spec = real(text)
+            parsed.append(spec.name)
+            return spec
+
+        real = engine.parse_operation
+        monkeypatch.setattr(engine, "parse_operation", counted)
+        code, _, _ = run_main([*make_args(tmp_path), "--ops-dir", OPS_DIR], capsys)
+        assert code == expected
+        names = sorted(f[: -len(".op")] for f in os.listdir(OPS_DIR) if f.endswith(".op"))
+        assert sorted(parsed) == names
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "args", [["derive", CHOLESKY_OP], ["kb", "list"]]
+    )
+    def test_numpy_not_loaded(self, args):
+        # only ``check`` evaluates numbers, so only it may load numpy
+        code = (
+            "import sys\n"
+            "from pmegen.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=cli_env()
+        )
+        assert r.returncode == 0, r.stderr.decode()

@@ -18,6 +18,7 @@ from pmegen.engine import (
     PatternConflictError,
     StuckDerivation,
     derive_all,
+    derive_each,
     derive_pme,
     initial_state,
     learn,
@@ -468,6 +469,14 @@ class TestDeriveAll:
         assert len(err.value.failures) == 1
         # a kept traceback would hold the stuck state in a reference cycle
         assert err.value.failures[0].__traceback__ is None
+
+    def test_derive_each_in_combination_order(self, cholesky_spec, sylvester_spec):
+        results = derive_each(sylvester_spec, seed_builtins())
+        assert [r.combination.index for r in results] == [1, 2, 3]
+        assert tuple(results) == derive_all(sylvester_spec, seed_builtins())
+        (stuck,) = derive_each(cholesky_spec, seed_builtins().without_builtins(["trsm"]))
+        assert isinstance(stuck, StuckDerivation)
+        assert stuck.__traceback__ is None
 
     def test_each_combination_blocked_once(self, sylvester_spec, monkeypatch):
         calls = {"analyze": 0, "_blocked_operands": 0, "raw_blocked_equations": 0}
