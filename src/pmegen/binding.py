@@ -34,17 +34,6 @@ from .expr import (
 from .opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec
 from .partition import PartitionRule, PartitionShape
 
-__all__ = [
-    "DimensionVar",
-    "RuleCombination",
-    "BindingError",
-    "DimensionConflictError",
-    "NoViablePartitioningsError",
-    "analyze",
-    "BindingAnalysis",
-    "enumerate_combinations",
-]
-
 
 class BindingError(ValueError):
     pass

@@ -42,21 +42,6 @@ from .expr import (
 from .opspec import OperandDecl, OperationSpec
 from .partition import BlockedOperand, apply_rule
 
-__all__ = [
-    "ConformanceError",
-    "QuadrantEquation",
-    "QuadrantCells",
-    "BlockedEquationGrid",
-    "STATUS_UNSOLVED",
-    "STATUS_SOLVED",
-    "STATUS_STAR",
-    "blocked_operands",
-    "known_blocks",
-    "blocked_postcondition",
-    "raw_blocked_equations",
-    "detect_star",
-    "position_names",
-]
 
 STATUS_UNSOLVED = "unsolved"
 STATUS_SOLVED = "solved"

@@ -25,7 +25,13 @@ from typing import Optional, Sequence
 from . import engine
 from .binding import BindingError, NoViablePartitioningsError, RuleCombination
 from .blockarith import STATUS_STAR, QuadrantEquation, position_names
-from .engine import PME, KnowledgeBaseError, PatternConflictError, StuckDerivation
+from .engine import (
+    PME,
+    CombinationRangeError,
+    KnowledgeBaseError,
+    PatternConflictError,
+    StuckDerivation,
+)
 from .expr import parse_prefix_equation, serialize_equation
 from .opspec import (
     OperationSpec,
@@ -36,7 +42,6 @@ from .opspec import (
 )
 from .partition import PartitionRule, PartitionShape
 
-__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -55,6 +60,7 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (PatternConflictError, EXIT_PARSE),
     (OSError, EXIT_PARSE),
     (UnicodeDecodeError, EXIT_PARSE),
+    (CombinationRangeError, EXIT_USAGE),
 )
 
 
@@ -219,16 +225,11 @@ def cmd_derive(args: argparse.Namespace) -> int:
     kb = engine.load_kb(kb_path)
     if args.no_builtin:
         kb = kb.without_builtins(args.no_builtin)
-    results = engine.derive_each(spec, kb, ops_dir=args.ops_dir)
-    total = len(results)
-    if args.combination is not None:
-        if not 1 <= args.combination <= total:
-            print(
-                f"error: combination {args.combination} out of range 1..{total}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        results = results[args.combination - 1 : args.combination]
+    selection = engine.derive_each(
+        spec, kb, ops_dir=args.ops_dir, combination=args.combination
+    )
+    total = len(selection)
+    results = [r for r in selection if r is not None]
 
     pmes: list[PME] = []
     stuck: list[str] = []

@@ -20,7 +20,9 @@ closure (sums, negation, transpose flips, zero blocks).  Definiteness is
 proved by :func:`prove_spd`, a bounded breadth-first search that rewrites
 with the tautologies collected so far (both orientations), contracts and
 expands product inverses, cancels adjacent inverse pairs, and meets in
-the middle between the query expression and the known SPD facts.
+the middle between the query expression and the known SPD facts.  Before
+searching, it refutes a query with a bare summand that no rewrite can
+remove: a block named once in the query and in no fact or tautology.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .expr import (
     Times,
     Transpose,
     Zero,
+    additive_terms,
     is_tautology_candidate,
     known_only,
     normalize,
@@ -78,6 +81,7 @@ from .expr import (
     serialize_equation,
     solved_by,
     to_canonical_equation,
+    walk,
 )
 from .opspec import (
     KIND_MATRIX,
@@ -93,30 +97,6 @@ from .opspec import (
 )
 from .partition import PropertyFact, inheritance_facts, spd_facts
 
-__all__ = [
-    "PatternSlot",
-    "Pattern",
-    "KnowledgeBase",
-    "MatchResult",
-    "DerivationState",
-    "TraceStep",
-    "PME",
-    "StuckDerivation",
-    "AllCombinationsStuck",
-    "PatternConflictError",
-    "KnowledgeBaseError",
-    "seed_builtins",
-    "pattern_from_spec",
-    "match_equation",
-    "prove_spd",
-    "derive_pme",
-    "derive_each",
-    "derive_all",
-    "learn",
-    "load_kb",
-    "save_kb",
-    "initial_state",
-]
 
 SPD_SEARCH_DEPTH = 8
 SPD_SEARCH_NODES = 4000
@@ -128,6 +108,10 @@ class PatternConflictError(ValueError):
 
 
 class KnowledgeBaseError(ValueError):
+    pass
+
+
+class CombinationRangeError(ValueError):
     pass
 
 
@@ -726,8 +710,10 @@ def _substitute(e: Expression, binds: dict[str, Expression]) -> Expression:
 def prove_spd(e: Expression, state: DerivationState) -> bool:
     """Bounded equational search for membership in the SPD fact set.
 
-    Returns False when no proof is found within the bounds; that is a
-    failure to establish the property, never a disproof.
+    Returns False when no proof is found within the bounds, or when
+    :func:`_bare_summand_refutes` shows that no proof exists at any bound;
+    either way that is a failure to establish the property, never a
+    disproof.
     """
     targets = [
         normalize(f.expression) for f in state.facts if f.property is Property.SPD
@@ -740,6 +726,8 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
     if start_key in target_keys:
         return True
     rules = list(state.tautologies)
+    if _bare_summand_refutes(start, targets, rules):
+        return False
     fwd_seen: set[str] = {start_key}
     bwd_seen: set[str] = set(target_keys)
     fwd_frontier: list[Expression] = [start]
@@ -754,6 +742,33 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
         if any(serialize(x) in fwd_seen for x in bwd_frontier):
             return True
     return False
+
+
+def _bare_summand_refutes(
+    start: Expression, targets: list[Expression], rules: list[Equation]
+) -> bool:
+    """True when a summand of ``start`` keeps the search from ever meeting.
+
+    Such a summand is a bare block, up to negation and transpose, whose
+    name occurs once in ``start`` and in no target and no rule side.  A
+    ground rewrite replaces a whole rule side, and no rule side contains
+    the name.  Inverse moves act only inside products and inverses, never
+    on a bare summand, and ``plus`` can cancel the term only against a
+    second occurrence of the name.  So every forward node keeps the name,
+    no backward node ever contains it, and the two searches cannot meet.
+    """
+    names = [n.name for n in walk(start) if isinstance(n, OperandRef)]
+    bare = set()
+    for term in additive_terms(start):
+        while isinstance(term, (Minus, Transpose)):
+            term = term.operand
+        if isinstance(term, OperandRef) and names.count(term.name) == 1:
+            bare.add(term.name)
+    if not bare:
+        return False
+    for side in (*targets, *(r.lhs for r in rules), *(r.rhs for r in rules)):
+        bare -= operand_names(side)
+    return bool(bare)
 
 
 def _expand(
@@ -1009,23 +1024,42 @@ def _try_nested(
 
 
 def derive_each(
-    spec: OperationSpec, kb: KnowledgeBase, ops_dir: Optional[str] = None
-) -> list[PME | StuckDerivation]:
+    spec: OperationSpec,
+    kb: KnowledgeBase,
+    ops_dir: Optional[str] = None,
+    combination: Optional[int] = None,
+) -> list[PME | StuckDerivation | None]:
     """Derive every viable combination: its PME, or why it got stuck.
 
-    The results follow combination order.  The spec is analyzed once, and
-    ``ops_dir`` is parsed at most once for the whole call.
+    The results follow combination order.  With ``combination`` (counted
+    from 1), only that combination is derived and every other entry is
+    None; an index outside the combinations raises
+    :class:`CombinationRangeError` before any derivation starts.  The spec
+    is analyzed once, and ``ops_dir`` is parsed at most once for the whole
+    call.
     """
-    return _derive_each(spec, kb, _OpsDir(ops_dir), 0)
+    return _derive_each(spec, kb, _OpsDir(ops_dir), 0, combination)
 
 
 def _derive_each(
-    spec: OperationSpec, kb: KnowledgeBase, ops: _OpsDir, depth: int
-) -> list[PME | StuckDerivation]:
+    spec: OperationSpec,
+    kb: KnowledgeBase,
+    ops: _OpsDir,
+    depth: int,
+    combination: Optional[int] = None,
+) -> list[PME | StuckDerivation | None]:
     """:func:`derive_each` at nesting ``depth``, sharing ``ops``."""
     analysis = analyze(spec)
-    results: list[PME | StuckDerivation] = []
-    for combo in _combinations(spec, analysis):
+    combos = _combinations(spec, analysis)
+    if combination is not None and not 1 <= combination <= len(combos):
+        raise CombinationRangeError(
+            f"combination {combination} out of range 1..{len(combos)}"
+        )
+    results: list[PME | StuckDerivation | None] = []
+    for combo in combos:
+        if combination is not None and combo.index != combination:
+            results.append(None)
+            continue
         try:
             results.append(_derive_pme(spec, combo, kb, ops, depth, analysis))
         except StuckDerivation as exc:
@@ -1071,7 +1105,11 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         lines.append("end")
     text = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kb-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kb-", text=True)
+    except OSError as exc:
+        # the temporary file's random name would mean nothing to the user
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

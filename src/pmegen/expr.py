@@ -37,44 +37,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-__all__ = [
-    "Expression",
-    "OperandRef",
-    "Zero",
-    "ZERO",
-    "Plus",
-    "Times",
-    "Minus",
-    "Transpose",
-    "Inverse",
-    "SolvedBy",
-    "Equation",
-    "Dimension",
-    "StructuralError",
-    "normalize",
-    "normalize_equation",
-    "plus",
-    "times",
-    "minus",
-    "trans",
-    "inv",
-    "solved_by",
-    "ref",
-    "serialize",
-    "serialize_equation",
-    "parse_prefix",
-    "parse_prefix_equation",
-    "operand_names",
-    "walk",
-    "additive_terms",
-    "has_unknown",
-    "known_only",
-    "to_canonical_equation",
-    "is_tautology_candidate",
-    "transpose_equation",
-    "replace_all",
-    "rewrite_candidates",
-]
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"plus", "minus", "times", "trans", "inv", "solved", "eq"})

@@ -45,26 +45,6 @@ from .expr import (
     walk,
 )
 
-__all__ = [
-    "Property",
-    "OperandDecl",
-    "OperationSpec",
-    "SpecError",
-    "SpecSyntaxError",
-    "SpecValidationError",
-    "parse_operation",
-    "render_spec",
-    "build_spec",
-    "expr_to_text",
-    "expr_to_latex",
-    "equation_to_text",
-    "KIND_MATRIX",
-    "KIND_VECTOR",
-    "KIND_SCALAR",
-    "ROLE_KNOWN",
-    "ROLE_UNKNOWN",
-]
-
 
 class Property(str, enum.Enum):
     LOWER_TRIANGULAR = "lower_triangular"

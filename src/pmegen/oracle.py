@@ -37,27 +37,6 @@ from .expr import (
 from .opspec import KIND_SCALAR, OperationSpec, Property
 from .partition import BlockedOperand
 
-__all__ = [
-    "OracleError",
-    "SingularMatrixError",
-    "UnboundOperandError",
-    "NumericBinding",
-    "TrialResult",
-    "CheckReport",
-    "BASE_SOLVERS",
-    "cholesky_lower",
-    "solve_triangular_sylvester",
-    "solve_transposed_lower_right",
-    "gauss_jordan_inverse",
-    "gauss_solve",
-    "kron_sylvester_solution",
-    "min_symmetric_eigenvalue",
-    "eval_size",
-    "sample_value",
-    "evaluate",
-    "check_pme",
-    "relative_residual",
-]
 
 CONDITION_LIMIT = 1e12
 

@@ -35,18 +35,6 @@ from .expr import (
 )
 from .opspec import OperandDecl, Property, KIND_SCALAR, KIND_VECTOR
 
-__all__ = [
-    "PartitionShape",
-    "PartitionRule",
-    "BlockedOperand",
-    "PropertyFact",
-    "InadmissibleRuleError",
-    "admissible_rules",
-    "apply_rule",
-    "spd_facts",
-    "inheritance_facts",
-]
-
 
 class PartitionShape(str, enum.Enum):
     R1x1 = "1x1"

@@ -30,6 +30,7 @@ from conftest import OPS_DIR, cli_env
 CHOLESKY_OP = os.path.join(OPS_DIR, "cholesky.op")
 SYLVESTER_OP = os.path.join(OPS_DIR, "sylvester.op")
 TRSM_OP = os.path.join(OPS_DIR, "trsm.op")
+LU_PROBE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "probes", "lu.op")
 
 
 def run_main(args, capsys):
@@ -426,6 +427,12 @@ class TestErrorBoundary:
         lines = r.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_learn_into_missing_directory_names_kb_path(self, tmp_path):
+        r = _run_subprocess(_learn_into_missing_directory(tmp_path))
+        assert r.returncode == EXIT_PARSE
+        err = r.stderr.decode()
+        assert "kb.txt" in err and ".kb-" not in err
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -478,6 +485,28 @@ class TestOneDerivation:
         assert code == expected
         names = sorted(f[: -len(".op")] for f in os.listdir(OPS_DIR) if f.endswith(".op"))
         assert sorted(parsed) == names
+
+
+    def test_combination_out_of_range_before_deriving(self, capsys):
+        # lu cannot derive, so the range error must come before any attempt
+        code, out, err = run_main(["derive", LU_PROBE, "--combination", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: combination 2 out of range 1..1\n"
+
+    def test_selected_combination_derived_alone(self, monkeypatch, capsys):
+        derived = []
+
+        def counted(spec, rules, *args):
+            derived.append(rules.index)
+            return real(spec, rules, *args)
+
+        real = engine._derive_pme
+        monkeypatch.setattr(engine, "_derive_pme", counted)
+        code, out, _ = run_main(["derive", SYLVESTER_OP, "--combination", "2"], capsys)
+        assert code == EXIT_OK
+        assert "combinations: 3 (selected: 2)" in out
+        assert out.count("PME (combination 2)") == 1
+        assert derived == [2]
 
 
 class TestImports:

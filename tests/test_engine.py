@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import importlib.util
 import os
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 import pytest
 
 from pmegen import binding, blockarith, engine
-from pmegen.binding import enumerate_combinations
+from pmegen.binding import NoViablePartitioningsError, enumerate_combinations
 from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, QuadrantEquation
 from pmegen.engine import (
     AllCombinationsStuck,
@@ -44,10 +45,11 @@ from pmegen.expr import (
     times,
     trans,
 )
-from pmegen.opspec import parse_operation
+from pmegen.opspec import Property, parse_operation
 from pmegen.oracle import cholesky_lower, min_symmetric_eigenvalue
+from pmegen.partition import PropertyFact
 
-from conftest import OPS_DIR, load_op
+from conftest import OPS_DIR, load_op, random_spec
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
@@ -260,6 +262,80 @@ class TestProveSpd:
         assert expanded
         for e, rules in expanded.values():
             assert rewrite_candidates(e, rules) == _full_rebuild_candidates(e, rules)
+
+    def test_name_cancelled_by_tautology_proves(self, cholesky_state):
+        # N is in no fact and no tautology, but it is no bare summand
+        A, N, Y, Z = ref("A"), ref("N"), ref("Y"), ref("Z")
+        state = replace(
+            cholesky_state,
+            facts=[PropertyFact(A, Property.SPD)],
+            tautologies=[Equation(Y, Z)],
+        )
+        assert prove_spd(plus(A, times(N, Y), minus(times(N, Z))), state)
+
+    def test_bare_summand_named_twice_proves(self, cholesky_state):
+        # N is a bare summand, but its second occurrence cancels it
+        A, N, Y = ref("A"), ref("N"), ref("Y")
+        state = replace(
+            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=[]
+        )
+        assert prove_spd(plus(A, N, minus(times(N, Y, inv(Y)))), state)
+
+    def test_bare_summand_refuted_without_search(self, cholesky_state, monkeypatch):
+        expanded = []
+
+        def counted(frontier, rules, seen):
+            expanded.append(len(frontier))
+            return real(frontier, rules, seen)
+
+        real = engine._expand
+        monkeypatch.setattr(engine, "_expand", counted)
+        cholesky_state.tautologies = list(CHOLESKY_TAUTOLOGIES)
+        e = plus(A_BR, ref("B_BR"), minus(times(L_BL, trans(L_BL))))
+        assert not prove_spd(e, cholesky_state)
+        assert expanded == []
+
+    def test_refutation_check_keeps_every_verdict(self, monkeypatch):
+        """Every query of the spd family (with and without ``ops_dir``) and
+        fuzz seeds 0-299 gets the same verdict with the check as without."""
+        queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
+        real = engine.prove_spd
+
+        def recorded(e, state):
+            key = (
+                serialize(e),
+                *(f"{f.property.value} {serialize(f.expression)}" for f in state.facts),
+                "|",
+                *(serialize_equation(t) for t in state.tautologies),
+            )
+            snapshot = replace(
+                state, facts=list(state.facts), tautologies=list(state.tautologies)
+            )
+            queries.setdefault(key, (e, snapshot))
+            return real(e, state)
+
+        monkeypatch.setattr(engine, "prove_spd", recorded)
+        specs = [parse_operation(text) for _, text in _bench_corpus().spd_family()]
+        runs = [(spec, ops_dir) for spec in specs for ops_dir in (None, OPS_DIR)]
+        runs += [(random_spec(np.random.default_rng(s)), None) for s in range(300)]
+        for spec, ops_dir in runs:
+            try:
+                derive_all(spec, seed_builtins(), ops_dir=ops_dir)
+            except (AllCombinationsStuck, NoViablePartitioningsError):
+                pass
+        fired = []
+
+        def check(start, targets, rules):
+            fired.append(refutes(start, targets, rules))
+            return fired[-1]
+
+        refutes = engine._bare_summand_refutes
+        monkeypatch.setattr(engine, "_bare_summand_refutes", check)
+        with_check = [real(e, state) for e, state in queries.values()]
+        monkeypatch.setattr(engine, "_bare_summand_refutes", lambda *args: False)
+        without_check = [real(e, state) for e, state in queries.values()]
+        assert with_check == without_check
+        assert any(with_check) and any(fired)
 
 
 def _bench_corpus():
