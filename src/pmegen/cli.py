@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import engine
 from .binding import BindingError, NoViablePartitioningsError, RuleCombination
@@ -69,6 +69,24 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _non_negative(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type: a ``kind`` number that is at least zero (not nan)."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        # the negated test also rejects nan
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must not be negative or nan: {text}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +284,13 @@ def cmd_derive(args: argparse.Namespace) -> int:
         if not kb_path:
             print("error: --learn needs --kb or PME_KB", file=sys.stderr)
             return EXIT_USAGE
-        engine.save_kb(engine.learn(spec, engine.load_kb(kb_path)), kb_path)
+        # only learning writes the KB; save_kb replaces the file, so the
+        # lock is held on a sidecar that outlives every replacement
+        import fcntl
+
+        with open(kb_path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            engine.save_kb(engine.learn(spec, engine.load_kb(kb_path)), kb_path)
     # mirrors the aggregate error of the library pipeline: stuck only
     # when no selected combination could be completed
     return EXIT_STUCK if stuck and not pmes else EXIT_OK
@@ -349,9 +373,9 @@ def _build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="numerically verify PMEs")
     p_check.add_argument("op_file")
     p_check.add_argument("pme_json")
-    p_check.add_argument("--trials", type=int, default=50)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tolerance", type=float, default=1e-8)
+    p_check.add_argument("--trials", type=_non_negative(int), default=50)
+    p_check.add_argument("--seed", type=_non_negative(int), default=0)
+    p_check.add_argument("--tolerance", type=_non_negative(float), default=1e-8)
     p_check.set_defaults(func=cmd_check)
 
     p_kb = sub.add_parser("kb", help="inspect the pattern knowledge base")

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from itertools import accumulate
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .expr import (
     Zero,
 )
 from .opspec import KIND_SCALAR, OperationSpec, Property
-from .partition import BlockedOperand
 
 
 CONDITION_LIMIT = 1e12
@@ -130,9 +130,9 @@ def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
         if pivot_row != col:
             work[[col, pivot_row]] = work[[pivot_row, col]]
         work[col] /= work[col, col]
-        for row in range(n):
-            if row != col and work[row, col] != 0.0:
-                work[row] -= work[row, col] * work[col]
+        factors = work[:, col].copy()
+        factors[col] = 0.0
+        work -= np.outer(factors, work[col])
     out = work[:, n:]
     # crude condition estimate guards against meaningless results
     cond = float(np.abs(a).sum(axis=1).max() * np.abs(out).sum(axis=1).max())
@@ -340,25 +340,12 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _atomic_symbols(blocks: Mapping[str, BlockedOperand]) -> list[str]:
-    out: set[str] = set()
-    for b in blocks.values():
-        for size in b.row_sizes + b.col_sizes:
-            for atom in size.split("-"):
-                if atom != "1":
-                    out.add(atom)
-    return sorted(out)
+def block_edges(sizes: Sequence[str], size_of: Mapping[str, int]) -> list[int]:
+    """Offsets along one axis of blocks of the given sizes: 0, then each end.
 
-
-def _split_symbols(blocks: Mapping[str, BlockedOperand]) -> dict[str, str]:
-    """Map each split symbol to the parent symbol it subdivides."""
-    out: dict[str, str] = {}
-    for b in blocks.values():
-        for size in b.row_sizes + b.col_sizes:
-            if "-" in size:
-                parent, split = size.split("-", 1)
-                out[split] = parent
-    return out
+    ``size_of`` maps every size expression to its value for one trial.
+    """
+    return list(accumulate((size_of[s] for s in sizes), initial=0))
 
 
 def check_pme(
@@ -375,20 +362,55 @@ def check_pme(
     inputs, evaluates the solved assignments in dependency order,
     reassembles the blocked outputs, and measures the relative residual
     of the original equation.
+
+    The layout is built once per call: the distinct size expressions,
+    each input's named blocks, each assignment with its block shape, and
+    the output blocks.  Each trial evaluates every size expression once.
     """
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     blocks = blocked_operands(spec, pme.combination)
-    parents = _atomic_symbols(blocks)
-    split_of = _split_symbols(blocks)
+    axes = {b.row_sizes for b in blocks.values()} | {b.col_sizes for b in blocks.values()}
+    block_sizes = sorted({s for axis in axes for s in axis})
+    split_of: dict[str, str] = {}
+    for size in block_sizes:
+        if "-" in size:
+            parent, split = size.split("-", 1)
+            split_of[split] = parent
+    atoms = sorted({a for s in block_sizes for a in s.split("-") if a != "1"})
+    parents = [a for a in atoms if a not in split_of]
+    splits = sorted(split_of.items())
+
+    # inputs keep their named blocks, outputs every block expression
+    inputs, outputs = [], []
+    for decl in spec.operands:
+        b = blocks[decl.name]
+        cells = [(i, j, cell) for i, row in enumerate(b.cells) for j, cell in enumerate(row)]
+        if decl.is_input:
+            named = [(i, j, cell.name) for i, j, cell in cells if isinstance(cell, OperandRef)]
+            inputs.append((decl, b.row_sizes, b.col_sizes, named))
+        else:
+            outputs.append((decl.name, b.row_sizes, b.col_sizes, cells))
+    where = {
+        q.position: (q.equation, rows, cols)
+        for rows, row in zip(pme.row_sizes, pme.cells)
+        for cols, q in zip(pme.col_sizes, row)
+    }
+    steps = []
+    for pos in pme.order:
+        equation, rows, cols = where[pos]
+        if not isinstance(equation.lhs, OperandRef):
+            raise OracleError(f"cell {pos} does not assign a single block")
+        steps.append((equation.lhs.name, equation.rhs, rows, cols))
+    size_strings = sorted({*block_sizes, *(s for step in steps for s in step[2:])})
+
     results: list[TrialResult] = []
     worst = 0.0
     for t in range(trials):
         trial_seed = seed + t
         rng = np.random.default_rng(trial_seed)
-        sizes: dict[str, int] = {}
-        for symbol in parents:
-            if symbol not in split_of:
-                sizes[symbol] = int(rng.integers(2, 9))
-        for split, parent in sorted(split_of.items()):
+        sizes = {symbol: int(rng.integers(2, 9)) for symbol in parents}
+        for split, parent in splits:
             limit = sizes[parent]
             if t == 0:
                 sizes[split] = 1
@@ -396,15 +418,39 @@ def check_pme(
                 sizes[split] = limit - 1
             else:
                 sizes[split] = int(rng.integers(1, limit))
-        residual = _run_trial(pme, spec, blocks, sizes, rng)
-        ok = residual <= tolerance
+        size_of = {s: eval_size(s, sizes) for s in size_strings}
+        edges = {axis: block_edges(axis, size_of) for axis in axes}
+
+        # sample full inputs, then slice them into their blocks
+        values: dict[str, np.ndarray] = {}
+        binding = NumericBinding(sizes=sizes, values=values)
+        for decl, rows, cols, cells in inputs:
+            r, c = edges[rows], edges[cols]
+            full = sample_value(decl.kind, (r[-1], c[-1]), decl.properties, rng)
+            values[decl.name] = full
+            for i, j, name in cells:
+                values[name] = full[r[i] : r[i + 1], c[j] : c[j + 1]]
+        for name, rhs, rows, cols in steps:
+            values[name] = evaluate(rhs, binding, (size_of[rows], size_of[cols]))
+        # assemble blocked outputs into full operands
+        for name, rows, cols, cells in outputs:
+            r, c = edges[rows], edges[cols]
+            full = np.zeros((r[-1], c[-1]))
+            for i, j, cell in cells:
+                shape = (r[i + 1] - r[i], c[j + 1] - c[j])
+                full[r[i] : r[i + 1], c[j] : c[j + 1]] = evaluate(cell, binding, shape)
+            values[name] = full
+        residual = relative_residual(
+            evaluate(spec.postcondition.lhs, binding),
+            evaluate(spec.postcondition.rhs, binding),
+        )
         worst = max(worst, residual)
         results.append(
             TrialResult(
                 seed=trial_seed,
                 sizes=tuple(sorted(sizes.items())),
                 residual=residual,
-                ok=ok,
+                ok=residual <= tolerance,
             )
         )
     return CheckReport(
@@ -415,86 +461,3 @@ def check_pme(
         max_residual=worst,
         ok=all(r.ok for r in results),
     )
-
-
-def _run_trial(
-    pme: PME,
-    spec: OperationSpec,
-    blocks: Mapping[str, BlockedOperand],
-    sizes: Mapping[str, int],
-    rng: np.random.Generator,
-) -> float:
-    values: dict[str, np.ndarray] = {}
-    # sample full inputs, then slice them into their blocks
-    for decl in spec.inputs():
-        rows, cols = _parent_shape(blocks[decl.name], sizes)
-        full = sample_value(decl.kind, (rows, cols), decl.properties, rng)
-        values[decl.name] = full
-        _slice_blocks(blocks[decl.name], full, sizes, values)
-    binding = NumericBinding(sizes=dict(sizes), values=values)
-    for pos in pme.order:
-        cell = pme.cell(pos)
-        out_ref = cell.equation.lhs
-        if not isinstance(out_ref, OperandRef):
-            raise OracleError(f"cell {pos} does not assign a single block")
-        shape = _cell_shape(pme, pos, sizes)
-        values[out_ref.name] = evaluate(cell.equation.rhs, binding, shape)
-    # assemble blocked outputs into full operands
-    for decl in spec.outputs():
-        values[decl.name] = _assemble(blocks[decl.name], sizes, binding)
-    lhs = evaluate(spec.postcondition.lhs, binding)
-    rhs = evaluate(spec.postcondition.rhs, binding)
-    return relative_residual(lhs, rhs)
-
-
-def _parent_shape(b: BlockedOperand, sizes: Mapping[str, int]) -> tuple[int, int]:
-    rows = sum(eval_size(s, sizes) for s in b.row_sizes)
-    cols = sum(eval_size(s, sizes) for s in b.col_sizes)
-    return rows, cols
-
-
-def _slice_blocks(
-    b: BlockedOperand,
-    full: np.ndarray,
-    sizes: Mapping[str, int],
-    values: dict[str, np.ndarray],
-) -> None:
-    row_edges = np.cumsum([0] + [eval_size(s, sizes) for s in b.row_sizes])
-    col_edges = np.cumsum([0] + [eval_size(s, sizes) for s in b.col_sizes])
-    for i, row in enumerate(b.cells):
-        for j, cell in enumerate(row):
-            if isinstance(cell, OperandRef):
-                values[cell.name] = full[
-                    row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]
-                ]
-
-
-def _cell_shape(pme: PME, position: str, sizes: Mapping[str, int]) -> tuple[int, int]:
-    nr, nc = pme.shape
-    for i in range(nr):
-        for j in range(nc):
-            if pme.cells[i][j].position == position:
-                return (
-                    eval_size(pme.row_sizes[i], sizes),
-                    eval_size(pme.col_sizes[j], sizes),
-                )
-    raise KeyError(position)
-
-
-def _assemble(
-    b: BlockedOperand, sizes: Mapping[str, int], binding: NumericBinding
-) -> np.ndarray:
-    rows, cols = _parent_shape(b, sizes)
-    out = np.zeros((rows, cols))
-    row_edges = np.cumsum([0] + [eval_size(s, sizes) for s in b.row_sizes])
-    col_edges = np.cumsum([0] + [eval_size(s, sizes) for s in b.col_sizes])
-    for i, row in enumerate(b.cells):
-        for j, cell in enumerate(row):
-            shape = (
-                row_edges[i + 1] - row_edges[i],
-                col_edges[j + 1] - col_edges[j],
-            )
-            out[
-                row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]
-            ] = evaluate(cell, binding, shape)
-    return out

@@ -31,7 +31,13 @@ from pmegen.opspec import (
     build_spec,
     parse_operation,
 )
-from pmegen.oracle import NumericBinding, eval_size, evaluate, sample_value
+from pmegen.oracle import (
+    NumericBinding,
+    block_edges,
+    eval_size,
+    evaluate,
+    sample_value,
+)
 
 OPS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "ops")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -199,17 +205,18 @@ def check_blocking_faithful(
     blocks = blocked_operands(spec, combo)
     grid = raw_blocked_equations(spec, blocks)
     sizes = _sizes_for(blocks, rng)
+    axes = [grid.row_sizes, grid.col_sizes]
+    axes += [axis for b in blocks.values() for axis in (b.row_sizes, b.col_sizes)]
+    size_of = {s: eval_size(s, sizes) for axis in axes for s in axis}
     values: dict[str, np.ndarray] = {}
     for decl in spec.operands:
         b = blocks[decl.name]
-        shape = (
-            sum(eval_size(s, sizes) for s in b.row_sizes),
-            sum(eval_size(s, sizes) for s in b.col_sizes),
+        row_edges = block_edges(b.row_sizes, size_of)
+        col_edges = block_edges(b.col_sizes, size_of)
+        full = sample_value(
+            decl.kind, (row_edges[-1], col_edges[-1]), decl.properties, rng
         )
-        full = sample_value(decl.kind, shape, decl.properties, rng)
         values[decl.name] = full
-        row_edges = np.cumsum([0] + [eval_size(s, sizes) for s in b.row_sizes])
-        col_edges = np.cumsum([0] + [eval_size(s, sizes) for s in b.col_sizes])
         for i, row in enumerate(b.cells):
             for j, cell in enumerate(row):
                 if isinstance(cell, OperandRef):
@@ -220,8 +227,8 @@ def check_blocking_faithful(
     binding = NumericBinding(sizes=sizes, values=values)
     lhs_full = evaluate(spec.postcondition.lhs, binding)
     rhs_full = evaluate(spec.postcondition.rhs, binding)
-    row_edges = np.cumsum([0] + [eval_size(s, sizes) for s in grid.row_sizes])
-    col_edges = np.cumsum([0] + [eval_size(s, sizes) for s in grid.col_sizes])
+    row_edges = block_edges(grid.row_sizes, size_of)
+    col_edges = block_edges(grid.col_sizes, size_of)
     scale_l = max(float(np.linalg.norm(lhs_full)), 1.0)
     scale_r = max(float(np.linalg.norm(rhs_full)), 1.0)
     checked = 0

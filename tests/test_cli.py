@@ -199,6 +199,46 @@ class TestLearnAndKb:
         code, out, _ = run_main(["kb", "list"], capsys)
         assert "cholesky (learned)" in out
 
+    def test_concurrent_learning_keeps_every_pattern(self, tmp_path, capsys):
+        # four processes, each learning its own copy of trsm into one KB at
+        # about the same moment: without a lock, writers overwrite each
+        # other.  Padding the KB with learned records widens the window
+        # between reading and replacing it.
+        kb = str(tmp_path / "kb.txt")
+        template = open(TRSM_OP).read()
+        code, _, _ = run_main(["derive", TRSM_OP, "--kb", kb, "--learn"], capsys)
+        assert code == EXIT_OK
+        header, record = open(kb).read().split("\n", 1)
+        pads = [f"pad{i}" for i in range(300)]
+        with open(kb, "w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(record.replace("pattern trsm", f"pattern {p}") for p in pads)
+        names = [f"trsm{i}" for i in range(4)]
+        procs = []
+        for name in names:
+            op = tmp_path / f"{name}.op"
+            op.write_text(
+                template.replace("operation trsm", f"operation {name}").replace(
+                    "solve: Trsm", f"solve: {name.capitalize()}"
+                )
+            )
+            procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-m", "pmegen.cli", "derive", str(op),
+                     "--kb", kb, "--learn"],
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
+                    env=cli_env(),
+                )
+            )
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == EXIT_OK, err.decode()
+        code, out, _ = run_main(["kb", "list", "--kb", kb], capsys)
+        assert code == EXIT_OK
+        learned = sorted(l for l in out.splitlines() if l.endswith("(learned)"))
+        assert learned == sorted(f"{name} (learned)" for name in pads + names)
+
     def test_kb_show(self, tmp_path, capsys):
         kb = str(tmp_path / "kb.txt")
         run_main(["derive", CHOLESKY_OP, "--kb", kb, "--learn"], capsys)
@@ -297,6 +337,37 @@ class TestCheck:
             ["check", CHOLESKY_OP, str(pme_file), "--trials", "0"], capsys
         )
         assert code == EXIT_OK and "warning" in out2
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--trials", "-1"],
+            ["--trials", "-3"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "-1"],
+            ["--tolerance=-1e-3"],
+            ["--seed", "-1"],
+        ],
+        ids=lambda o: "".join(o),
+    )
+    def test_bad_check_option_is_usage_error(self, option, capsys):
+        # the files are never opened: options are checked first
+        with pytest.raises(SystemExit) as exc:
+            main(["check", CHOLESKY_OP, "missing.json", *option])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if l.startswith("error: ")]
+        assert len(errors) == 1 and "must not be negative or nan" in errors[0]
+
+    def test_check_pme_rejects_negative_trials(self):
+        from pmegen.opspec import parse_operation
+        from pmegen.oracle import check_pme
+
+        spec = parse_operation(open(CHOLESKY_OP).read())
+        (pme,) = derive_all(spec, seed_builtins())
+        with pytest.raises(ValueError, match="negative"):
+            check_pme(pme, spec, trials=-1)
 
     def test_same_seed_reproduces_report(self, tmp_path, capsys):
         code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
