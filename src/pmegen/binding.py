@@ -18,7 +18,6 @@ bit, and group ``i`` splits at the fresh size symbol ``k{i+1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .expr import (
     Expression,
@@ -220,19 +219,13 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
     )
 
 
-def enumerate_combinations(
-    spec: OperationSpec,
-    groups: Optional[Sequence[frozenset[DimensionVar]]] = None,
-) -> tuple[RuleCombination, ...]:
+def enumerate_combinations(spec: OperationSpec) -> tuple[RuleCombination, ...]:
     """All viable rule combinations, ``2**g - 1`` of them.
 
     Groups containing a scalar axis, a vector column axis, or an inverted
     subtree are forced to keep, which reduces the effective ``g``.
     """
-    analysis = analyze(spec)
-    if groups is not None and tuple(groups) != analysis.groups:
-        raise BindingError("groups do not match this spec")
-    return _combinations(spec, analysis)
+    return _combinations(spec, analyze(spec))
 
 
 def _combinations(

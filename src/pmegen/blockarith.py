@@ -40,7 +40,7 @@ from .expr import (
     inv,
 )
 from .opspec import OperandDecl, OperationSpec
-from .partition import BlockedOperand, apply_rule
+from .partition import BlockedOperand, apply_rule, position_names
 
 
 STATUS_UNSOLVED = "unsolved"
@@ -106,18 +106,6 @@ class BlockedEquationGrid(QuadrantCells):
         return replace(self, cells=rows)
 
 
-def position_names(nrows: int, ncols: int) -> tuple[tuple[str, ...], ...]:
-    if (nrows, ncols) == (2, 2):
-        return (("TL", "TR"), ("BL", "BR"))
-    if (nrows, ncols) == (2, 1):
-        return (("T",), ("B",))
-    if (nrows, ncols) == (1, 2):
-        return (("L", "R"),)
-    if (nrows, ncols) == (1, 1):
-        return (("whole",),)
-    raise ConformanceError(f"unsupported grid shape {nrows}x{ncols}")
-
-
 def blocked_operands(
     spec: OperationSpec, rules: RuleCombination
 ) -> dict[str, BlockedOperand]:
@@ -141,13 +129,11 @@ def _blocked_operands(
 
 @dataclass(frozen=True, slots=True)
 class _Grid:
+    """Block expressions over sizes; a :class:`BlockedOperand` has the same fields."""
+
     cells: tuple[tuple[Expression, ...], ...]
     row_sizes: tuple[str, ...]
     col_sizes: tuple[str, ...]
-
-
-def _grid_of(b: BlockedOperand) -> _Grid:
-    return _Grid(b.cells, b.row_sizes, b.col_sizes)
 
 
 def _mul(a: _Grid, b: _Grid) -> _Grid:
@@ -173,9 +159,11 @@ def _same_shape(a: _Grid, b: _Grid, what: str) -> None:
         )
 
 
-def _eval_blocked(e: Expression, blocks: dict[str, BlockedOperand]) -> _Grid:
+def _eval_blocked(
+    e: Expression, blocks: dict[str, BlockedOperand]
+) -> _Grid | BlockedOperand:
     if isinstance(e, OperandRef):
-        return _grid_of(blocks[e.name])
+        return blocks[e.name]
     if isinstance(e, Times):
         grid = _eval_blocked(e.factors[0], blocks)
         for f in e.factors[1:]:

@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Any, Callable, Optional, Sequence
 
 from . import engine
 from .binding import BindingError, NoViablePartitioningsError, RuleCombination
-from .blockarith import STATUS_STAR, QuadrantEquation, position_names
+from .blockarith import STATUS_STAR, QuadrantEquation
 from .engine import (
     PME,
     CombinationRangeError,
@@ -40,7 +41,7 @@ from .opspec import (
     expr_to_latex,
     parse_operation,
 )
-from .partition import PartitionRule, PartitionShape
+from .partition import PartitionRule, PartitionShape, position_names
 
 
 EXIT_OK = 0
@@ -65,6 +66,13 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" or "-inf" as an unknown option and reports
+        # a missing value; taking every negative number as a value lets the
+        # option's own check name the problem
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -49,7 +49,6 @@ from .blockarith import (
     _blocked_grid,
     _blocked_operands,
     known_blocks,
-    position_names,
 )
 from .expr import (
     Dimension,
@@ -66,7 +65,6 @@ from .expr import (
     additive_terms,
     is_tautology_candidate,
     known_only,
-    normalize,
     normalize_equation,
     operand_names,
     parse_prefix_equation,
@@ -213,8 +211,8 @@ def _builtin(
         name=name,
         solution_operator=None,
         slots=tuple(slots),
-        template=normalize_equation(template),
-        solved=normalize_equation(solved),
+        template=template,
+        solved=solved,
         provenance="builtin",
     )
 
@@ -239,7 +237,7 @@ def _seed_patterns() -> tuple[Pattern, ...]:
                 _slot("E", ROLE_KNOWN, ("q", "n")),
                 _slot("F", ROLE_KNOWN, ("q", "n")),
             ],
-            Equation(Plus((X, E)), F),
+            Equation(plus(X, E), F),
             Equation(X, plus(F, minus(E))),
         ),
         _builtin(
@@ -446,7 +444,7 @@ class DerivationState:
     trace: list[TraceStep] = field(default_factory=list)
 
     def fact_holds(self, e: Expression, prop: Property) -> bool:
-        key = serialize(normalize(e))
+        key = serialize(e)
         return any(
             f.property is prop and serialize(f.expression) == key for f in self.facts
         )
@@ -518,7 +516,7 @@ def _established(e: Expression, prop: Property, state: DerivationState) -> bool:
     for stronger in implied_by.get(prop, ()):
         if state.fact_holds(e, stronger):
             return True
-    if prop is Property.SYMMETRIC and trans(normalize(e)) == normalize(e):
+    if prop is Property.SYMMETRIC and trans(e) == e:
         return True
     if isinstance(e, Zero):
         return prop in (
@@ -558,7 +556,6 @@ def _is_plain_general(e: Expression, state: DerivationState) -> bool:
 @dataclass(frozen=True, slots=True)
 class MatchResult:
     pattern: Pattern
-    bindings: tuple[tuple[str, Expression], ...]
     solved: Equation
     outputs: tuple[str, ...]
 
@@ -572,9 +569,9 @@ class GuardFailure(Exception):
 
 
 def _unify_slot_dims(
-    pattern: Pattern, binds: dict[str, Expression], state: DerivationState
+    pattern: Pattern, sizes: dict[str, Optional[Dimension]]
 ) -> None:
-    """Bind the pattern's size symbols against the subject's block sizes.
+    """Bind the pattern's size symbols against the bound slots' ``sizes``.
 
     A slot whose bound expression has no determinable dimensions (a bare
     zero block, say) contributes no constraints; everything else must be
@@ -582,13 +579,8 @@ def _unify_slot_dims(
     """
     assignment: dict[str, str] = {}
     for slot in pattern.slots:
-        if slot.dims is None:
-            continue
-        bound = binds.get(slot.name)
-        if bound is None:
-            continue
-        actual = _dims_of(bound, state.dims)
-        if actual is None:
+        actual = sizes.get(slot.name)
+        if slot.dims is None or actual is None:
             continue
         for symbol, size in ((slot.dims.rows, actual.rows), (slot.dims.cols, actual.cols)):
             if symbol == "1":
@@ -608,7 +600,8 @@ def _check_guards(
     pattern: Pattern, binds: dict[str, Expression], state: DerivationState
 ) -> None:
     outputs_seen: set[str] = set()
-    _unify_slot_dims(pattern, binds, state)
+    sizes = {name: _dims_of(bound, state.dims) for name, bound in binds.items()}
+    _unify_slot_dims(pattern, sizes)
     for slot in pattern.slots:
         bound = binds.get(slot.name)
         if bound is None:
@@ -629,7 +622,7 @@ def _check_guards(
                     f"slot {slot.name} binds unknown quantities "
                     f"({serialize(bound)})"
                 )
-        d = _dims_of(bound, state.dims)
+        d = sizes[slot.name]
         if slot.kind == KIND_SCALAR and (d is None or d != Dimension("1", "1")):
             raise GuardFailure(f"slot {slot.name} must bind a scalar")
         if slot.require_square and (d is None or d.rows != d.cols):
@@ -654,18 +647,15 @@ def _check_guards(
 
 def match_equation(
     eq: QuadrantEquation,
-    patterns: Sequence[Pattern] | KnowledgeBase,
+    patterns: Sequence[Pattern],
     state: DerivationState,
     notes: Optional[list[str]] = None,
 ) -> Optional[MatchResult]:
-    """First pattern that matches the equation and passes all guards.
+    """First of ``patterns`` that matches the equation and passes all guards.
 
-    ``patterns`` may be a knowledge base (tried in learned-recent-first
-    order) or an explicit ordered sequence.  Guard failures of patterns
-    that matched structurally are appended to ``notes`` when given.
+    Guard failures of patterns that matched structurally are appended to
+    ``notes`` when given.
     """
-    if isinstance(patterns, KnowledgeBase):
-        patterns = patterns.match_order()
     for pattern in patterns:
         binds = _match_equation_shape(pattern.template, eq.equation)
         if binds is None:
@@ -680,7 +670,6 @@ def match_equation(
             _substitute(pattern.solved.lhs, binds),
             _substitute(pattern.solved.rhs, binds),
         )
-        solved = normalize_equation(solved)
         outputs = tuple(
             sorted(
                 binds[s.name].name  # type: ignore[union-attr]
@@ -688,12 +677,7 @@ def match_equation(
                 if s.io_role == ROLE_UNKNOWN
             )
         )
-        return MatchResult(
-            pattern=pattern,
-            bindings=tuple(sorted(binds.items())),
-            solved=solved,
-            outputs=outputs,
-        )
+        return MatchResult(pattern=pattern, solved=solved, outputs=outputs)
     return None
 
 
@@ -715,22 +699,19 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
     either way that is a failure to establish the property, never a
     disproof.
     """
-    targets = [
-        normalize(f.expression) for f in state.facts if f.property is Property.SPD
-    ]
+    targets = [f.expression for f in state.facts if f.property is Property.SPD]
     if not targets:
         return False
-    start = normalize(e)
-    start_key = serialize(start)
+    start_key = serialize(e)
     target_keys = {serialize(t) for t in targets}
     if start_key in target_keys:
         return True
     rules = list(state.tautologies)
-    if _bare_summand_refutes(start, targets, rules):
+    if _bare_summand_refutes(e, targets, rules):
         return False
     fwd_seen: set[str] = {start_key}
     bwd_seen: set[str] = set(target_keys)
-    fwd_frontier: list[Expression] = [start]
+    fwd_frontier: list[Expression] = [e]
     bwd_frontier: list[Expression] = list(targets)
     for _ in range(SPD_SEARCH_DEPTH):
         if not fwd_frontier and not bwd_frontier:
@@ -833,9 +814,6 @@ class PME(QuadrantCells):
     order: tuple[str, ...]
     trace: tuple[TraceStep, ...] = field(compare=False, default=())
 
-    def assignments(self) -> tuple[QuadrantEquation, ...]:
-        return tuple(self.cell(pos) for pos in self.order)
-
 
 class _OpsDir:
     """An operations directory, parsed when a nested derivation first needs it.
@@ -878,7 +856,8 @@ def derive_pme(
     directory is given, operation files there are tried as nested
     derivations; a pattern acquired that way is used immediately.
     """
-    return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, analyze(spec))
+    self_pattern = pattern_from_spec(spec, provenance="self")
+    return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, analyze(spec), self_pattern)
 
 
 def _derive_pme(
@@ -888,18 +867,17 @@ def _derive_pme(
     ops: _OpsDir,
     depth: int,
     analysis: BindingAnalysis,
+    self_pattern: Pattern,
 ) -> PME:
-    """:func:`derive_pme` at nesting ``depth``, under an analysis of ``spec``."""
+    """:func:`derive_pme` at nesting ``depth``, under an analysis of ``spec``
+    and with the operation's own pattern already built."""
     state = _initial_state(spec, rules, analysis)
-    patterns: list[Pattern] = [pattern_from_spec(spec, provenance="self")]
-    patterns.extend(kb.match_order())
+    patterns = [self_pattern, *kb.match_order()]
     cells: dict[str, QuadrantEquation] = {
         q.position: q for q in state.grid.all_cells()
     }
     scan = state.grid.scan_positions()
-    order: list[str] = []
     tried_nested: set[str] = set()
-    step = 0
 
     while True:
         unsolved = [p for p in scan if cells[p].status == STATUS_UNSOLVED]
@@ -922,10 +900,7 @@ def _derive_pme(
             result = match_equation(q, patterns, state, notes)
             if result is None:
                 continue
-            step += 1
-            solved_cell = QuadrantEquation(pos, result.solved, STATUS_SOLVED)
-            cells[pos] = solved_cell
-            order.append(pos)
+            cells[pos] = QuadrantEquation(pos, result.solved, STATUS_SOLVED)
             state.known.update(result.outputs)
             # both the identity the quadrant now encodes and its solved
             # form feed later rewriting
@@ -934,7 +909,7 @@ def _derive_pme(
                     state.tautologies.append(taut)
             state.trace.append(
                 TraceStep(
-                    step=step,
+                    step=len(state.trace) + 1,
                     position=pos,
                     pattern=result.pattern.name,
                     outputs=result.outputs,
@@ -964,18 +939,13 @@ def _derive_pme(
             notes,
         )
 
-    nr, nc = state.grid.shape
-    names = position_names(nr, nc)
-    grid_cells = tuple(
-        tuple(cells[names[i][j]] for j in range(nc)) for i in range(nr)
-    )
     return PME(
         operation=spec.name,
         combination=rules,
         row_sizes=state.grid.row_sizes,
         col_sizes=state.grid.col_sizes,
-        cells=grid_cells,
-        order=tuple(order),
+        cells=tuple(tuple(cells[q.position] for q in row) for row in state.grid.cells),
+        order=tuple(t.position for t in state.trace),
         trace=tuple(state.trace),
     )
 
@@ -1055,13 +1025,14 @@ def _derive_each(
         raise CombinationRangeError(
             f"combination {combination} out of range 1..{len(combos)}"
         )
+    self_pattern = pattern_from_spec(spec, provenance="self")
     results: list[PME | StuckDerivation | None] = []
     for combo in combos:
         if combination is not None and combo.index != combination:
             results.append(None)
             continue
         try:
-            results.append(_derive_pme(spec, combo, kb, ops, depth, analysis))
+            results.append(_derive_pme(spec, combo, kb, ops, depth, analysis, self_pattern))
         except StuckDerivation as exc:
             # its traceback reaches this frame, whose list holds the
             # exception: a cycle that keeps the stuck state until gc runs

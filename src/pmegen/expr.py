@@ -20,6 +20,11 @@ normalized children and keep the following invariants:
   inverse);
 * products containing a zero block collapse to zero.
 
+The smart constructors are the normalizer: a tree built from normal trees
+through them is normal.  So :func:`normalize` runs only where trees come
+in from outside, on the postcondition in ``opspec.build_spec`` and on a
+stored pattern's template and solved form in ``engine._close_record``.
+
 A grouped inverse such as ``inv(L * trans(L))`` is deliberately left
 alone by :func:`normalize`; expanding or contracting product inverses is
 one of the steps :func:`rewrite_candidates` offers, next to ground

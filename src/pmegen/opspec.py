@@ -36,7 +36,7 @@ from .expr import (
     Transpose,
     Zero,
     minus,
-    normalize,
+    normalize_equation,
     operand_names,
     plus,
     times,
@@ -198,7 +198,7 @@ def build_spec(
         raise SpecValidationError("an operation needs at least one unknown operand")
     if not _IDENT.match(solution_operator):
         raise SpecValidationError(f"invalid solution operator {solution_operator!r}")
-    post = Equation(normalize(postcondition.lhs), normalize(postcondition.rhs))
+    post = normalize_equation(postcondition)
     used = operand_names(post.lhs) | operand_names(post.rhs)
     for n in sorted(used):
         if n not in seen:
@@ -271,20 +271,20 @@ class _ExprParser:
         while (t := self.peek()) is not None and t.text in "+-":
             self.take()
             nxt = self.term()
-            terms.append(minus(normalize(nxt)) if t.text == "-" else nxt)
-        return plus(*(normalize(t) for t in terms))
+            terms.append(minus(nxt) if t.text == "-" else nxt)
+        return plus(*terms)
 
     def term(self) -> Expression:
         factors = [self.factor()]
         while (t := self.peek()) is not None and t.text == "*":
             self.take()
             factors.append(self.factor())
-        return times(*(normalize(f) for f in factors))
+        return times(*factors)
 
     def factor(self) -> Expression:
         t = self.take()
         if t.text == "-":
-            return minus(normalize(self.factor()))
+            return minus(self.factor())
         if t.text == "(":
             e = self.expression()
             self.expect(")")
@@ -293,7 +293,7 @@ class _ExprParser:
             self.expect("(")
             e = self.expression()
             self.expect(")")
-            return trans(normalize(e)) if t.text == "trans" else inv(normalize(e))
+            return trans(e) if t.text == "trans" else inv(e)
         if _IDENT.match(t.text) and t.text not in _RESERVED:
             return OperandRef(t.text)
         raise SpecSyntaxError(f"unexpected token {t.text!r} in expression", self.lineno, t.col)

@@ -5,10 +5,12 @@ structured matrix (triangular, symmetric, spd, diagonal) only the
 identity or a 2x2 blocking with a square top-left quadrant; vectors only
 the identity or 2x1; scalars only the identity.  Applying a rule yields a
 grid of block expressions together with the properties each named block
-inherits directly: triangular parents put a zero block off the triangle
-and pass triangularity to the diagonal quadrants, symmetric parents store
-the top-right quadrant literally as the transpose of the bottom-left one,
-and spd parents additionally pass definiteness to both diagonal quadrants.
+inherits directly.  Blocks are named after :func:`position_names`, the
+one source of quadrant names (``A_TL``, ``x_B``; an unpartitioned
+operand keeps its own name).  Blocks on the diagonal inherit the parent's
+properties; triangular and diagonal parents put a zero block off the
+triangle, and symmetric (and spd) parents store the top-right quadrant
+literally as the transpose of the bottom-left one.
 
 Beyond direct inheritance, an spd parent contributes theorem-level facts:
 both Schur complements of its 2x2 blocking are spd as well
@@ -28,7 +30,6 @@ from .expr import (
     ZERO,
     inv,
     minus,
-    normalize,
     plus,
     times,
     trans,
@@ -105,9 +106,6 @@ class BlockedOperand:
     def shape(self) -> tuple[int, int]:
         return (len(self.row_sizes), len(self.col_sizes))
 
-    def block_properties(self) -> dict[str, frozenset[Property]]:
-        return dict(self.props)
-
     def block_dims(self) -> dict[str, Dimension]:
         out: dict[str, Dimension] = {}
         for i, row in enumerate(self.cells):
@@ -137,8 +135,21 @@ def _rest(parent: str, split: str) -> str:
     return f"{parent}-{split}"
 
 
+def position_names(nrows: int, ncols: int) -> tuple[tuple[str, ...], ...]:
+    """Quadrant names of an ``nrows x ncols`` grid, the one naming scheme."""
+    if (nrows, ncols) == (2, 2):
+        return (("TL", "TR"), ("BL", "BR"))
+    if (nrows, ncols) == (2, 1):
+        return (("T",), ("B",))
+    if (nrows, ncols) == (1, 2):
+        return (("L", "R"),)
+    if (nrows, ncols) == (1, 1):
+        return (("whole",),)
+    raise ValueError(f"unsupported grid shape {nrows}x{ncols}")
+
+
 def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
-    """Block one operand; block names follow the TL/TR/BL/BR, T/B, L/R scheme."""
+    """Block one operand; each block is named ``<operand>_<position>``."""
     if rule.operand != decl.name:
         raise InadmissibleRuleError(f"rule for {rule.operand} applied to {decl.name}")
     if rule.shape not in admissible_rules(decl):
@@ -147,82 +158,44 @@ def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
         )
     name = decl.name
     props = decl.properties
-    rows, cols = decl.dims.rows, decl.dims.cols
-
-    if rule.shape is PartitionShape.R1x1:
-        return BlockedOperand(
-            operand=name,
-            parent_properties=props,
-            row_sizes=(rows,),
-            col_sizes=(cols,),
-            cells=((OperandRef(name),),),
-            props=((name, props),),
-        )
-
-    if rule.shape is PartitionShape.R2x1:
-        k = rule.split_rows
-        assert k is not None
-        top, bot = OperandRef(f"{name}_T"), OperandRef(f"{name}_B")
-        return BlockedOperand(
-            operand=name,
-            parent_properties=props,
-            row_sizes=(k, _rest(rows, k)),
-            col_sizes=(cols,),
-            cells=((top,), (bot,)),
-            props=((top.name, frozenset()), (bot.name, frozenset())),
-        )
-
-    if rule.shape is PartitionShape.R1x2:
-        k = rule.split_cols
-        assert k is not None
-        left, right = OperandRef(f"{name}_L"), OperandRef(f"{name}_R")
-        return BlockedOperand(
-            operand=name,
-            parent_properties=props,
-            row_sizes=(rows,),
-            col_sizes=(k, _rest(cols, k)),
-            cells=((left, right),),
-            props=((left.name, frozenset()), (right.name, frozenset())),
-        )
-
     kr, kc = rule.split_rows, rule.split_cols
-    assert kr is not None and kc is not None
     if decl.is_structured and kr != kc:
         raise InadmissibleRuleError(
             f"structured operand {name} needs a square top-left block"
         )
-    tl = OperandRef(f"{name}_TL")
-    tr = OperandRef(f"{name}_TR")
-    bl = OperandRef(f"{name}_BL")
-    br = OperandRef(f"{name}_BR")
-    row_sizes = (kr, _rest(rows, kr))
-    col_sizes = (kc, _rest(cols, kc))
-    none: frozenset[Property] = frozenset()
-
-    if Property.LOWER_TRIANGULAR in props:
-        cells = ((tl, ZERO), (bl, br))
-        bp = ((tl.name, props), (bl.name, none), (br.name, props))
-    elif Property.UPPER_TRIANGULAR in props:
-        cells = ((tl, tr), (ZERO, br))
-        bp = ((tl.name, props), (tr.name, none), (br.name, props))
-    elif Property.DIAGONAL in props:
-        cells = ((tl, ZERO), (ZERO, br))
-        bp = ((tl.name, props), (br.name, props))
-    elif Property.SYMMETRIC in props:
-        # the mirrored quadrant is stored literally as a transpose, so it
-        # never introduces a separate unknown
-        cells = ((tl, trans(bl)), (bl, br))
-        bp = ((tl.name, props), (bl.name, none), (br.name, props))
+    row_sizes = (decl.dims.rows,) if kr is None else (kr, _rest(decl.dims.rows, kr))
+    col_sizes = (decl.dims.cols,) if kc is None else (kc, _rest(decl.dims.cols, kc))
+    names = position_names(len(row_sizes), len(col_sizes))
+    if rule.is_identity:
+        grid = [[OperandRef(name)]]
     else:
-        cells = ((tl, tr), (bl, br))
-        bp = ((tl.name, none), (tr.name, none), (bl.name, none), (br.name, none))
+        grid = [[OperandRef(f"{name}_{pos}") for pos in row] for row in names]
+    # off the diagonal, a structured parent has a zero block or, when
+    # symmetric, the mirror of the other off-diagonal quadrant
+    if rule.shape is PartitionShape.R2x2:
+        if Property.LOWER_TRIANGULAR in props:
+            grid[0][1] = ZERO
+        elif Property.UPPER_TRIANGULAR in props:
+            grid[1][0] = ZERO
+        elif Property.DIAGONAL in props:
+            grid[0][1] = grid[1][0] = ZERO
+        elif Property.SYMMETRIC in props:
+            # stored literally as a transpose, so it never introduces a
+            # separate unknown
+            grid[0][1] = trans(grid[1][0])
+    none: frozenset[Property] = frozenset()
     return BlockedOperand(
         operand=name,
         parent_properties=props,
         row_sizes=row_sizes,
         col_sizes=col_sizes,
-        cells=cells,
-        props=bp,
+        cells=tuple(tuple(row) for row in grid),
+        props=tuple(
+            (cell.name, props if i == j else none)
+            for i, row in enumerate(grid)
+            for j, cell in enumerate(row)
+            if isinstance(cell, OperandRef)
+        ),
     )
 
 
@@ -241,11 +214,11 @@ def spd_facts(blocked: BlockedOperand) -> tuple[PropertyFact, ...]:
     a_tl = blocked.cells[0][0]
     a_bl = blocked.cells[1][0]
     a_br = blocked.cells[1][1]
-    schur_br = normalize(plus(a_br, minus(times(a_bl, inv(a_tl), trans(a_bl)))))
-    schur_tl = normalize(plus(a_tl, minus(times(trans(a_bl), inv(a_br), a_bl))))
+    schur_br = plus(a_br, minus(times(a_bl, inv(a_tl), trans(a_bl))))
+    schur_tl = plus(a_tl, minus(times(trans(a_bl), inv(a_br), a_bl)))
     return (
-        PropertyFact(normalize(a_tl), Property.SPD),
-        PropertyFact(normalize(a_br), Property.SPD),
+        PropertyFact(a_tl, Property.SPD),
+        PropertyFact(a_br, Property.SPD),
         PropertyFact(schur_tl, Property.SPD),
         PropertyFact(schur_br, Property.SPD),
     )

@@ -166,6 +166,14 @@ def random_spec(rng: np.random.Generator) -> OperationSpec:
     raise RuntimeError("could not generate a random spec")
 
 
+def corpus_specs() -> list[tuple[str, OperationSpec]]:
+    """The corpus: ``ops/*.op`` and ``random_spec`` seeds 0-299, labelled."""
+    specs = [
+        (f"ops:{f}", load_op(f[:-3])) for f in sorted(os.listdir(OPS_DIR)) if f.endswith(".op")
+    ]
+    return specs + [(f"seed:{s}", random_spec(np.random.default_rng(s))) for s in range(300)]
+
+
 def _names_of(e: Expression) -> frozenset[str]:
     return operand_names(e)
 

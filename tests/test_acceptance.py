@@ -108,7 +108,7 @@ def test_criterion_2_sylvester_binding_and_combinations():
             frozenset({V("L", "r"), V("L", "c"), V("X", "r"), V("C", "r")}),
             frozenset({V("U", "r"), V("U", "c"), V("X", "c"), V("C", "c")}),
         )
-        combos = enumerate_combinations(spec, groups)
+        combos = enumerate_combinations(spec)
         assert len(combos) == 3
         expected = [
             {"L": "1x1", "U": "2x2", "C": "1x2", "X": "1x2"},

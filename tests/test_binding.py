@@ -186,10 +186,6 @@ class TestEnumerate:
         assert len(combos) == 3
         assert len(shapes_seen) == 3
 
-    def test_groups_argument_checked(self, cholesky_spec, sylvester_spec):
-        with pytest.raises(BindingError):
-            enumerate_combinations(cholesky_spec, analyze(sylvester_spec).groups)
-
 
 @pytest.mark.parametrize("seed", range(40))
 def test_combination_count_law_and_conformance(seed):

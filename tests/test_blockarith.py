@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from pmegen.expr import (
 from pmegen.opspec import parse_operation
 from pmegen.partition import PartitionRule, PartitionShape
 
-from conftest import OPS_DIR, check_blocking_faithful, load_op, random_spec
+from conftest import check_blocking_faithful, corpus_specs, random_spec
 
 R = PartitionShape
 
@@ -232,18 +231,14 @@ class TestNumericFaithfulness:
 
 
 # ---------------------------------------------------------------------------
-# the corpus: every combination of ops/*.op and random_spec seeds 0-299
+# the corpus: every combination of the specs of conftest.corpus_specs
 
 
 @pytest.fixture(scope="module")
 def corpus_grids():
     """(label, raw grid, blocked postcondition) for every corpus combination."""
-    specs = [
-        (f"ops:{f}", load_op(f[:-3])) for f in sorted(os.listdir(OPS_DIR)) if f.endswith(".op")
-    ]
-    specs += [(f"seed:{s}", random_spec(np.random.default_rng(s))) for s in range(300)]
     out = []
-    for label, spec in specs:
+    for label, spec in corpus_specs():
         try:
             combos = enumerate_combinations(spec)
         except BindingError:

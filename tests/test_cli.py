@@ -346,6 +346,8 @@ class TestCheck:
             ["--tolerance", "nan"],
             ["--tolerance", "-1"],
             ["--tolerance=-1e-3"],
+            ["--tolerance", "-1e-3"],
+            ["--tolerance", "-inf"],
             ["--seed", "-1"],
         ],
         ids=lambda o: "".join(o),
@@ -366,8 +368,10 @@ class TestCheck:
 
         spec = parse_operation(open(CHOLESKY_OP).read())
         (pme,) = derive_all(spec, seed_builtins())
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="trials must not be negative"):
             check_pme(pme, spec, trials=-1)
+        with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+            check_pme(pme, spec, seed=-1)
 
     def test_same_seed_reproduces_report(self, tmp_path, capsys):
         code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)

@@ -36,6 +36,8 @@ from pmegen.expr import (
     _local_variants,
     inv,
     minus,
+    normalize,
+    normalize_equation,
     plus,
     ref,
     rewrite_candidates,
@@ -45,11 +47,11 @@ from pmegen.expr import (
     times,
     trans,
 )
-from pmegen.opspec import Property, parse_operation
+from pmegen.opspec import Property, parse_operation, render_spec
 from pmegen.oracle import cholesky_lower, min_symmetric_eigenvalue
 from pmegen.partition import PropertyFact
 
-from conftest import OPS_DIR, load_op, random_spec
+from conftest import OPS_DIR, corpus_specs, load_op, random_spec
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
@@ -92,7 +94,7 @@ class TestBuiltins:
         # bottom-left quadrant of the blocked factorization equation
         eq = QuadrantEquation("BL", Equation(times(L_BL, trans(L_TL)), A_BL))
         cholesky_state.known.add("L_TL")
-        result = match_equation(eq, seed_builtins(), cholesky_state)
+        result = match_equation(eq, seed_builtins().match_order(), cholesky_state)
         assert result is not None
         assert result.pattern.name == "trsm_xlt"
         assert result.solved == Equation(L_BL, times(A_BL, trans(inv(L_TL))))
@@ -103,20 +105,20 @@ class TestBuiltins:
             "TL",
             Equation(ref("W"), plus(ref("P"), minus(times(ref("Q"), ref("S"))))),
         )
-        result = match_equation(eq, seed_builtins(), cholesky_state)
+        result = match_equation(eq, seed_builtins().match_order(), cholesky_state)
         assert result is not None and result.pattern.name == "assign"
         assert result.outputs == ("W",)
 
     def test_unlearned_factorization_has_no_match(self, cholesky_state):
         eq = QuadrantEquation("TL", Equation(times(L_TL, trans(L_TL)), A_TL))
-        assert match_equation(eq, seed_builtins(), cholesky_state) is None
+        assert match_equation(eq, seed_builtins().match_order(), cholesky_state) is None
 
     def test_general_solve_requires_unstructured_plain_block(self, cholesky_state):
         # a triangular block never matches the general inverse solver, with
         # or without a transpose wrapped around it
         eq = QuadrantEquation("BL", Equation(times(L_BL, trans(L_TL)), A_BL))
         kb = seed_builtins().without_builtins(["trsm"])
-        assert match_equation(eq, kb, cholesky_state) is None
+        assert match_equation(eq, kb.match_order(), cholesky_state) is None
 
     def test_disabled_family_removed(self):
         kb = seed_builtins().without_builtins(["trsm"])
@@ -175,7 +177,7 @@ class TestMatchEquation:
                 plus(ref("F"), minus(ref("G"))),
             ),
         )
-        result = match_equation(eq, kb, state)
+        result = match_equation(eq, kb.match_order(), state)
         assert result is not None and result.pattern.name == "sylvester"
         assert result.solved == Equation(
             ref("Y"),
@@ -555,7 +557,12 @@ class TestDeriveAll:
         assert stuck.__traceback__ is None
 
     def test_each_combination_blocked_once(self, sylvester_spec, monkeypatch):
-        calls = {"analyze": 0, "_blocked_operands": 0, "raw_blocked_equations": 0}
+        calls = {
+            "analyze": 0,
+            "_blocked_operands": 0,
+            "raw_blocked_equations": 0,
+            "pattern_from_spec": 0,
+        }
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -569,8 +576,52 @@ class TestDeriveAll:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert len(derive_all(sylvester_spec, seed_builtins())) == 3
-        # one analysis per spec, one blocking per combination
-        assert calls == {"analyze": 1, "_blocked_operands": 3, "raw_blocked_equations": 3}
+        # one analysis and one self pattern per spec, one blocking per combination
+        assert calls == {
+            "analyze": 1,
+            "_blocked_operands": 3,
+            "raw_blocked_equations": 3,
+            "pattern_from_spec": 1,
+        }
+
+    def test_derive_path_trees_are_normal(self, monkeypatch):
+        """The smart constructors keep every tree the derivation builds
+        normal, so only the input boundaries call normalize."""
+        states = []
+
+        def recorded(*args):
+            states.append(real(*args))
+            return states[-1]
+
+        real = engine._initial_state
+        monkeypatch.setattr(engine, "_initial_state", recorded)
+        kb = seed_builtins()
+        equations = [eq for p in kb.builtins for eq in (p.template, p.solved)]
+        solved_cells = 0
+        for label, spec in corpus_specs():
+            parsed = parse_operation(render_spec(spec))
+            pattern = pattern_from_spec(parsed, provenance="self")
+            equations += [parsed.postcondition, pattern.template, pattern.solved]
+            try:
+                results = derive_each(parsed, kb, ops_dir=OPS_DIR)
+            except NoViablePartitioningsError:
+                continue
+            for pme in results:
+                if isinstance(pme, StuckDerivation):
+                    continue
+                for q in pme.all_cells():
+                    if q.status == STATUS_SOLVED:
+                        equations.append(q.equation)
+                        solved_cells += 1
+        facts = [f for state in states for f in state.facts]
+        tautologies = [t for state in states for t in state.tautologies]
+        equations += tautologies
+        assert solved_cells > 800 and len(tautologies) > 1500
+        assert sum(f.property is Property.SPD for f in facts) > 1000
+        for eq in equations:
+            assert normalize_equation(eq) == eq, serialize_equation(eq)
+        for f in facts:
+            assert normalize(f.expression) == f.expression, serialize(f.expression)
 
     def test_ops_dir_parsed_once(self, monkeypatch):
         # each of the three combinations tries a nested derivation from

@@ -63,7 +63,7 @@ class TestApplyRule:
             (ref("A_TL"), trans(ref("A_BL"))),
             (ref("A_BL"), ref("A_BR")),
         )
-        props = b.block_properties()
+        props = dict(b.props)
         assert props["A_TL"] == frozenset({Property.SPD, Property.SYMMETRIC})
         assert props["A_BR"] == frozenset({Property.SPD, Property.SYMMETRIC})
         assert props["A_BL"] == frozenset()
@@ -73,7 +73,7 @@ class TestApplyRule:
         d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
         b = apply_rule(d, PartitionRule(R.R2x2, "L", "k1", "k1"))
         assert b.cells == ((ref("L_TL"), ZERO), (ref("L_BL"), ref("L_BR")))
-        props = b.block_properties()
+        props = dict(b.props)
         assert props["L_TL"] == frozenset({Property.LOWER_TRIANGULAR})
         assert props["L_BR"] == frozenset({Property.LOWER_TRIANGULAR})
 
@@ -182,7 +182,7 @@ def test_block_property_golden_tables():
     for (props, shape), expected in GOLDEN_PROPS.items():
         d = decl(props, dims=("m", "m"))
         b = apply_rule(d, PartitionRule(shape, "A", "k1", "k1"))
-        assert b.block_properties() == expected
+        assert dict(b.props) == expected
     # facts mirror the tables
     d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
     b = apply_rule(d, PartitionRule(R.R2x2, "L", "k1", "k1"))
@@ -233,7 +233,7 @@ def test_numeric_reassembly(props, seed):
     edges_c = np.cumsum([0] + [eval_size(s, sizes) for s in b.col_sizes])
     values = {}
     rebuilt = np.zeros_like(full)
-    prop_map = b.block_properties()
+    prop_map = dict(b.props)
     for i in range(2):
         for j in range(2):
             cell = b.cells[i][j]
