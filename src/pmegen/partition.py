@@ -165,10 +165,10 @@ def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
         )
     row_sizes = (decl.dims.rows,) if kr is None else (kr, _rest(decl.dims.rows, kr))
     col_sizes = (decl.dims.cols,) if kc is None else (kc, _rest(decl.dims.cols, kc))
-    names = position_names(len(row_sizes), len(col_sizes))
     if rule.is_identity:
         grid = [[OperandRef(name)]]
     else:
+        names = position_names(len(row_sizes), len(col_sizes))
         grid = [[OperandRef(f"{name}_{pos}") for pos in row] for row in names]
     # off the diagonal, a structured parent has a zero block or, when
     # symmetric, the mirror of the other off-diagonal quadrant

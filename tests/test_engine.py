@@ -598,7 +598,7 @@ class TestDeriveAll:
         kb = seed_builtins()
         equations = [eq for p in kb.builtins for eq in (p.template, p.solved)]
         solved_cells = 0
-        for label, spec in corpus_specs():
+        for _, spec in corpus_specs():
             parsed = parse_operation(render_spec(spec))
             pattern = pattern_from_spec(parsed, provenance="self")
             equations += [parsed.postcondition, pattern.template, pattern.solved]
