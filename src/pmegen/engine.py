@@ -21,8 +21,10 @@ proved by :func:`prove_spd`, a bounded breadth-first search that rewrites
 with the tautologies collected so far (both orientations), contracts and
 expands product inverses, cancels adjacent inverse pairs, and meets in
 the middle between the query expression and the known SPD facts.  Before
-searching, it refutes a query with a bare summand that no rewrite can
-remove: a block named once in the query and in no fact or tautology.
+searching, it refutes a query whose inert summands (no inverse, no
+tautology side inside) hold names found in no other summand and no
+tautology, when every SPD fact misses one of those names: no rewrite can
+remove such a summand, so no fact can be reached.
 """
 
 from __future__ import annotations
@@ -695,9 +697,10 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
     """Bounded equational search for membership in the SPD fact set.
 
     Returns False when no proof is found within the bounds, or when
-    :func:`_bare_summand_refutes` shows that no proof exists at any bound;
-    either way that is a failure to establish the property, never a
-    disproof.
+    :func:`_inert_summands_refute` shows that no proof exists at any bound:
+    the query keeps summands that no rewrite can touch, and each fact
+    lacks one of their private names.  Either way that is a failure to
+    establish the property, never a disproof.
     """
     targets = [f.expression for f in state.facts if f.property is Property.SPD]
     if not targets:
@@ -707,7 +710,7 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
     if start_key in target_keys:
         return True
     rules = list(state.tautologies)
-    if _bare_summand_refutes(e, targets, rules):
+    if _inert_summands_refute(e, targets, rules):
         return False
     fwd_seen: set[str] = {start_key}
     bwd_seen: set[str] = set(target_keys)
@@ -725,31 +728,37 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
     return False
 
 
-def _bare_summand_refutes(
+def _inert_summands_refute(
     start: Expression, targets: list[Expression], rules: list[Equation]
 ) -> bool:
-    """True when a summand of ``start`` keeps the search from ever meeting.
+    """True when inert summands of ``start`` keep the search from meeting.
 
-    Such a summand is a bare block, up to negation and transpose, whose
-    name occurs once in ``start`` and in no target and no rule side.  A
-    ground rewrite replaces a whole rule side, and no rule side contains
-    the name.  Inverse moves act only inside products and inverses, never
-    on a bare summand, and ``plus`` can cancel the term only against a
-    second occurrence of the name.  So every forward node keeps the name,
-    no backward node ever contains it, and the two searches cannot meet.
+    A top-level summand is inert when it holds no inverse and no rule side
+    is a subtree of it.  A private name of a summand occurs in it, in no
+    other summand and in no rule side.  With ``W`` the private names of all
+    inert summands, no proof exists when ``W`` is not empty and every
+    target misses some name of ``W``:
+
+    - an inert summand is never rewritten: a ground rewrite replaces a
+      whole node equal to a rule side, and an inverse move needs an inverse;
+    - it is never cancelled: ``plus`` cancels only an equal core, which
+      would hold a private name, and no other summand can gain that name,
+      since rewrites insert only rule-side names and inverse moves none;
+    - so every forward node contains all of ``W``, while every backward
+      node descends from one target ``t`` and names only ``t`` and rule
+      sides, so it misses a name of ``W`` whenever ``t`` does.
     """
-    names = [n.name for n in walk(start) if isinstance(n, OperandRef)]
-    bare = set()
-    for term in additive_terms(start):
-        while isinstance(term, (Minus, Transpose)):
-            term = term.operand
-        if isinstance(term, OperandRef) and names.count(term.name) == 1:
-            bare.add(term.name)
-    if not bare:
-        return False
-    for side in (*targets, *(r.lhs for r in rules), *(r.rhs for r in rules)):
-        bare -= operand_names(side)
-    return bool(bare)
+    sides = [side for r in rules for side in (r.lhs, r.rhs)]
+    side_keys = {serialize(side) for side in sides}
+    terms = additive_terms(start)
+    names = [operand_names(t) for t in terms]
+    private: set[str] = set()
+    for i, term in enumerate(terms):
+        if "(inv " in serialize(term) or any(serialize(n) in side_keys for n in walk(term)):
+            continue
+        private |= names[i].difference(*names[:i], *names[i + 1 :])
+    private.difference_update(*map(operand_names, sides))
+    return bool(private) and all(not private <= operand_names(t) for t in targets)
 
 
 def _expand(

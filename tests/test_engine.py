@@ -31,6 +31,7 @@ from pmegen.engine import (
     seed_builtins,
 )
 from pmegen.expr import (
+    ZERO,
     Equation,
     Expression,
     _local_variants,
@@ -283,6 +284,51 @@ class TestProveSpd:
         )
         assert prove_spd(plus(A, N, minus(times(N, Y, inv(Y)))), state)
 
+    def test_zero_collapse_through_rule_side_proves(self, cholesky_state):
+        # N is named once, but its summand holds the rule side Z, which is zero
+        A, N, Z = ref("A"), ref("N"), ref("Z")
+        state = replace(
+            cholesky_state,
+            facts=[PropertyFact(A, Property.SPD)],
+            tautologies=[Equation(Z, ZERO)],
+        )
+        assert prove_spd(plus(A, times(N, Z)), state)
+
+    def test_inverse_cancellation_proves(self, cholesky_state):
+        # N is named in one summand only, but its inverse cancels it there
+        A, N, Y = ref("A"), ref("N"), ref("Y")
+        state = replace(
+            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=[]
+        )
+        assert prove_spd(plus(A, minus(Y), times(N, inv(N), Y)), state)
+
+    def test_cancellation_against_shared_name_proves(self, cholesky_state):
+        # N*W holds no inverse and no rule side, but its names are not private
+        A, N, Q, W = ref("A"), ref("N"), ref("Q"), ref("W")
+        state = replace(
+            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=[]
+        )
+        assert prove_spd(plus(A, times(N, W), minus(times(N, Q, inv(Q), W))), state)
+
+    def test_each_target_missing_a_private_name_refutes(self, cholesky_state, monkeypatch):
+        # A_BR and B_BR are both facts, but each one misses the other's name
+        expanded = []
+
+        def counted(frontier, rules, seen):
+            expanded.append(len(frontier))
+            return real(frontier, rules, seen)
+
+        real = engine._expand
+        monkeypatch.setattr(engine, "_expand", counted)
+        B_BR = ref("B_BR")
+        state = replace(
+            cholesky_state,
+            facts=[*cholesky_state.facts, PropertyFact(B_BR, Property.SPD)],
+            tautologies=list(CHOLESKY_TAUTOLOGIES),
+        )
+        assert not prove_spd(plus(A_BR, B_BR, minus(times(L_BL, trans(L_BL)))), state)
+        assert expanded == []
+
     def test_bare_summand_refuted_without_search(self, cholesky_state, monkeypatch):
         expanded = []
 
@@ -331,13 +377,14 @@ class TestProveSpd:
             fired.append(refutes(start, targets, rules))
             return fired[-1]
 
-        refutes = engine._bare_summand_refutes
-        monkeypatch.setattr(engine, "_bare_summand_refutes", check)
+        refutes = engine._inert_summands_refute
+        monkeypatch.setattr(engine, "_inert_summands_refute", check)
         with_check = [real(e, state) for e, state in queries.values()]
-        monkeypatch.setattr(engine, "_bare_summand_refutes", lambda *args: False)
+        monkeypatch.setattr(engine, "_inert_summands_refute", lambda *args: False)
         without_check = [real(e, state) for e, state in queries.values()]
         assert with_check == without_check
-        assert any(with_check) and any(fired)
+        # the bare-summand rule this check replaced fired on 8 of these queries
+        assert any(with_check) and sum(fired) > 8
 
 
 def _bench_corpus():
