@@ -314,7 +314,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             doc = json.load(fh)
         records = doc["pmes"] if "pmes" in doc else [doc]
         pmes = [pme_from_json_dict(d) for d in records]
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot read {args.pme_json}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if args.trials == 0:
@@ -329,6 +329,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         except oracle.OracleError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(report.render())
         failed = failed or not report.ok
     return EXIT_CHECK_FAILED if failed else EXIT_OK

@@ -371,6 +371,8 @@ def check_pme(
         raise ValueError(f"trials must not be negative, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must not be negative, got {seed}")
+    if pme.operation != spec.name:
+        raise ValueError(f"PME of operation {pme.operation} given for operation {spec.name}")
     blocks = blocked_operands(spec, pme.combination)
     axes = {b.row_sizes for b in blocks.values()} | {b.col_sizes for b in blocks.values()}
     block_sizes = sorted({s for axis in axes for s in axis})

@@ -362,6 +362,35 @@ class TestCheck:
         errors = [l for l in captured.err.splitlines() if l.startswith("error: ")]
         assert len(errors) == 1 and "must not be negative or nan" in errors[0]
 
+    @pytest.mark.parametrize(
+        "content",
+        ["[]", '{"pmes": [1]}', '{"pmes": [{"combination": 3}]}'],
+        ids=["list", "int_record", "int_combination"],
+    )
+    def test_wrongly_shaped_pme_json_is_read_error(self, content, tmp_path, capsys):
+        pme_file = tmp_path / "shape.json"
+        pme_file.write_text(content)
+        code, out, err = run_main(["check", CHOLESKY_OP, str(pme_file)], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {pme_file}: ")
+
+    def test_pme_of_other_operation_rejected_before_trials(self, tmp_path, capsys):
+        code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
+        pme_file = tmp_path / "s.json"
+        pme_file.write_text(out)
+        code, out, err = run_main(["check", CHOLESKY_OP, str(pme_file)], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: PME of operation sylvester given for operation cholesky\n"
+
+        from pmegen.opspec import parse_operation
+        from pmegen.oracle import check_pme
+
+        spec = parse_operation(open(CHOLESKY_OP).read())
+        pme = pme_from_json_dict(json.loads(pme_file.read_text())["pmes"][0])
+        with pytest.raises(ValueError, match="operation sylvester given for operation cholesky"):
+            check_pme(pme, spec)
+
     def test_check_pme_rejects_negative_trials(self):
         from pmegen.opspec import parse_operation
         from pmegen.oracle import check_pme
