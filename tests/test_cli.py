@@ -375,7 +375,7 @@ class TestCheck:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot read {pme_file}: ")
 
-    def test_pme_of_other_operation_rejected_before_trials(self, tmp_path, capsys):
+    def test_pme_of_other_operation_rejected(self, tmp_path, capsys):
         code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
         pme_file = tmp_path / "s.json"
         pme_file.write_text(out)

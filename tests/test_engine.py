@@ -56,6 +56,7 @@ from conftest import OPS_DIR, corpus_specs, load_op, random_spec
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
+A, N, Q, W, Y, Z = (ref(name) for name in "ANQWYZ")
 
 CHOLESKY_TAUTOLOGIES = [
     Equation(times(L_TL, trans(L_TL)), A_TL),
@@ -284,31 +285,23 @@ class TestProveSpd:
         )
         assert prove_spd(plus(A, N, minus(times(N, Y, inv(Y)))), state)
 
-    def test_zero_collapse_through_rule_side_proves(self, cholesky_state):
-        # N is named once, but its summand holds the rule side Z, which is zero
-        A, N, Z = ref("A"), ref("N"), ref("Z")
+    @pytest.mark.parametrize(
+        "query, tautologies",
+        [
+            # N is named once, but its summand holds the rule side Z, which is zero
+            (plus(A, times(N, Z)), [Equation(Z, ZERO)]),
+            # N is named in one summand only, but its inverse cancels it there
+            (plus(A, minus(Y), times(N, inv(N), Y)), []),
+            # N*W holds no inverse and no rule side, but its names are not private
+            (plus(A, times(N, W), minus(times(N, Q, inv(Q), W))), []),
+        ],
+        ids=["zero_collapse", "inverse_cancellation", "shared_name_cancellation"],
+    )
+    def test_summand_removable_by_search_proves(self, cholesky_state, query, tautologies):
         state = replace(
-            cholesky_state,
-            facts=[PropertyFact(A, Property.SPD)],
-            tautologies=[Equation(Z, ZERO)],
+            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=tautologies
         )
-        assert prove_spd(plus(A, times(N, Z)), state)
-
-    def test_inverse_cancellation_proves(self, cholesky_state):
-        # N is named in one summand only, but its inverse cancels it there
-        A, N, Y = ref("A"), ref("N"), ref("Y")
-        state = replace(
-            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=[]
-        )
-        assert prove_spd(plus(A, minus(Y), times(N, inv(N), Y)), state)
-
-    def test_cancellation_against_shared_name_proves(self, cholesky_state):
-        # N*W holds no inverse and no rule side, but its names are not private
-        A, N, Q, W = ref("A"), ref("N"), ref("Q"), ref("W")
-        state = replace(
-            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=[]
-        )
-        assert prove_spd(plus(A, times(N, W), minus(times(N, Q, inv(Q), W))), state)
+        assert prove_spd(query, state)
 
     def test_each_target_missing_a_private_name_refutes(self, cholesky_state, monkeypatch):
         # A_BR and B_BR are both facts, but each one misses the other's name
@@ -383,7 +376,7 @@ class TestProveSpd:
         monkeypatch.setattr(engine, "_inert_summands_refute", lambda *args: False)
         without_check = [real(e, state) for e, state in queries.values()]
         assert with_check == without_check
-        # the bare-summand rule this check replaced fired on 8 of these queries
+        # the bare-summand special case alone fires on 8 of these queries
         assert any(with_check) and sum(fired) > 8
 
 
