@@ -24,7 +24,9 @@ the middle between the query expression and the known SPD facts.  Before
 searching, it refutes a query whose inert summands (no inverse, no
 tautology side inside) hold names found in no other summand and no
 tautology, when every SPD fact misses one of those names: no rewrite can
-remove such a summand, so no fact can be reached.
+remove such a summand, so no fact can be reached.  It then refutes a
+query that an exact 1x1 model over GF(p), in which every tautology holds,
+separates from every fact: each search step keeps a node's value there.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .binding import (
@@ -100,6 +103,8 @@ from .partition import PropertyFact, inheritance_facts, spd_facts
 
 SPD_SEARCH_DEPTH = 8
 SPD_SEARCH_NODES = 4000
+_FIELD_PRIME = 2**31 - 1  # p % 4 == 3: a square root mod p is one power
+_MODEL_SEEDS = 8
 NESTED_DEPTH_LIMIT = 3
 
 
@@ -696,11 +701,12 @@ def _substitute(e: Expression, binds: dict[str, Expression]) -> Expression:
 def prove_spd(e: Expression, state: DerivationState) -> bool:
     """Bounded equational search for membership in the SPD fact set.
 
-    Returns False when no proof is found within the bounds, or when
-    :func:`_inert_summands_refute` shows that no proof exists at any bound:
-    the query keeps summands that no rewrite can touch, and each fact
-    lacks one of their private names.  Either way that is a failure to
-    establish the property, never a disproof.
+    Returns False when no proof is found within the bounds, or when a
+    check shows that none exists at any bound: the query keeps summands
+    that no rewrite can touch, each fact lacking one of their private
+    names (:func:`_inert_summands_refute`), or a model of the tautologies
+    separates it from every fact (:func:`_counter_model_refutes`).  Either
+    way that is a failure to establish the property, never a disproof.
     """
     targets = [f.expression for f in state.facts if f.property is Property.SPD]
     if not targets:
@@ -710,7 +716,7 @@ def prove_spd(e: Expression, state: DerivationState) -> bool:
     if start_key in target_keys:
         return True
     rules = list(state.tautologies)
-    if _inert_summands_refute(e, targets, rules):
+    if _inert_summands_refute(e, targets, rules) or _counter_model_refutes(e, targets, rules):
         return False
     fwd_seen: set[str] = {start_key}
     bwd_seen: set[str] = set(target_keys)
@@ -759,6 +765,90 @@ def _inert_summands_refute(
         private |= names[i].difference(*names[:i], *names[i + 1 :])
     private.difference_update(*map(operand_names, sides))
     return bool(private) and all(not private <= operand_names(t) for t in targets)
+
+
+def _counter_model_refutes(
+    start: Expression, targets: list[Expression], rules: list[Equation]
+) -> bool:
+    """True when a 1x1 model over GF(p) satisfies every rule but gives
+    ``start`` a value that no target has.
+
+    Blocks are integers mod ``p``: transpose is the identity, ``Zero`` is
+    0, ``Inverse`` the modular inverse and ``SolvedBy`` a table keyed by
+    operator and argument values.  Names that no solved form ``X = F``
+    (``X`` not in ``F``) defines get seeded values; solved forms are then
+    evaluated in rule order, a ``SolvedBy`` form taking ``X`` as a root of
+    the quadrant equation just before it (of degree at most 2 in ``X``).
+    The first seed under which every value exists, no inverse is of 0 and
+    every rule holds decides.
+
+    Sound, since every search step keeps a node's value in such a model: a
+    ground rewrite swaps equal sides; the smart constructors use identities
+    of a commutative field with trivial transpose; inverse moves hold for
+    nonzero factors, and every inverse in a search node descends from one
+    in ``start``, a target or a rule, all nonzero (a product is nonzero iff
+    its factors are).  So a meeting would give ``start`` a target's value.
+    The arithmetic is exact; a seed without a model leaves the search.
+    """
+    solved = [
+        (i, r.lhs.name, r.rhs)
+        for i, r in enumerate(rules)
+        if isinstance(r.lhs, OperandRef) and r.lhs.name not in operand_names(r.rhs)
+    ]
+    exprs = [start, *targets, *(side for r in rules for side in (r.lhs, r.rhs))]
+    free = sorted(set().union(*map(operand_names, exprs)) - {x for _, x, _ in solved})
+    p = _FIELD_PRIME
+    for state in range(_MODEL_SEEDS):
+        # names map to values, (operator, *argument values) to SolvedBy values
+        model: dict = {}
+        for name in free:
+            state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+            model[name] = (state >> 33) % (p - 1) + 1
+        try:
+            for i, x, f in solved:
+                if not isinstance(f, SolvedBy):
+                    model[x] = _model_value(f, model)
+                    continue
+                if i == 0:
+                    raise ValueError("no quadrant equation before the solved form")
+                eq, c = rules[i - 1], []
+                for model[x] in (0, 1, 2):
+                    c.append((_model_value(eq.lhs, model) - _model_value(eq.rhs, model)) % p)
+                # a*X^2 + b*X + c[0] = 0, interpolated from X = 0, 1, 2
+                a = (c[2] - 2 * c[1] + c[0]) * ((p + 1) // 2) % p
+                b = (c[1] - c[0] - a) % p
+                disc = (b * b - 4 * a * c[0]) % p
+                root = pow(disc, (p + 1) // 4, p)
+                if root * root % p != disc:
+                    raise ValueError("no square root")
+                model[x] = ((root - b) * pow(2 * a, -1, p) if a else -c[0] * pow(b, -1, p)) % p
+                key = (f.operator_name, *(_model_value(g, model) for g in f.arguments))
+                if model.setdefault(key, model[x]) != model[x]:
+                    raise ValueError("conflicting solved forms")
+            if all(_model_value(r.lhs, model) == _model_value(r.rhs, model) for r in rules):
+                values = [_model_value(e, model) for e in (start, *targets)]
+                return values[0] not in values[1:]
+        except (KeyError, ValueError):
+            pass
+    return False
+
+
+def _model_value(e: Expression, model: dict) -> int:
+    """``e`` in a :func:`_counter_model_refutes` model; KeyError or ValueError if none."""
+    if isinstance(e, OperandRef):
+        return model[e.name]
+    if isinstance(e, Zero):
+        return 0
+    values = [_model_value(c, model) for c in e.children()]
+    if isinstance(e, SolvedBy):
+        return model[(e.operator_name, *values)]
+    if isinstance(e, Inverse):
+        return pow(values[0], -1, _FIELD_PRIME)
+    if isinstance(e, Minus):
+        return -values[0] % _FIELD_PRIME
+    if isinstance(e, Plus):
+        return sum(values) % _FIELD_PRIME
+    return prod(values) % _FIELD_PRIME  # Transpose is the identity
 
 
 def _expand(

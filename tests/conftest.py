@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pmegen.binding import RuleCombination
+from pmegen import engine
+from pmegen.binding import NoViablePartitioningsError, RuleCombination
 from pmegen.blockarith import blocked_operands, raw_blocked_equations
 from pmegen.expr import (
     Dimension,
@@ -18,6 +21,8 @@ from pmegen.expr import (
     operand_names,
     plus,
     ref,
+    serialize,
+    serialize_equation,
     times,
     trans,
 )
@@ -172,6 +177,47 @@ def corpus_specs() -> list[tuple[str, OperationSpec]]:
         (f"ops:{f}", load_op(f[:-3])) for f in sorted(os.listdir(OPS_DIR)) if f.endswith(".op")
     ]
     return specs + [(f"seed:{s}", random_spec(np.random.default_rng(s))) for s in range(300)]
+
+
+def bench_corpus():
+    """The benchmark's input generators (``bench/corpus.py``)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.py")
+    module_spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def spd_corpus_queries() -> list[tuple[Expression, engine.DerivationState]]:
+    """Every distinct SPD query, with a snapshot of its state, that deriving
+    the benchmark's spd family (with and without ``ops/``) and fuzz seeds
+    0-299 asks; derived once per session."""
+    queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
+    real = engine.prove_spd
+
+    def recorded(e, state):
+        key = (
+            serialize(e),
+            *(f"{f.property.value} {serialize(f.expression)}" for f in state.facts),
+            "|",
+            *(serialize_equation(t) for t in state.tautologies),
+        )
+        snapshot = replace(state, facts=list(state.facts), tautologies=list(state.tautologies))
+        queries.setdefault(key, (e, snapshot))
+        return real(e, state)
+
+    specs = [parse_operation(text) for _, text in bench_corpus().spd_family()]
+    runs = [(spec, ops_dir) for spec in specs for ops_dir in (None, OPS_DIR)]
+    runs += [(random_spec(np.random.default_rng(s)), None) for s in range(300)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "prove_spd", recorded)
+        for spec, ops_dir in runs:
+            try:
+                engine.derive_all(spec, engine.seed_builtins(), ops_dir=ops_dir)
+            except (engine.AllCombinationsStuck, NoViablePartitioningsError):
+                pass
+    return list(queries.values())
 
 
 def _names_of(e: Expression) -> frozenset[str]:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import importlib.util
 import os
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmegen import binding, blockarith, engine
 from pmegen.binding import NoViablePartitioningsError, enumerate_combinations
@@ -52,7 +53,7 @@ from pmegen.opspec import Property, parse_operation, render_spec
 from pmegen.oracle import cholesky_lower, min_symmetric_eigenvalue
 from pmegen.partition import PropertyFact
 
-from conftest import OPS_DIR, corpus_specs, load_op, random_spec
+from conftest import OPS_DIR, bench_corpus, corpus_specs, load_op, random_spec
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
@@ -70,6 +71,43 @@ CHOLESKY_TAUTOLOGIES = [
 def cholesky_state(cholesky_spec):
     (rules,) = enumerate_combinations(cholesky_spec)
     return initial_state(cholesky_spec, rules)
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """Frontier sizes of every ``_expand`` call, one per search level."""
+    calls: list[int] = []
+    real = engine._expand
+
+    def counted(frontier, rules, seen):
+        calls.append(len(frontier))
+        return real(frontier, rules, seen)
+
+    monkeypatch.setattr(engine, "_expand", counted)
+    return calls
+
+
+def _updated_cholesky_tautologies(
+    update_tl: Expression, update_bl: Expression, gamma_args: Sequence[Expression]
+) -> list[Equation]:
+    """The rules of a Cholesky factorization of ``A + update`` once TL and BL
+    are solved: each quadrant equation just before its solved form."""
+    return [
+        Equation(times(L_TL, trans(L_TL)), plus(update_tl, A_TL)),
+        Equation(L_TL, solved_by("Gamma", gamma_args)),
+        Equation(times(L_BL, trans(L_TL)), plus(update_bl, A_BL)),
+        Equation(L_BL, times(plus(update_bl, A_BL), trans(inv(L_TL)))),
+    ]
+
+
+B_T, B_B, C = ref("B_T"), ref("B_B"), ref("C")
+# A + B*C*trans(B) (chol_up_*) and A - B*trans(B) (chol_down_n) of the spd family
+UP_TAUTOLOGIES = _updated_cholesky_tautologies(
+    times(B_T, C, trans(B_T)), times(B_B, C, trans(B_T)), [A_TL, B_T, C]
+)
+DOWN_TAUTOLOGIES = _updated_cholesky_tautologies(
+    minus(times(B_T, trans(B_T))), minus(times(B_B, trans(B_T))), [A_TL, B_T]
+)
 
 
 class TestBuiltins:
@@ -245,7 +283,9 @@ class TestProveSpd:
     @pytest.mark.parametrize("with_ops_dir", [False, True])
     def test_pruned_search_step_matches_full_rebuild(self, with_ops_dir, monkeypatch):
         """Every search step on the Cholesky-family corpus offers exactly the
-        candidates, in the same order, that rebuilding every subtree offers."""
+        candidates, in the same order, that rebuilding every subtree offers.
+        The counter-model is off, so that the refutations it decides are
+        still searched."""
         expanded: dict[tuple[str, ...], tuple[Expression, list[Equation]]] = {}
 
         def recorded(e, rules):
@@ -254,7 +294,8 @@ class TestProveSpd:
             return rewrite_candidates(e, rules)
 
         monkeypatch.setattr(engine, "rewrite_candidates", recorded)
-        for _, text in _bench_corpus().spd_family():
+        monkeypatch.setattr(engine, "_counter_model_refutes", lambda *args: False)
+        for _, text in bench_corpus().spd_family():
             try:
                 derive_all(
                     parse_operation(text),
@@ -336,57 +377,111 @@ class TestProveSpd:
         assert not prove_spd(e, cholesky_state)
         assert expanded == []
 
-    def test_refutation_check_keeps_every_verdict(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "query, tautologies, fact",
+        [
+            (
+                plus(A_BR, minus(times(L_BL, trans(L_BL))), times(B_B, C, trans(B_B))),
+                UP_TAUTOLOGIES,
+                PropertyFact(C, prop),
+            )
+            for prop in (Property.SPD, Property.SYMMETRIC, Property.DIAGONAL)
+        ]
+        + [
+            (
+                plus(A_BR, minus(times(B_B, trans(B_B))), minus(times(L_BL, trans(L_BL)))),
+                DOWN_TAUTOLOGIES,
+                None,
+            )
+        ],
+        ids=["up_spd", "up_symmetric", "up_diagonal", "down_n"],
+    )
+    def test_schur_complement_of_update_refuted_without_search(
+        self, cholesky_state, expand_calls, query, tautologies, fact
+    ):
+        # B_B occurs in a rule side, so no names-only argument decides these;
+        # the model takes L_TL as a square root through its quadrant equation
+        state = replace(
+            cholesky_state,
+            facts=[*cholesky_state.facts, *([fact] if fact else [])],
+            tautologies=list(tautologies),
+        )
+        targets = [f.expression for f in state.facts if f.property is Property.SPD]
+        assert not engine._inert_summands_refute(query, targets, tautologies)
+        assert not prove_spd(query, state)
+        assert expand_calls == []
+
+    @pytest.mark.parametrize(
+        "query, tautologies",
+        [
+            # the model gives Z the value 0, so inv(Z) has none
+            (plus(A, minus(Y), times(Y, inv(Z), Z)), [Equation(Z, ZERO)]),
+            # a solved form with no quadrant equation before it
+            (plus(A, Y, minus(solved_by("Op", [N]))), [Equation(Y, solved_by("Op", [N]))]),
+        ],
+        ids=["inverse_of_zero", "solved_form_first"],
+    )
+    def test_no_counter_model_leaves_the_search(
+        self, cholesky_state, expand_calls, query, tautologies
+    ):
+        state = replace(
+            cholesky_state, facts=[PropertyFact(A, Property.SPD)], tautologies=tautologies
+        )
+        assert not engine._counter_model_refutes(query, [A], tautologies)
+        assert prove_spd(query, state)
+        assert expand_calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_counter_model_never_refutes_a_rewritten_target(self, cholesky_spec, data):
+        """A node that 1-4 rewrite steps reach from an SPD fact is provable,
+        so the counter-model must not refute it; the same node plus a fresh
+        name shows that a model was found."""
+        (combination,) = enumerate_combinations(cholesky_spec)
+        state = initial_state(cholesky_spec, combination)
+        targets = [f.expression for f in state.facts if f.property is Property.SPD]
+        rules = data.draw(st.sampled_from([CHOLESKY_TAUTOLOGIES, UP_TAUTOLOGIES, DOWN_TAUTOLOGIES]))
+        node = data.draw(st.sampled_from(targets))
+        for _ in range(data.draw(st.integers(1, 4))):
+            candidates = rewrite_candidates(node, rules)
+            if not candidates:
+                break
+            node = data.draw(st.sampled_from(candidates))
+        assert not engine._counter_model_refutes(node, targets, rules)
+        assert engine._counter_model_refutes(plus(node, N), targets, rules)
+
+    def test_refutation_check_keeps_every_verdict(
+        self, spd_corpus_queries, expand_calls, monkeypatch
+    ):
         """Every query of the spd family (with and without ``ops_dir``) and
-        fuzz seeds 0-299 gets the same verdict with the check as without."""
-        queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
-        real = engine.prove_spd
+        fuzz seeds 0-299 gets the same verdict with both refutation checks
+        as with neither, and no refutation among them reaches the search."""
+        fired = {"_inert_summands_refute": 0, "_counter_model_refutes": 0}
 
-        def recorded(e, state):
-            key = (
-                serialize(e),
-                *(f"{f.property.value} {serialize(f.expression)}" for f in state.facts),
-                "|",
-                *(serialize_equation(t) for t in state.tautologies),
-            )
-            snapshot = replace(
-                state, facts=list(state.facts), tautologies=list(state.tautologies)
-            )
-            queries.setdefault(key, (e, snapshot))
-            return real(e, state)
+        def spy(name):
+            real = getattr(engine, name)
 
-        monkeypatch.setattr(engine, "prove_spd", recorded)
-        specs = [parse_operation(text) for _, text in _bench_corpus().spd_family()]
-        runs = [(spec, ops_dir) for spec in specs for ops_dir in (None, OPS_DIR)]
-        runs += [(random_spec(np.random.default_rng(s)), None) for s in range(300)]
-        for spec, ops_dir in runs:
-            try:
-                derive_all(spec, seed_builtins(), ops_dir=ops_dir)
-            except (AllCombinationsStuck, NoViablePartitioningsError):
-                pass
-        fired = []
+            def check(start, targets, rules):
+                refuted = real(start, targets, rules)
+                fired[name] += refuted
+                return refuted
 
-        def check(start, targets, rules):
-            fired.append(refutes(start, targets, rules))
-            return fired[-1]
+            return check
 
-        refutes = engine._inert_summands_refute
-        monkeypatch.setattr(engine, "_inert_summands_refute", check)
-        with_check = [real(e, state) for e, state in queries.values()]
-        monkeypatch.setattr(engine, "_inert_summands_refute", lambda *args: False)
-        without_check = [real(e, state) for e, state in queries.values()]
-        assert with_check == without_check
+        for name in fired:
+            monkeypatch.setattr(engine, name, spy(name))
+        with_checks = []
+        for e, state in spd_corpus_queries:
+            expand_calls.clear()
+            with_checks.append(prove_spd(e, state))
+            assert with_checks[-1] or expand_calls == [], serialize(e)
+        for name in fired:
+            monkeypatch.setattr(engine, name, lambda *args: False)
+        without_checks = [prove_spd(e, state) for e, state in spd_corpus_queries]
+        assert with_checks == without_checks
         # the bare-summand special case alone fires on 8 of these queries
-        assert any(with_check) and sum(fired) > 8
-
-
-def _bench_corpus():
-    """The benchmark's input generators (``bench/corpus.py``)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.py")
-    module_spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
-    return module
+        assert any(with_checks) and fired["_inert_summands_refute"] > 8
+        assert fired["_counter_model_refutes"] > 0
 
 
 def _full_replace_all(e: Expression, target: Expression, replacement: Expression) -> Expression:
