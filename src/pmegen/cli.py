@@ -317,9 +317,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot read {args.pme_json}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.trials == 0:
-        print("warning: trials=0, nothing checked")
-        return EXIT_OK
     failed = False
     for pme in pmes:
         try:
@@ -332,8 +329,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        print(report.render())
+        if args.trials:
+            print(report.render())
         failed = failed or not report.ok
+    if args.trials == 0:
+        print("warning: trials=0, nothing checked")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -391,6 +391,15 @@ class TestCheck:
         with pytest.raises(ValueError, match="operation sylvester given for operation cholesky"):
             check_pme(pme, spec)
 
+    def test_zero_trials_still_rejects_pme_of_other_operation(self, tmp_path, capsys):
+        code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
+        pme_file = tmp_path / "s.json"
+        pme_file.write_text(out)
+        args = ["check", CHOLESKY_OP, str(pme_file), "--trials", "0"]
+        code, out, err = run_main(args, capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: PME of operation sylvester given for operation cholesky\n"
+
     def test_check_pme_rejects_negative_trials(self):
         from pmegen.opspec import parse_operation
         from pmegen.oracle import check_pme
