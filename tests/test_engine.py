@@ -53,7 +53,7 @@ from pmegen.opspec import Property, parse_operation, render_spec
 from pmegen.oracle import cholesky_lower, min_symmetric_eigenvalue
 from pmegen.partition import PropertyFact
 
-from conftest import OPS_DIR, bench_corpus, corpus_specs, load_op, random_spec
+from conftest import OPS_DIR, bench_corpus, corpus_specs, load_op
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
@@ -344,16 +344,8 @@ class TestProveSpd:
         )
         assert prove_spd(query, state)
 
-    def test_each_target_missing_a_private_name_refutes(self, cholesky_state, monkeypatch):
+    def test_each_target_missing_a_private_name_refutes(self, cholesky_state, expand_calls):
         # A_BR and B_BR are both facts, but each one misses the other's name
-        expanded = []
-
-        def counted(frontier, rules, seen):
-            expanded.append(len(frontier))
-            return real(frontier, rules, seen)
-
-        real = engine._expand
-        monkeypatch.setattr(engine, "_expand", counted)
         B_BR = ref("B_BR")
         state = replace(
             cholesky_state,
@@ -361,21 +353,13 @@ class TestProveSpd:
             tautologies=list(CHOLESKY_TAUTOLOGIES),
         )
         assert not prove_spd(plus(A_BR, B_BR, minus(times(L_BL, trans(L_BL)))), state)
-        assert expanded == []
+        assert expand_calls == []
 
-    def test_bare_summand_refuted_without_search(self, cholesky_state, monkeypatch):
-        expanded = []
-
-        def counted(frontier, rules, seen):
-            expanded.append(len(frontier))
-            return real(frontier, rules, seen)
-
-        real = engine._expand
-        monkeypatch.setattr(engine, "_expand", counted)
+    def test_bare_summand_refuted_without_search(self, cholesky_state, expand_calls):
         cholesky_state.tautologies = list(CHOLESKY_TAUTOLOGIES)
         e = plus(A_BR, ref("B_BR"), minus(times(L_BL, trans(L_BL))))
         assert not prove_spd(e, cholesky_state)
-        assert expanded == []
+        assert expand_calls == []
 
     @pytest.mark.parametrize(
         "query, tautologies, fact",
