@@ -14,7 +14,7 @@ finer than 2x2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .binding import BindingAnalysis, RuleCombination, analyze
 from .expr import (
@@ -40,7 +40,7 @@ from .expr import (
     inv,
 )
 from .opspec import OperandDecl, OperationSpec
-from .partition import BlockedOperand, apply_rule, position_names
+from .partition import BlockedOperand, PartitionRule, apply_rule, position_names
 
 
 STATUS_UNSOLVED = "unsolved"
@@ -110,20 +110,31 @@ def blocked_operands(
     spec: OperationSpec, rules: RuleCombination
 ) -> dict[str, BlockedOperand]:
     """Apply each operand's rule, with sizes canonicalized per dimension group."""
-    return _blocked_operands(spec, rules, analyze(spec))
+    table = operand_blockings(spec, analyze(spec), (rules,))
+    return {decl.name: table[rules.rule_for(decl.name)] for decl in spec.operands}
 
 
-def _blocked_operands(
-    spec: OperationSpec, rules: RuleCombination, analysis: BindingAnalysis
-) -> dict[str, BlockedOperand]:
-    """:func:`blocked_operands` over an analysis of ``spec`` already made."""
-    out: dict[str, BlockedOperand] = {}
+def operand_blockings(
+    spec: OperationSpec,
+    analysis: BindingAnalysis,
+    combos: Sequence[RuleCombination],
+) -> dict[PartitionRule, BlockedOperand]:
+    """Each operand's blocking under each distinct rule that ``combos`` use.
+
+    Sizes are canonicalized per dimension group, under an analysis of
+    ``spec`` already made.  A rule names its operand, so it alone keys the
+    blocking, and combinations that share a rule share its blocking.
+    """
+    out: dict[PartitionRule, BlockedOperand] = {}
     for decl in spec.operands:
         rows, cols = analysis.canonical_dims(decl.name)
         canonical = OperandDecl(
             decl.name, decl.kind, Dimension(rows, cols), decl.io_role, decl.properties
         )
-        out[decl.name] = apply_rule(canonical, rules.rule_for(decl.name))
+        for combo in combos:
+            rule = combo.rule_for(decl.name)
+            if rule not in out:
+                out[rule] = apply_rule(canonical, rule)
     return out
 
 

@@ -21,11 +21,23 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
 from . import engine
-from .binding import BindingError, NoViablePartitioningsError, RuleCombination
-from .blockarith import STATUS_STAR, QuadrantEquation
+from .binding import (
+    BindingError,
+    NoViablePartitioningsError,
+    RuleCombination,
+    enumerate_combinations,
+)
+from .blockarith import (
+    STATUS_SOLVED,
+    STATUS_STAR,
+    QuadrantEquation,
+    blocked_operands,
+    raw_blocked_equations,
+)
 from .engine import (
     PME,
     CombinationRangeError,
@@ -217,6 +229,8 @@ def pme_from_json_dict(doc: dict) -> PME:
         tuple(by_pos[names[i][j]] for j in range(len(col_sizes)))
         for i in range(len(row_sizes))
     )
+    if len(doc["cells"]) != len(row_sizes) * len(col_sizes):
+        raise ValueError("cells must hold one cell per position of the grid")
     return PME(
         operation=doc["operation"],
         combination=combination,
@@ -225,6 +239,37 @@ def pme_from_json_dict(doc: dict) -> PME:
         cells=cells,
         order=tuple(doc["order"]),
     )
+
+
+def _resolve_pme(pme: PME, spec: OperationSpec, combos: Sequence[RuleCombination]) -> PME:
+    """``pme`` over the spec's own combination, once its layout is that blocking's.
+
+    The combination must be one of ``combos`` (the spec's), the block sizes
+    those of its grid, and ``order`` must list distinct solved positions.
+    A PME of another operation comes back as it is: ``check_pme`` rejects it.
+    """
+    if pme.operation != spec.name:
+        return pme
+    combo = next((c for c in combos if c == pme.combination), None)
+    if combo is None:
+        raise ValueError(
+            f"PME combination {pme.combination.index} is not one that "
+            f"operation {spec.name} enumerates"
+        )
+    grid = raw_blocked_equations(spec, blocked_operands(spec, combo))
+    sizes = (list(pme.row_sizes), list(pme.col_sizes))
+    if sizes != (list(grid.row_sizes), list(grid.col_sizes)):
+        raise ValueError(
+            f"PME combination {combo.index}: block sizes {sizes[0]} x {sizes[1]} "
+            f"are not its blocking's {list(grid.row_sizes)} x {list(grid.col_sizes)}"
+        )
+    solved = [q.position for q in pme.all_cells() if q.status == STATUS_SOLVED]
+    if any(p not in solved for p in pme.order) or len(set(pme.order)) != len(pme.order):
+        raise ValueError(
+            f"PME combination {combo.index}: order {list(pme.order)} "
+            f"must list distinct solved positions"
+        )
+    return replace(pme, combination=combo)
 
 
 def document_to_json(operation: str, pmes: Sequence[PME]) -> str:
@@ -316,6 +361,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         pmes = [pme_from_json_dict(d) for d in records]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot read {args.pme_json}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    # the spec decides the blocking: every PME matches it before any trial
+    combos = enumerate_combinations(spec) if pmes else ()
+    try:
+        pmes = [_resolve_pme(p, spec, combos) for p in pmes]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     failed = False
     for pme in pmes:

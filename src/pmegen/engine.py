@@ -32,7 +32,6 @@ separates from every fact: each search step keeps a node's value there.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import prod
@@ -52,8 +51,7 @@ from .blockarith import (
     QuadrantCells,
     QuadrantEquation,
     _blocked_grid,
-    _blocked_operands,
-    known_blocks,
+    operand_blockings,
 )
 from .expr import (
     Dimension,
@@ -98,7 +96,13 @@ from .opspec import (
     SpecError,
     parse_operation,
 )
-from .partition import PropertyFact, inheritance_facts, spd_facts
+from .partition import (
+    BlockedOperand,
+    PartitionRule,
+    PropertyFact,
+    inheritance_facts,
+    spd_facts,
+)
 
 
 SPD_SEARCH_DEPTH = 8
@@ -458,31 +462,54 @@ class DerivationState:
 
 
 def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationState:
-    return _initial_state(spec, rules, analyze(spec))
+    return _initial_state(spec, rules, _blocking_table(spec, analyze(spec), (rules,)))
+
+
+def _blocking_table(
+    spec: OperationSpec, analysis: BindingAnalysis, combos: Sequence[RuleCombination]
+) -> dict[PartitionRule, tuple]:
+    """Each operand's blocking under each distinct rule of ``combos``, with
+    what depends on that blocking alone.
+
+    An entry is the blocked operand, its inherited facts, its SPD facts not
+    among those, its block dims, and, for an input, its block names.
+    """
+    table: dict[PartitionRule, tuple] = {}
+    for rule, b in operand_blockings(spec, analysis, combos).items():
+        decl = spec.operand(rule.operand)
+        inherited = inheritance_facts(b)
+        spd: list[PropertyFact] = []
+        if Property.SPD in decl.properties:
+            for f in spd_facts(b):
+                if f not in inherited and f not in spd:
+                    spd.append(f)
+        names: frozenset[str] = frozenset()
+        if decl.is_input:
+            names = names.union(*(operand_names(c) for row in b.cells for c in row))
+        table[rule] = (b, inherited, spd, b.block_dims(), names)
+    return table
 
 
 def _initial_state(
-    spec: OperationSpec, rules: RuleCombination, analysis: BindingAnalysis
+    spec: OperationSpec, rules: RuleCombination, table: dict[PartitionRule, tuple]
 ) -> DerivationState:
-    blocked = _blocked_operands(spec, rules, analysis)
-    known = known_blocks(spec, blocked)
-    grid = _blocked_grid(spec, rules, blocked, known)
+    """The state of one combination, assembled from its operands' entries."""
+    blocked: dict[str, BlockedOperand] = {}
+    known: set[str] = set()
     facts: list[PropertyFact] = []
     dims: dict[str, Dimension] = {}
-    for decl in spec.operands:
-        b = blocked[decl.name]
-        facts.extend(inheritance_facts(b))
-        if Property.SPD in decl.properties:
-            for f in spd_facts(b):
-                if not any(
-                    g.property is f.property and g.expression == f.expression
-                    for g in facts
-                ):
-                    facts.append(f)
-        dims.update(b.block_dims())
+    for name, rule in rules.rules:
+        b, inherited, spd, block_dims, names = table[rule]
+        blocked[name] = b
+        known |= names
+        facts.extend(inherited)
+        for f in spd:
+            if f not in facts:
+                facts.append(f)
+        dims.update(block_dims)
     return DerivationState(
-        grid=grid,
-        known=set(known),
+        grid=_blocked_grid(spec, rules, blocked, known),
+        known=known,
         facts=facts,
         tautologies=[],
         dims=dims,
@@ -956,7 +983,8 @@ def derive_pme(
     derivations; a pattern acquired that way is used immediately.
     """
     self_pattern = pattern_from_spec(spec, provenance="self")
-    return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, analyze(spec), self_pattern)
+    table = _blocking_table(spec, analyze(spec), (rules,))
+    return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, table, self_pattern)
 
 
 def _derive_pme(
@@ -965,12 +993,13 @@ def _derive_pme(
     kb: KnowledgeBase,
     ops: _OpsDir,
     depth: int,
-    analysis: BindingAnalysis,
+    table: dict[PartitionRule, tuple],
     self_pattern: Pattern,
 ) -> PME:
-    """:func:`derive_pme` at nesting ``depth``, under an analysis of ``spec``
-    and with the operation's own pattern already built."""
-    state = _initial_state(spec, rules, analysis)
+    """:func:`derive_pme` at nesting ``depth``, over a blocking table of
+    ``spec`` that holds ``rules`` and with the operation's own pattern
+    already built."""
+    state = _initial_state(spec, rules, table)
     patterns = [self_pattern, *kb.match_order()]
     cells: dict[str, QuadrantEquation] = {
         q.position: q for q in state.grid.all_cells()
@@ -1104,8 +1133,9 @@ def derive_each(
     from 1), only that combination is derived and every other entry is
     None; an index outside the combinations raises
     :class:`CombinationRangeError` before any derivation starts.  The spec
-    is analyzed once, and ``ops_dir`` is parsed at most once for the whole
-    call.
+    is analyzed once, each operand is blocked once per distinct rule of the
+    derived combinations, and ``ops_dir`` is parsed at most once for the
+    whole call.
     """
     return _derive_each(spec, kb, _OpsDir(ops_dir), 0, combination)
 
@@ -1125,13 +1155,16 @@ def _derive_each(
             f"combination {combination} out of range 1..{len(combos)}"
         )
     self_pattern = pattern_from_spec(spec, provenance="self")
+    # every blocking the selected combinations use, built before any of them
+    chosen = combos if combination is None else (combos[combination - 1],)
+    table = _blocking_table(spec, analysis, chosen)
     results: list[PME | StuckDerivation | None] = []
     for combo in combos:
         if combination is not None and combo.index != combination:
             results.append(None)
             continue
         try:
-            results.append(_derive_pme(spec, combo, kb, ops, depth, analysis, self_pattern))
+            results.append(_derive_pme(spec, combo, kb, ops, depth, table, self_pattern))
         except StuckDerivation as exc:
             # its traceback reaches this frame, whose list holds the
             # exception: a cycle that keeps the stuck state until gc runs
@@ -1175,6 +1208,9 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         lines.append("end")
     text = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    # only this writer needs tempfile, so importing the engine does not pay for it
+    import tempfile
+
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kb-", text=True)
     except OSError as exc:

@@ -322,37 +322,37 @@ def parse_prefix_equation(text: str) -> Equation:
 
 
 def plus(*terms: Expression) -> Expression:
-    flat: list[Expression] = []
+    if len(terms) == 1 and not isinstance(terms[0], Plus):
+        return terms[0]
+    # one entry per core term x, in order of first appearance: the count
+    # of x minus the count of -x, the first x and the first -x
+    net: dict[str, list] = {}
     for t in terms:
-        if isinstance(t, Plus):
-            flat.extend(t.terms)
-        elif not isinstance(t, Zero):
-            flat.append(t)
-    # cancel matching positive/negative occurrences of the same core term
-    order: list[str] = []
-    pos: dict[str, list[Expression]] = {}
-    neg: dict[str, list[Expression]] = {}
-    for t in flat:
-        core = t.operand if isinstance(t, Minus) else t
-        key = serialize(core)
-        if key not in pos:
-            order.append(key)
-            pos[key] = []
-            neg[key] = []
-        (neg if isinstance(t, Minus) else pos)[key].append(core)
+        if isinstance(t, Zero):
+            continue
+        for u in t.terms if isinstance(t, Plus) else (t,):
+            if isinstance(u, Minus):
+                key, sign, slot = serialize(u.operand), -1, 2
+            else:
+                key, sign, slot = serialize(u), 1, 1
+            entry = net.get(key)
+            if entry is None:
+                net[key] = entry = [sign, None, None]
+            else:
+                entry[0] += sign
+            if entry[slot] is None:
+                entry[slot] = u
     survivors: list[Expression] = []
-    for key in order:
-        n = len(pos[key]) - len(neg[key])
-        core = (pos[key] or neg[key])[0]
+    for n, pos, neg in net.values():
         if n > 0:
-            survivors.extend([core] * n)
+            survivors.extend([pos] * n)
         elif n < 0:
-            survivors.extend([Minus(core)] * (-n))
-    survivors.sort(key=serialize)
+            survivors.extend([neg] * -n)
     if not survivors:
         return ZERO
     if len(survivors) == 1:
         return survivors[0]
+    survivors.sort(key=serialize)
     return Plus(tuple(survivors))
 
 
@@ -441,17 +441,20 @@ def walk(e: Expression) -> Iterator[Expression]:
         stack.extend(reversed(node.children()))
 
 
-def operand_names(e: Expression) -> frozenset[str]:
-    """All operand/block names referenced anywhere in ``e``."""
-    out: set[str] = set()
+def _leaf_names(e: Expression) -> Iterator[str]:
+    """Names of the operand references in ``e``, repeats included."""
     stack = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, OperandRef):
-            out.add(node.name)
+            yield node.name
         else:
             stack.extend(node.children())
-    return frozenset(out)
+
+
+def operand_names(e: Expression) -> frozenset[str]:
+    """All operand/block names referenced anywhere in ``e``."""
+    return frozenset(_leaf_names(e))
 
 
 def additive_terms(e: Expression) -> tuple[Expression, ...]:
@@ -464,7 +467,8 @@ def additive_terms(e: Expression) -> tuple[Expression, ...]:
 
 
 def has_unknown(e: Expression, known: frozenset[str] | set[str]) -> bool:
-    return any(name not in known for name in operand_names(e))
+    """True when ``e`` names an operand outside ``known``; stops at the first."""
+    return not known.issuperset(_leaf_names(e))
 
 
 def known_only(e: Expression, known: frozenset[str] | set[str]) -> bool:

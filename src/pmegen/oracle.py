@@ -167,18 +167,6 @@ def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def kron_sylvester_solution(l: np.ndarray, u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Brute-force Sylvester solution through the Kronecker linear system."""
-    m, n = c.shape
-    system = np.kron(np.eye(n), l) + np.kron(u.T, np.eye(m))
-    vec = gauss_solve(system, c.reshape(-1, order="F"))
-    return vec.reshape((m, n), order="F")
-
-
-def min_symmetric_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((a + a.T) / 2.0).min())
-
-
 BASE_SOLVERS: dict[str, Callable[..., np.ndarray]] = {
     "Gamma": cholesky_lower,
     "Omega": solve_triangular_sylvester,

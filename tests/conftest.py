@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pmegen import engine
+from pmegen import blockarith, engine, expr, opspec, partition
 from pmegen.binding import NoViablePartitioningsError, RuleCombination
 from pmegen.blockarith import blocked_operands, raw_blocked_equations
 from pmegen.expr import (
@@ -41,11 +41,24 @@ from pmegen.oracle import (
     block_edges,
     eval_size,
     evaluate,
+    gauss_solve,
     sample_value,
 )
 
 OPS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "ops")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def kron_sylvester_solution(l: np.ndarray, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Brute-force Sylvester solution through the Kronecker linear system."""
+    m, n = c.shape
+    system = np.kron(np.eye(n), l) + np.kron(u.T, np.eye(m))
+    vec = gauss_solve(system, c.reshape(-1, order="F"))
+    return vec.reshape((m, n), order="F")
+
+
+def min_symmetric_eigenvalue(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh((a + a.T) / 2.0).min())
 
 
 def cli_env() -> dict[str, str]:
@@ -189,14 +202,21 @@ def bench_corpus():
 
 
 @pytest.fixture(scope="session")
-def spd_corpus_queries() -> list[tuple[Expression, engine.DerivationState]]:
-    """Every distinct SPD query, with a snapshot of its state, that deriving
-    the benchmark's spd family (with and without ``ops/``) and fuzz seeds
-    0-299 asks; derived once per session."""
-    queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
-    real = engine.prove_spd
+def bench_corpus_calls() -> dict[str, list]:
+    """Distinct arguments that deriving the benchmark's spd family (with and
+    without ``ops/``) and fuzz seeds 0-299 passes to three functions; the
+    corpus is derived once per session.
 
-    def recorded(e, state):
+    ``"prove_spd"`` holds each SPD query with a snapshot of its state,
+    ``"plus"`` each argument tuple of ``expr.plus``, and ``"has_unknown"``
+    each expression with a frozen copy of its known names.
+    """
+    queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
+    sums: dict[tuple[str, ...], tuple[Expression, ...]] = {}
+    unknowns: dict[tuple[str, frozenset[str]], tuple[Expression, frozenset[str]]] = {}
+    real_prove, real_plus, real_has_unknown = engine.prove_spd, expr.plus, expr.has_unknown
+
+    def prove_spd(e, state):
         key = (
             serialize(e),
             *(f"{f.property.value} {serialize(f.expression)}" for f in state.facts),
@@ -205,19 +225,43 @@ def spd_corpus_queries() -> list[tuple[Expression, engine.DerivationState]]:
         )
         snapshot = replace(state, facts=list(state.facts), tautologies=list(state.tautologies))
         queries.setdefault(key, (e, snapshot))
-        return real(e, state)
+        return real_prove(e, state)
+
+    def plus_(*terms):
+        sums.setdefault(tuple(map(serialize, terms)), terms)
+        return real_plus(*terms)
+
+    def has_unknown(e, known):
+        known = frozenset(known)
+        unknowns.setdefault((serialize(e), known), (e, known))
+        return real_has_unknown(e, known)
 
     specs = [parse_operation(text) for _, text in bench_corpus().spd_family()]
     runs = [(spec, ops_dir) for spec in specs for ops_dir in (None, OPS_DIR)]
     runs += [(random_spec(np.random.default_rng(s)), None) for s in range(300)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "prove_spd", recorded)
+        mp.setattr(engine, "prove_spd", prove_spd)
+        # every module that imports ``plus`` by name, and expr for its own callers
+        for module in (expr, blockarith, engine, opspec, partition):
+            mp.setattr(module, "plus", plus_)
+        mp.setattr(expr, "has_unknown", has_unknown)
         for spec, ops_dir in runs:
             try:
                 engine.derive_all(spec, engine.seed_builtins(), ops_dir=ops_dir)
             except (engine.AllCombinationsStuck, NoViablePartitioningsError):
                 pass
-    return list(queries.values())
+    return {
+        "prove_spd": list(queries.values()),
+        "plus": list(sums.values()),
+        "has_unknown": list(unknowns.values()),
+    }
+
+
+@pytest.fixture(scope="session")
+def spd_corpus_queries(bench_corpus_calls) -> list[tuple[Expression, engine.DerivationState]]:
+    """Every distinct SPD query, with a snapshot of its state, that deriving
+    the benchmark's corpus asks (see ``bench_corpus_calls``)."""
+    return bench_corpus_calls["prove_spd"]
 
 
 def _names_of(e: Expression) -> frozenset[str]:

@@ -44,10 +44,16 @@ from pmegen.oracle import (
     check_pme,
     cholesky_lower,
     evaluate,
-    min_symmetric_eigenvalue,
 )
 
-from conftest import OPS_DIR, check_blocking_faithful, cli_env, load_op, random_spec
+from conftest import (
+    OPS_DIR,
+    check_blocking_faithful,
+    cli_env,
+    load_op,
+    min_symmetric_eigenvalue,
+    random_spec,
+)
 
 CHOLESKY_OP = os.path.join(OPS_DIR, "cholesky.op")
 SYLVESTER_OP = os.path.join(OPS_DIR, "sylvester.op")

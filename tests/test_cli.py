@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -400,6 +402,63 @@ class TestCheck:
         assert code == EXIT_PARSE and out == ""
         assert err == "error: PME of operation sylvester given for operation cholesky\n"
 
+    def _sylvester_doc(self, capsys) -> dict:
+        code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    def _check_rejects(self, doc, tmp_path, capsys) -> str:
+        pme_file = tmp_path / "mutated.json"
+        pme_file.write_text(json.dumps(doc))
+        code, out, err = run_main(["check", SYLVESTER_OP, str(pme_file), "--trials", "2"], capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    def test_combination_missing_an_operand_rejected(self, tmp_path, capsys):
+        doc = self._sylvester_doc(capsys)
+        combo = doc["pmes"][0]["combination"]
+        combo["rules"] = [r for r in combo["rules"] if r["operand"] != "X"]
+        err = self._check_rejects(doc, tmp_path, capsys)
+        assert err == "error: PME combination 1 is not one that operation sylvester enumerates\n"
+
+    def test_order_naming_no_cell_rejected(self, tmp_path, capsys):
+        doc = self._sylvester_doc(capsys)
+        doc["pmes"][0]["order"].insert(0, "ZZ")
+        err = self._check_rejects(doc, tmp_path, capsys)
+        assert "order ['ZZ', 'L', 'R'] must list distinct solved positions" in err
+
+    def test_size_that_is_no_string_rejected(self, tmp_path, capsys):
+        doc = self._sylvester_doc(capsys)
+        doc["pmes"][0]["col_sizes"][0] = 1.5
+        err = self._check_rejects(doc, tmp_path, capsys)
+        assert "block sizes ['m'] x [1.5, 'n-k2'] are not its blocking's" in err
+
+    def test_mutated_documents_exit_without_traceback(self, tmp_path, capsys):
+        rng = random.Random(2026)
+        docs = {}
+        for op in (CHOLESKY_OP, SYLVESTER_OP, TRSM_OP):
+            code, out, _ = run_main(["derive", op, "--format", "json"], capsys)
+            docs[op] = json.loads(out)
+        pme_file = tmp_path / "mutated.json"
+        codes = []
+        for _ in range(300):
+            op = rng.choice(sorted(docs))
+            pme_file.write_text(json.dumps(_mutated(docs[op], rng)))
+            code, out, err = run_main(["check", op, str(pme_file), "--trials", "1"], capsys)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_CHECK_FAILED)
+            lines = err.splitlines()
+            # a read or layout error, or an impossible check, is one line;
+            # a failed trial is reported on stdout
+            if code == EXIT_OK:
+                assert lines == []
+            elif code == EXIT_PARSE:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+            else:
+                assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+            codes.append(code)
+        assert codes.count(EXIT_PARSE) > 150 and codes.count(EXIT_OK) > 20
+
     def test_check_pme_rejects_negative_trials(self):
         from pmegen.opspec import parse_operation
         from pmegen.oracle import check_pme
@@ -419,6 +478,44 @@ class TestCheck:
         code1, out1, _ = run_main(args, capsys)
         code2, out2, _ = run_main(args, capsys)
         assert (code1, out1) == (code2, out2)
+
+
+def _mutated(doc: dict, rng: random.Random) -> dict:
+    """A copy of a PME document with one value deleted, replaced, inserted
+    or swapped, anywhere in it."""
+    doc = copy.deepcopy(doc)
+
+    def paths(x, prefix=()):
+        if prefix:
+            yield prefix
+        items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+        for k, v in items:
+            yield from paths(v, prefix + (k,))
+
+    def leaves(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            return [leaf for v in x for leaf in leaves(v)]
+        return [x]
+
+    pool = leaves(doc) + [1.5, 0, -1, None, "", "ZZ", [], {}, True, ["k1"]]
+    path = rng.choice(list(paths(doc)))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    kind = rng.randrange(4)
+    if kind == 0:
+        del parent[key]
+    elif kind == 2 and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(rng.choice(pool + [parent[key]])))
+    elif kind == 3 and isinstance(parent, list):
+        j = rng.randrange(len(parent))
+        parent[key], parent[j] = parent[j], parent[key]
+    else:
+        parent[key] = copy.deepcopy(rng.choice(pool))
+    return doc
 
 
 def _run_subprocess(args, env_extra=None):

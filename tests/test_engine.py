@@ -50,10 +50,17 @@ from pmegen.expr import (
     trans,
 )
 from pmegen.opspec import Property, parse_operation, render_spec
-from pmegen.oracle import cholesky_lower, min_symmetric_eigenvalue
+from pmegen.oracle import cholesky_lower
 from pmegen.partition import PropertyFact
 
-from conftest import OPS_DIR, bench_corpus, corpus_specs, load_op
+from conftest import (
+    OPS_DIR,
+    bench_corpus,
+    corpus_specs,
+    load_op,
+    min_symmetric_eigenvalue,
+    random_spec,
+)
 
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
 A_TL, A_BL, A_BR = ref("A_TL"), ref("A_BL"), ref("A_BR")
@@ -676,12 +683,7 @@ class TestDeriveAll:
         assert stuck.__traceback__ is None
 
     def test_each_combination_blocked_once(self, sylvester_spec, monkeypatch):
-        calls = {
-            "analyze": 0,
-            "_blocked_operands": 0,
-            "raw_blocked_equations": 0,
-            "pattern_from_spec": 0,
-        }
+        calls = dict(analyze=0, raw_blocked_equations=0, pattern_from_spec=0)
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -694,14 +696,44 @@ class TestDeriveAll:
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        assert len(derive_all(sylvester_spec, seed_builtins())) == 3
-        # one analysis and one self pattern per spec, one blocking per combination
-        assert calls == {
-            "analyze": 1,
-            "_blocked_operands": 3,
-            "raw_blocked_equations": 3,
-            "pattern_from_spec": 1,
-        }
+        applied = []
+
+        def apply_rule(decl, rule):
+            applied.append((decl.name, rule))
+            return real_apply(decl, rule)
+
+        real_apply = blockarith.apply_rule
+        monkeypatch.setattr(blockarith, "apply_rule", apply_rule)
+        grids = []
+
+        def blocked_grid(spec, rules, blocks, known):
+            grids.append((rules, blocks, len(applied)))
+            return real_grid(spec, rules, blocks, known)
+
+        real_grid = engine._blocked_grid
+        monkeypatch.setattr(engine, "_blocked_grid", blocked_grid)
+        # sylvester, and a fuzz spec of 7 operands with 31 combinations
+        for spec, count in ((sylvester_spec, 3), (random_spec(np.random.default_rng(41)), 31)):
+            combos = enumerate_combinations(spec)
+            assert len(combos) == count
+            calls.update(analyze=0, raw_blocked_equations=0, pattern_from_spec=0)
+            applied.clear()
+            grids.clear()
+            assert len(derive_each(spec, seed_builtins())) == count
+            # one analysis and one self pattern per spec, one grid per combination
+            assert calls == {"analyze": 1, "raw_blocked_equations": count, "pattern_from_spec": 1}
+            # one blocking per distinct (operand, rule), all built before any grid
+            distinct = {(name, rule) for c in combos for name, rule in c.rules}
+            assert len(applied) == len(set(applied)) == len(distinct)
+            assert set(applied) == distinct
+            assert len(distinct) < sum(len(c.rules) for c in combos)
+            assert {built for _, _, built in grids} == {len(distinct)}
+            # combinations that share a rule share its blocked operand
+            by_rule: dict = {}
+            for rules, blocks, _ in grids:
+                for name, rule in rules.rules:
+                    assert by_rule.setdefault(rule, blocks[name]) is blocks[name]
+            assert len(by_rule) == len(distinct)
 
     def test_derive_path_trees_are_normal(self, monkeypatch):
         """The smart constructors keep every tree the derivation builds

@@ -20,10 +20,12 @@ from pmegen.expr import (
     ZERO,
     Zero,
     StructuralError,
+    has_unknown,
     inv,
     is_tautology_candidate,
     minus,
     normalize,
+    operand_names,
     parse_prefix,
     parse_prefix_equation,
     plus,
@@ -276,6 +278,77 @@ class TestCanonicalEquation:
             np.linalg.norm(before - after), np.linalg.norm(before + after)
         )
         assert flipped <= 1e-12 * max(np.linalg.norm(before), 1.0)
+
+
+def _grouped_plus(*terms: Expression) -> Expression:
+    """The reference for ``plus``: its first algorithm, which groups the
+    positive and the negated occurrences of each core term in lists and
+    keeps the surplus of one over the other."""
+    flat: list[Expression] = []
+    for t in terms:
+        if isinstance(t, Plus):
+            flat.extend(t.terms)
+        elif not isinstance(t, Zero):
+            flat.append(t)
+    order: list[str] = []
+    pos: dict[str, list[Expression]] = {}
+    neg: dict[str, list[Expression]] = {}
+    for t in flat:
+        core = t.operand if isinstance(t, Minus) else t
+        key = serialize(core)
+        if key not in pos:
+            order.append(key)
+            pos[key] = []
+            neg[key] = []
+        (neg if isinstance(t, Minus) else pos)[key].append(core)
+    survivors: list[Expression] = []
+    for key in order:
+        n = len(pos[key]) - len(neg[key])
+        core = (pos[key] or neg[key])[0]
+        if n > 0:
+            survivors.extend([core] * n)
+        elif n < 0:
+            survivors.extend([Minus(core)] * (-n))
+    survivors.sort(key=serialize)
+    if not survivors:
+        return ZERO
+    if len(survivors) == 1:
+        return survivors[0]
+    return Plus(tuple(survivors))
+
+
+# summands that repeat and negate each other, normalized or not
+_summands = st.lists(
+    st.one_of(_expressions, _expressions.map(normalize)), min_size=1, max_size=2
+).flatmap(lambda base: st.lists(st.sampled_from([*base, *map(Minus, base), ZERO]), max_size=6))
+
+
+class TestSumAndUnknownTest:
+    def test_plus_matches_reference_on_corpus(self, bench_corpus_calls):
+        calls = bench_corpus_calls["plus"]
+        assert len(calls) > 5000
+        for terms in calls:
+            assert plus(*terms) == _grouped_plus(*terms), [serialize(t) for t in terms]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_summands)
+    def test_plus_matches_reference(self, terms):
+        assert plus(*terms) == _grouped_plus(*terms)
+
+    def test_has_unknown_matches_name_set_on_corpus(self, bench_corpus_calls):
+        calls = bench_corpus_calls["has_unknown"]
+        assert len(calls) > 5000
+        outcomes = set()
+        for e, known in calls:
+            expected = any(n not in known for n in operand_names(e))
+            assert has_unknown(e, known) == has_unknown(e, set(known)) == expected
+            outcomes.add(expected)
+        assert outcomes == {False, True}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_expressions, st.frozensets(_names))
+    def test_has_unknown_matches_name_set(self, e, known):
+        assert has_unknown(e, known) == any(n not in known for n in operand_names(e))
 
 
 class TestRewriteCandidates:

@@ -25,15 +25,13 @@ from pmegen.oracle import (
     evaluate,
     gauss_jordan_inverse,
     gauss_solve,
-    kron_sylvester_solution,
-    min_symmetric_eigenvalue,
     relative_residual,
     sample_value,
     solve_transposed_lower_right,
     solve_triangular_sylvester,
 )
 
-from conftest import load_op, random_spec
+from conftest import kron_sylvester_solution, load_op, min_symmetric_eigenvalue, random_spec
 
 
 class TestBaseSolvers:

@@ -14,7 +14,7 @@ from pmegen.opspec import (
     Property,
     ROLE_KNOWN,
 )
-from pmegen.oracle import eval_size, min_symmetric_eigenvalue, sample_value
+from pmegen.oracle import eval_size, sample_value
 from pmegen.partition import (
     InadmissibleRuleError,
     PartitionRule,
@@ -24,6 +24,8 @@ from pmegen.partition import (
     inheritance_facts,
     spd_facts,
 )
+
+from conftest import min_symmetric_eigenvalue
 
 
 def decl(props=(), kind=KIND_MATRIX, dims=("m", "n"), name="A", role=ROLE_KNOWN):
