@@ -330,7 +330,7 @@ class TestSumAndUnknownTest:
         for terms in calls:
             assert plus(*terms) == _grouped_plus(*terms), [serialize(t) for t in terms]
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     @given(_summands)
     def test_plus_matches_reference(self, terms):
         assert plus(*terms) == _grouped_plus(*terms)
@@ -345,7 +345,7 @@ class TestSumAndUnknownTest:
             outcomes.add(expected)
         assert outcomes == {False, True}
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     @given(_expressions, st.frozensets(_names))
     def test_has_unknown_matches_name_set(self, e, known):
         assert has_unknown(e, known) == any(n not in known for n in operand_names(e))
