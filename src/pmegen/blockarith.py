@@ -246,7 +246,8 @@ def blocked_postcondition(
     away so the derivation loop only ever sees informative equations.
     """
     blocks = blocked_operands(spec, rules)
-    return _blocked_grid(spec, rules, blocks, known_blocks(spec, blocks))
+    known = frozenset(n for d in spec.inputs() for n in blocks[d.name].block_dims())
+    return _blocked_grid(spec, rules, blocks, known)
 
 
 def _blocked_grid(
@@ -273,16 +274,6 @@ def _blocked_grid(
         rows.append(tuple(out_row))
     grid = BlockedEquationGrid(tuple(rows), raw.row_sizes, raw.col_sizes)
     return detect_star(grid)
-
-
-def known_blocks(spec: OperationSpec, blocks: dict[str, BlockedOperand]) -> frozenset[str]:
-    """Names of every block of every input operand."""
-    known: set[str] = set()
-    for decl in spec.inputs():
-        for row in blocks[decl.name].cells:
-            for cell in row:
-                known |= operand_names(cell)
-    return frozenset(known)
 
 
 def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:

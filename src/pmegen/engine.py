@@ -483,10 +483,8 @@ def _blocking_table(
             for f in spd_facts(b):
                 if f not in inherited and f not in spd:
                     spd.append(f)
-        names: frozenset[str] = frozenset()
-        if decl.is_input:
-            names = names.union(*(operand_names(c) for row in b.cells for c in row))
-        table[rule] = (b, inherited, spd, b.block_dims(), names)
+        dims = b.block_dims()
+        table[rule] = (b, inherited, spd, dims, frozenset(dims if decl.is_input else ()))
     return table
 
 

@@ -107,6 +107,7 @@ class BlockedOperand:
         return (len(self.row_sizes), len(self.col_sizes))
 
     def block_dims(self) -> dict[str, Dimension]:
+        """Dimensions of each named block; no cell names any other block."""
         out: dict[str, Dimension] = {}
         for i, row in enumerate(self.cells):
             for j, cell in enumerate(row):
