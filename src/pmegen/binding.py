@@ -141,37 +141,28 @@ def _visit(
         if spec.operand(e.name).is_structured:
             dsu.union(r, c)
         return (r, c)
-    if isinstance(e, Minus):
-        return _visit(e.operand, spec, dsu, forced_keep)
-    if isinstance(e, Transpose):
-        r, c = _visit(e.operand, spec, dsu, forced_keep)
-        return (c, r)
-    if isinstance(e, Inverse):
-        r, c = _visit(e.operand, spec, dsu, forced_keep)
-        dsu.union(r, c)
-        # blocked inverses of partitioned operands are out of scope, so
-        # an inverted subtree pins its dimension group to "keep"
-        forced_keep.add(r)
-        return (r, c)
-    if isinstance(e, Times):
-        r, c = _visit(e.factors[0], spec, dsu, forced_keep)
-        for f in e.factors[1:]:
-            fr, fc = _visit(f, spec, dsu, forced_keep)
-            dsu.union(c, fr)
-            c = fc
-        return (r, c)
-    if isinstance(e, Plus):
-        r, c = _visit(e.terms[0], spec, dsu, forced_keep)
-        for t in e.terms[1:]:
-            tr_, tc = _visit(t, spec, dsu, forced_keep)
-            dsu.union(r, tr_)
-            dsu.union(c, tc)
-        return (r, c)
     if isinstance(e, SolvedBy):
         raise BindingError("solution operators may not appear in postconditions")
     if isinstance(e, Zero):
         raise BindingError("the zero block may not appear in postconditions")
-    raise BindingError(f"unsupported node {type(e).__name__}")
+    if not isinstance(e, (Minus, Transpose, Inverse, Times, Plus)):
+        raise BindingError(f"unsupported node {type(e).__name__}")
+    (r, c), *rest = [_visit(x, spec, dsu, forced_keep) for x in e.children()]
+    if isinstance(e, Transpose):
+        return (c, r)
+    if isinstance(e, Inverse):
+        dsu.union(r, c)
+        # blocked inverses of partitioned operands are out of scope, so
+        # an inverted subtree pins its dimension group to "keep"
+        forced_keep.add(r)
+    for xr, xc in rest:
+        if isinstance(e, Times):
+            dsu.union(c, xr)
+            c = xc
+        else:  # Plus
+            dsu.union(r, xr)
+            dsu.union(c, xc)
+    return (r, c)
 
 
 def analyze(spec: OperationSpec) -> BindingAnalysis:

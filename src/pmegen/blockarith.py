@@ -175,44 +175,29 @@ def _eval_blocked(
 ) -> _Grid | BlockedOperand:
     if isinstance(e, OperandRef):
         return blocks[e.name]
-    if isinstance(e, Times):
-        grid = _eval_blocked(e.factors[0], blocks)
-        for f in e.factors[1:]:
-            grid = _mul(grid, _eval_blocked(f, blocks))
-        return grid
-    if isinstance(e, Plus):
-        grid = _eval_blocked(e.terms[0], blocks)
-        for t in e.terms[1:]:
-            other = _eval_blocked(t, blocks)
-            _same_shape(grid, other, "sum")
-            cells = tuple(
-                tuple(plus(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(grid.cells, other.cells)
-            )
-            grid = _Grid(cells, grid.row_sizes, grid.col_sizes)
-        return grid
-    if isinstance(e, Minus):
-        inner = _eval_blocked(e.operand, blocks)
-        return _Grid(
-            tuple(tuple(minus(c) for c in row) for row in inner.cells),
-            inner.row_sizes,
-            inner.col_sizes,
-        )
-    if isinstance(e, Transpose):
-        inner = _eval_blocked(e.operand, blocks)
-        nr, nc = len(inner.row_sizes), len(inner.col_sizes)
-        cells = tuple(
-            tuple(trans(inner.cells[j][i]) for j in range(nr)) for i in range(nc)
-        )
-        return _Grid(cells, inner.col_sizes, inner.row_sizes)
-    if isinstance(e, Inverse):
-        inner = _eval_blocked(e.operand, blocks)
-        if (len(inner.row_sizes), len(inner.col_sizes)) != (1, 1):
-            raise ConformanceError("blocked inverses of partitioned operands are unsupported")
-        return _Grid(((inv(inner.cells[0][0]),),), inner.row_sizes, inner.col_sizes)
     if isinstance(e, SolvedBy):
         raise ConformanceError("solution operators may not appear in postconditions")
-    raise ConformanceError(f"cannot block node {type(e).__name__}")
+    if not isinstance(e, (Times, Plus, Minus, Transpose, Inverse)):
+        raise ConformanceError(f"cannot block node {type(e).__name__}")
+    grid, *rest = [_eval_blocked(x, blocks) for x in e.children()]
+    rows, cols = grid.row_sizes, grid.col_sizes
+    if isinstance(e, Times):
+        for other in rest:
+            grid = _mul(grid, other)
+        return grid
+    if isinstance(e, Plus):
+        for other in rest:
+            _same_shape(grid, other, "sum")
+            cells = tuple(tuple(map(plus, ra, rb)) for ra, rb in zip(grid.cells, other.cells))
+            grid = _Grid(cells, rows, cols)
+        return grid
+    if isinstance(e, Minus):
+        return _Grid(tuple(tuple(map(minus, row)) for row in grid.cells), rows, cols)
+    if isinstance(e, Transpose):
+        return _Grid(tuple(tuple(map(trans, col)) for col in zip(*grid.cells)), cols, rows)
+    if (len(rows), len(cols)) != (1, 1):
+        raise ConformanceError("blocked inverses of partitioned operands are unsupported")
+    return _Grid(((inv(grid.cells[0][0]),),), rows, cols)
 
 
 def raw_blocked_equations(

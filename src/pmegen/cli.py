@@ -45,7 +45,7 @@ from .engine import (
     PatternConflictError,
     StuckDerivation,
 )
-from .expr import parse_prefix_equation, serialize_equation
+from .expr import operand_names, parse_prefix_equation, serialize_equation
 from .opspec import (
     OperationSpec,
     SpecError,
@@ -245,7 +245,8 @@ def _resolve_pme(pme: PME, spec: OperationSpec, combos: Sequence[RuleCombination
     """``pme`` over the spec's own combination, once its layout is that blocking's.
 
     The combination must be one of ``combos`` (the spec's), the block sizes
-    those of its grid, and ``order`` must list distinct solved positions.
+    those of its grid, every cell may name only blocks of its blocking, and
+    ``order`` must list distinct solved positions.
     A PME of another operation comes back as it is: ``check_pme`` rejects it.
     """
     if pme.operation != spec.name:
@@ -256,13 +257,22 @@ def _resolve_pme(pme: PME, spec: OperationSpec, combos: Sequence[RuleCombination
             f"PME combination {pme.combination.index} is not one that "
             f"operation {spec.name} enumerates"
         )
-    grid = raw_blocked_equations(spec, blocked_operands(spec, combo))
+    blocks = blocked_operands(spec, combo)
+    grid = raw_blocked_equations(spec, blocks)
     sizes = (list(pme.row_sizes), list(pme.col_sizes))
     if sizes != (list(grid.row_sizes), list(grid.col_sizes)):
         raise ValueError(
             f"PME combination {combo.index}: block sizes {sizes[0]} x {sizes[1]} "
             f"are not its blocking's {list(grid.row_sizes)} x {list(grid.col_sizes)}"
         )
+    names = {n for b in blocks.values() for n in b.block_dims()}
+    for q in pme.all_cells():
+        for name in sorted(operand_names(q.equation.lhs) | operand_names(q.equation.rhs)):
+            if name not in names:
+                raise ValueError(
+                    f"PME combination {combo.index}: cell {q.position} names {name}, "
+                    f"which is not a block of its blocking"
+                )
     solved = [q.position for q in pme.all_cells() if q.status == STATUS_SOLVED]
     if any(p not in solved for p in pme.order) or len(set(pme.order)) != len(pme.order):
         raise ValueError(

@@ -34,6 +34,7 @@ from .expr import (
     Times,
     Transpose,
     Zero,
+    walk,
 )
 from .opspec import KIND_SCALAR, OperationSpec, Property
 
@@ -178,14 +179,6 @@ BASE_SOLVERS: dict[str, Callable[..., np.ndarray]] = {
 # sampling
 
 
-@dataclass(frozen=True, slots=True)
-class NumericBinding:
-    """Concrete sizes for symbols and concrete values for operands."""
-
-    sizes: Mapping[str, int]
-    values: Mapping[str, np.ndarray]
-
-
 def eval_size(size: str, sizes: Mapping[str, int]) -> int:
     """Evaluate a size expression: a symbol, the literal 1, or ``a-b``."""
     if "-" in size:
@@ -242,16 +235,16 @@ def sample_value(
 
 
 def evaluate(
-    e: Expression, binding: NumericBinding, shape: Optional[tuple[int, int]] = None
+    e: Expression, values: Mapping[str, np.ndarray], shape: Optional[tuple[int, int]] = None
 ) -> np.ndarray:
-    """Evaluate an expression under a numeric binding.
+    """Evaluate an expression over the values of its operands and blocks.
 
     ``shape`` supplies the dimensions of a bare zero block, which carries
     no size information of its own.
     """
     if isinstance(e, OperandRef):
         try:
-            return binding.values[e.name]
+            return values[e.name]
         except KeyError:
             raise UnboundOperandError(f"operand {e.name} is unbound") from None
     if isinstance(e, Zero):
@@ -259,21 +252,21 @@ def evaluate(
             raise OracleError("cannot size a bare zero block without context")
         return np.zeros(shape)
     if isinstance(e, Plus):
-        acc = evaluate(e.terms[0], binding, shape)
+        acc = evaluate(e.terms[0], values, shape)
         for t in e.terms[1:]:
-            acc = acc + evaluate(t, binding, shape)
+            acc = acc + evaluate(t, values, shape)
         return acc
     if isinstance(e, Times):
-        acc = evaluate(e.factors[0], binding)
+        acc = evaluate(e.factors[0], values)
         for f in e.factors[1:]:
-            acc = acc @ evaluate(f, binding)
+            acc = acc @ evaluate(f, values)
         return acc
     if isinstance(e, Minus):
-        return -evaluate(e.operand, binding, shape)
+        return -evaluate(e.operand, values, shape)
     if isinstance(e, Transpose):
-        return evaluate(e.operand, binding).T
+        return evaluate(e.operand, values).T
     if isinstance(e, Inverse):
-        return gauss_jordan_inverse(evaluate(e.operand, binding))
+        return gauss_jordan_inverse(evaluate(e.operand, values))
     if isinstance(e, SolvedBy):
         try:
             solver = BASE_SOLVERS[e.operator_name]
@@ -281,7 +274,7 @@ def evaluate(
             raise OracleError(
                 f"no base solver for operator {e.operator_name}"
             ) from None
-        args = [evaluate(a, binding) for a in e.arguments]
+        args = [evaluate(a, values) for a in e.arguments]
         return solver(*args)
     raise OracleError(f"cannot evaluate node {type(e).__name__}")
 
@@ -393,6 +386,16 @@ def check_pme(
         equation, rows, cols = where[pos]
         if not isinstance(equation.lhs, OperandRef):
             raise OracleError(f"cell {pos} does not assign a single block")
+        # a base solver takes a fixed number of blocks; an operator without
+        # one fails at its first evaluation
+        for node in walk(equation.rhs):
+            solver = isinstance(node, SolvedBy) and BASE_SOLVERS.get(node.operator_name)
+            if solver and solver.__code__.co_argcount != len(node.arguments):
+                raise OracleError(
+                    f"cell {pos} applies operator {node.operator_name} to "
+                    f"{len(node.arguments)} arguments, but its solver takes "
+                    f"{solver.__code__.co_argcount}"
+                )
         steps.append((equation.lhs.name, equation.rhs, rows, cols))
     size_strings = sorted({*block_sizes, *(s for step in steps for s in step[2:])})
 
@@ -415,7 +418,6 @@ def check_pme(
 
         # sample full inputs, then slice them into their blocks
         values: dict[str, np.ndarray] = {}
-        binding = NumericBinding(sizes=sizes, values=values)
         for decl, rows, cols, cells in inputs:
             r, c = edges[rows], edges[cols]
             full = sample_value(decl.kind, (r[-1], c[-1]), decl.properties, rng)
@@ -423,18 +425,18 @@ def check_pme(
             for i, j, name in cells:
                 values[name] = full[r[i] : r[i + 1], c[j] : c[j + 1]]
         for name, rhs, rows, cols in steps:
-            values[name] = evaluate(rhs, binding, (size_of[rows], size_of[cols]))
+            values[name] = evaluate(rhs, values, (size_of[rows], size_of[cols]))
         # assemble blocked outputs into full operands
         for name, rows, cols, cells in outputs:
             r, c = edges[rows], edges[cols]
             full = np.zeros((r[-1], c[-1]))
             for i, j, cell in cells:
                 shape = (r[i + 1] - r[i], c[j + 1] - c[j])
-                full[r[i] : r[i + 1], c[j] : c[j + 1]] = evaluate(cell, binding, shape)
+                full[r[i] : r[i + 1], c[j] : c[j + 1]] = evaluate(cell, values, shape)
             values[name] = full
         residual = relative_residual(
-            evaluate(spec.postcondition.lhs, binding),
-            evaluate(spec.postcondition.rhs, binding),
+            evaluate(spec.postcondition.lhs, values),
+            evaluate(spec.postcondition.rhs, values),
         )
         worst = max(worst, residual)
         results.append(

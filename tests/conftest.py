@@ -37,7 +37,6 @@ from pmegen.opspec import (
     parse_operation,
 )
 from pmegen.oracle import (
-    NumericBinding,
     block_edges,
     eval_size,
     evaluate,
@@ -202,19 +201,39 @@ def bench_corpus():
 
 
 @pytest.fixture(scope="session")
-def bench_corpus_calls() -> dict[str, list]:
-    """Distinct arguments that deriving the benchmark's spd family (with and
-    without ``ops/``) and fuzz seeds 0-299 passes to three functions; the
-    corpus is derived once per session.
+def corpus_run() -> dict[str, list]:
+    """The corpus, derived once per session, with what the derivation passes
+    to five functions recorded.
 
-    ``"prove_spd"`` holds each SPD query with a snapshot of its state,
-    ``"plus"`` each argument tuple of ``expr.plus``, and ``"has_unknown"``
-    each expression with a frozen copy of its known names.
+    The corpus is the benchmark's spd family, with and without ``ops/``,
+    and :func:`corpus_specs` with ``ops/``.  No fuzz seed nests, so
+    ``ops/`` changes none of their results; it only adds the calls that
+    look for a nested derivation.
+
+    - ``"derived"``: (label, spec, ``derive_each`` results), with None as
+      the results of a spec without viable partitionings;
+    - ``"states"``: each ``_initial_state`` state, as its derivation left it;
+    - ``"grids"``: each grid of ``raw_blocked_equations``;
+    - ``"prove_spd"``: each distinct SPD query, with a snapshot of its state;
+    - ``"plus"``: each distinct argument tuple of ``expr.plus``;
+    - ``"has_unknown"``: each distinct expression, with a frozen copy of its
+      known names.
     """
+    states: list[engine.DerivationState] = []
+    grids: list[blockarith.BlockedEquationGrid] = []
     queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
     sums: dict[tuple[str, ...], tuple[Expression, ...]] = {}
     unknowns: dict[tuple[str, frozenset[str]], tuple[Expression, frozenset[str]]] = {}
+    real_state, real_raw = engine._initial_state, blockarith.raw_blocked_equations
     real_prove, real_plus, real_has_unknown = engine.prove_spd, expr.plus, expr.has_unknown
+
+    def initial_state(*args):
+        states.append(real_state(*args))
+        return states[-1]
+
+    def raw_blocked_equations(*args):
+        grids.append(real_raw(*args))
+        return grids[-1]
 
     def prove_spd(e, state):
         key = (
@@ -236,21 +255,31 @@ def bench_corpus_calls() -> dict[str, list]:
         unknowns.setdefault((serialize(e), known), (e, known))
         return real_has_unknown(e, known)
 
-    specs = [parse_operation(text) for _, text in bench_corpus().spd_family()]
-    runs = [(spec, ops_dir) for spec in specs for ops_dir in (None, OPS_DIR)]
-    runs += [(random_spec(np.random.default_rng(s)), None) for s in range(300)]
+    runs = [
+        (f"spd:{name}:{'ops' if ops_dir else 'none'}", parse_operation(text), ops_dir)
+        for name, text in bench_corpus().spd_family()
+        for ops_dir in (None, OPS_DIR)
+    ]
+    runs += [(label, spec, OPS_DIR) for label, spec in corpus_specs()]
+    derived = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_initial_state", initial_state)
+        mp.setattr(blockarith, "raw_blocked_equations", raw_blocked_equations)
         mp.setattr(engine, "prove_spd", prove_spd)
         # every module that imports ``plus`` by name, and expr for its own callers
         for module in (expr, blockarith, engine, opspec, partition):
             mp.setattr(module, "plus", plus_)
         mp.setattr(expr, "has_unknown", has_unknown)
-        for spec, ops_dir in runs:
+        for label, spec, ops_dir in runs:
             try:
-                engine.derive_all(spec, engine.seed_builtins(), ops_dir=ops_dir)
-            except (engine.AllCombinationsStuck, NoViablePartitioningsError):
-                pass
+                results = engine.derive_each(spec, engine.seed_builtins(), ops_dir=ops_dir)
+            except NoViablePartitioningsError:
+                results = None
+            derived.append((label, spec, results))
     return {
+        "derived": derived,
+        "states": states,
+        "grids": grids,
         "prove_spd": list(queries.values()),
         "plus": list(sums.values()),
         "has_unknown": list(unknowns.values()),
@@ -258,10 +287,10 @@ def bench_corpus_calls() -> dict[str, list]:
 
 
 @pytest.fixture(scope="session")
-def spd_corpus_queries(bench_corpus_calls) -> list[tuple[Expression, engine.DerivationState]]:
+def spd_corpus_queries(corpus_run) -> list[tuple[Expression, engine.DerivationState]]:
     """Every distinct SPD query, with a snapshot of its state, that deriving
-    the benchmark's corpus asks (see ``bench_corpus_calls``)."""
-    return bench_corpus_calls["prove_spd"]
+    the corpus asks (see ``corpus_run``)."""
+    return corpus_run["prove_spd"]
 
 
 def _names_of(e: Expression) -> frozenset[str]:
@@ -322,9 +351,8 @@ def check_blocking_faithful(
                         row_edges[i] : row_edges[i + 1],
                         col_edges[j] : col_edges[j + 1],
                     ]
-    binding = NumericBinding(sizes=sizes, values=values)
-    lhs_full = evaluate(spec.postcondition.lhs, binding)
-    rhs_full = evaluate(spec.postcondition.rhs, binding)
+    lhs_full = evaluate(spec.postcondition.lhs, values)
+    rhs_full = evaluate(spec.postcondition.rhs, values)
     row_edges = block_edges(grid.row_sizes, size_of)
     col_edges = block_edges(grid.col_sizes, size_of)
     scale_l = max(float(np.linalg.norm(lhs_full)), 1.0)
@@ -336,8 +364,8 @@ def check_blocking_faithful(
                 row_edges[i + 1] - row_edges[i],
                 col_edges[j + 1] - col_edges[j],
             )
-            lv = evaluate(q.equation.lhs, binding, shape=shape)
-            rv = evaluate(q.equation.rhs, binding, shape=shape)
+            lv = evaluate(q.equation.lhs, values, shape=shape)
+            rv = evaluate(q.equation.rhs, values, shape=shape)
             ls = lhs_full[row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]]
             rs = rhs_full[row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]]
             assert np.linalg.norm(lv - ls) / scale_l <= tol

@@ -40,7 +40,6 @@ from pmegen.expr import (
     trans,
 )
 from pmegen.oracle import (
-    NumericBinding,
     check_pme,
     cholesky_lower,
     evaluate,
@@ -230,18 +229,15 @@ def test_criterion_7_spd_prover():
             base = rng.uniform(-1.0, 1.0, (n, n))
             a = base.T @ base + n * np.eye(n)
             l = cholesky_lower(a)
-            binding = NumericBinding(
-                sizes={},
-                values={
-                    "A_TL": a[:k, :k],
-                    "A_BL": a[k:, :k],
-                    "A_BR": a[k:, k:],
-                    "L_TL": l[:k, :k],
-                    "L_BL": l[k:, :k],
-                },
-            )
+            values = {
+                "A_TL": a[:k, :k],
+                "A_BL": a[k:, :k],
+                "A_BR": a[k:, k:],
+                "L_TL": l[:k, :k],
+                "L_BL": l[k:, :k],
+            }
             for e in accepted:
-                assert min_symmetric_eigenvalue(evaluate(e, binding)) > 0
+                assert min_symmetric_eigenvalue(evaluate(e, values)) > 0
 
 
 def test_criterion_8_pattern_learning(tmp_path):

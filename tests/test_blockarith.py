@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pmegen.binding import BindingError, RuleCombination, enumerate_combinations
+from pmegen.binding import RuleCombination, enumerate_combinations
 from pmegen.blockarith import (
     ConformanceError,
     STATUS_SOLVED,
@@ -29,7 +29,7 @@ from pmegen.expr import (
 from pmegen.opspec import parse_operation
 from pmegen.partition import PartitionRule, PartitionShape
 
-from conftest import check_blocking_faithful, corpus_specs, random_spec
+from conftest import check_blocking_faithful, random_spec
 
 R = PartitionShape
 
@@ -231,31 +231,17 @@ class TestNumericFaithfulness:
 
 
 # ---------------------------------------------------------------------------
-# the corpus: every combination of the specs of conftest.corpus_specs
+# the corpus: every grid that deriving conftest's corpus_run builds
 
 
-@pytest.fixture(scope="module")
-def corpus_grids():
-    """(label, raw grid, blocked postcondition) for every corpus combination."""
-    out = []
-    for label, spec in corpus_specs():
-        try:
-            combos = enumerate_combinations(spec)
-        except BindingError:
-            continue
-        for rules in combos:
-            raw = raw_blocked_equations(spec, blocked_operands(spec, rules))
-            out.append((f"{label}:{rules.index}", raw, blocked_postcondition(spec, rules)))
-    return out
-
-
-def test_grid_sides_are_normal(corpus_grids):
+def test_grid_sides_are_normal(corpus_run):
     """Canonicalization and star detection skip normalize on these trees."""
-    assert len(corpus_grids) > 2000
-    for label, raw, grid in corpus_grids:
-        for q in raw.all_cells() + grid.all_cells():
+    raw, blocked = corpus_run["grids"], [s.grid for s in corpus_run["states"]]
+    assert len(raw) == len(blocked) > 2000
+    for grid in raw + blocked:
+        for q in grid.all_cells():
             for side in (q.equation.lhs, q.equation.rhs):
-                assert normalize(side) == side, (label, q.position)
+                assert normalize(side) == side, serialize_equation(q.equation)
 
 
 def reference_star(grid):
@@ -283,13 +269,14 @@ def reference_star(grid):
     return out
 
 
-def test_detect_star_matches_all_pairs_reference(corpus_grids):
+def test_detect_star_matches_all_pairs_reference(corpus_run):
     stars = 0
-    for label, _, grid in corpus_grids:
+    for state in corpus_run["states"]:
+        grid = state.grid
         unmarked = grid
         for q in grid.all_cells():
             if q.status == STATUS_STAR:
                 stars += 1
                 unmarked = unmarked.with_cell(replace(q, status=STATUS_UNSOLVED, partner=None))
-        assert detect_star(unmarked) == reference_star(unmarked) == grid, label
+        assert detect_star(unmarked) == reference_star(unmarked) == grid, str(grid)
     assert stars > 0

@@ -434,6 +434,42 @@ class TestCheck:
         err = self._check_rejects(doc, tmp_path, capsys)
         assert "block sizes ['m'] x [1.5, 'n-k2'] are not its blocking's" in err
 
+    def _cholesky_with_br(self, equation, tmp_path, capsys) -> str:
+        """A cholesky PME document whose BR cell holds ``equation``."""
+        code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
+        doc = json.loads(out)
+        next(c for c in doc["pmes"][0]["cells"] if c["position"] == "BR")["equation"] = equation
+        pme_file = tmp_path / "edited.json"
+        pme_file.write_text(json.dumps(doc))
+        return str(pme_file)
+
+    @pytest.mark.parametrize("trials", ["2", "0"])
+    def test_cell_naming_no_block_rejected(self, trials, tmp_path, capsys):
+        equation = "(eq L_BR (solved Gamma (plus (minus (times L_BL (trans L_BL))) Z_BR)))"
+        path = self._cholesky_with_br(equation, tmp_path, capsys)
+        code, out, err = run_main(["check", CHOLESKY_OP, path, "--trials", trials], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "error: PME combination 1: cell BR names Z_BR, "
+            "which is not a block of its blocking\n"
+        )
+
+    def test_solver_given_wrong_number_of_arguments(self, tmp_path, capsys):
+        path = self._cholesky_with_br("(eq L_BR (solved Gamma A_BR A_TL))", tmp_path, capsys)
+        code, out, err = run_main(["check", CHOLESKY_OP, path, "--trials", "2"], capsys)
+        assert (code, out) == (EXIT_CHECK_FAILED, "")
+        assert err == (
+            "error: cell BR applies operator Gamma to 2 arguments, but its solver takes 1\n"
+        )
+
+    def test_operator_without_solver_passes_zero_trials(self, tmp_path, capsys):
+        # only an operator with a base solver has an arity to check
+        path = self._cholesky_with_br("(eq L_BR (solved Trmm A_BR A_TL))", tmp_path, capsys)
+        code, out, err = run_main(["check", CHOLESKY_OP, path, "--trials", "0"], capsys)
+        assert (code, out, err) == (EXIT_OK, "warning: trials=0, nothing checked\n", "")
+        code, out, err = run_main(["check", CHOLESKY_OP, path, "--trials", "1"], capsys)
+        assert (code, err) == (EXIT_CHECK_FAILED, "error: no base solver for operator Trmm\n")
+
     def test_mutated_documents_exit_without_traceback(self, tmp_path, capsys):
         rng = random.Random(2026)
         docs = {}

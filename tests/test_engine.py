@@ -56,7 +56,6 @@ from pmegen.partition import PropertyFact
 from conftest import (
     OPS_DIR,
     bench_corpus,
-    corpus_specs,
     load_op,
     min_symmetric_eigenvalue,
     random_spec,
@@ -281,11 +280,10 @@ class TestProveSpd:
             "L_TL": l[:k, :k],
             "L_BL": l[k:, :k],
         }
-        from pmegen.oracle import NumericBinding, evaluate
+        from pmegen.oracle import evaluate
 
-        binding = NumericBinding(sizes={}, values=values)
         for e in accepted:
-            assert min_symmetric_eigenvalue(evaluate(e, binding)) > 0
+            assert min_symmetric_eigenvalue(evaluate(e, values)) > 0
 
     @pytest.mark.parametrize("with_ops_dir", [False, True])
     def test_pruned_search_step_matches_full_rebuild(self, with_ops_dir, monkeypatch):
@@ -735,37 +733,26 @@ class TestDeriveAll:
                     assert by_rule.setdefault(rule, blocks[name]) is blocks[name]
             assert len(by_rule) == len(distinct)
 
-    def test_derive_path_trees_are_normal(self, monkeypatch):
+    def test_derive_path_trees_are_normal(self, corpus_run):
         """The smart constructors keep every tree the derivation builds
         normal, so only the input boundaries call normalize."""
-        states = []
-
-        def recorded(*args):
-            states.append(real(*args))
-            return states[-1]
-
-        real = engine._initial_state
-        monkeypatch.setattr(engine, "_initial_state", recorded)
-        kb = seed_builtins()
-        equations = [eq for p in kb.builtins for eq in (p.template, p.solved)]
+        equations = [eq for p in seed_builtins().builtins for eq in (p.template, p.solved)]
         solved_cells = 0
-        for _, spec in corpus_specs():
+        for _, spec, results in corpus_run["derived"]:
+            # the derived spec is the one its text parses back to
             parsed = parse_operation(render_spec(spec))
+            assert parsed == spec
             pattern = pattern_from_spec(parsed, provenance="self")
             equations += [parsed.postcondition, pattern.template, pattern.solved]
-            try:
-                results = derive_each(parsed, kb, ops_dir=OPS_DIR)
-            except NoViablePartitioningsError:
-                continue
-            for pme in results:
+            for pme in results or ():
                 if isinstance(pme, StuckDerivation):
                     continue
                 for q in pme.all_cells():
                     if q.status == STATUS_SOLVED:
                         equations.append(q.equation)
                         solved_cells += 1
-        facts = [f for state in states for f in state.facts]
-        tautologies = [t for state in states for t in state.tautologies]
+        facts = [f for state in corpus_run["states"] for f in state.facts]
+        tautologies = [t for state in corpus_run["states"] for t in state.tautologies]
         equations += tautologies
         assert solved_cells > 800 and len(tautologies) > 1500
         assert sum(f.property is Property.SPD for f in facts) > 1000

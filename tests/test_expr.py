@@ -38,7 +38,7 @@ from pmegen.expr import (
     to_canonical_equation,
     trans,
 )
-from pmegen.oracle import NumericBinding, evaluate
+from pmegen.oracle import evaluate
 
 A, B, C, X = ref("A"), ref("B"), ref("C"), ref("X")
 L_TL, L_BL, L_BR = ref("L_TL"), ref("L_BL"), ref("L_BR")
@@ -271,9 +271,8 @@ class TestCanonicalEquation:
         )
         out = to_canonical_equation(eq, {"Q", "R", "T"})
         values = {k: rng.uniform(-1, 1, (n, n)) for k in ("P", "Q", "R", "S", "T")}
-        binding = NumericBinding(sizes={}, values=values)
-        before = evaluate(eq.lhs, binding) - evaluate(eq.rhs, binding)
-        after = evaluate(out.lhs, binding) - evaluate(out.rhs, binding)
+        before = evaluate(eq.lhs, values) - evaluate(eq.rhs, values)
+        after = evaluate(out.lhs, values) - evaluate(out.rhs, values)
         flipped = min(
             np.linalg.norm(before - after), np.linalg.norm(before + after)
         )
@@ -324,8 +323,8 @@ _summands = st.lists(
 
 
 class TestSumAndUnknownTest:
-    def test_plus_matches_reference_on_corpus(self, bench_corpus_calls):
-        calls = bench_corpus_calls["plus"]
+    def test_plus_matches_reference_on_corpus(self, corpus_run):
+        calls = corpus_run["plus"]
         assert len(calls) > 5000
         for terms in calls:
             assert plus(*terms) == _grouped_plus(*terms), [serialize(t) for t in terms]
@@ -335,8 +334,8 @@ class TestSumAndUnknownTest:
     def test_plus_matches_reference(self, terms):
         assert plus(*terms) == _grouped_plus(*terms)
 
-    def test_has_unknown_matches_name_set_on_corpus(self, bench_corpus_calls):
-        calls = bench_corpus_calls["has_unknown"]
+    def test_has_unknown_matches_name_set_on_corpus(self, corpus_run):
+        calls = corpus_run["has_unknown"]
         assert len(calls) > 5000
         outcomes = set()
         for e, known in calls:
@@ -385,7 +384,6 @@ def test_normalize_numerically_sound(seed):
     values = {
         k: rng.uniform(-1.0, 1.0, (n, n)) + (n + 2) * np.eye(n) for k in names
     }
-    binding = NumericBinding(sizes={}, values=values)
 
     def flat(cls, parts):
         out = []
@@ -412,8 +410,8 @@ def test_normalize_numerically_sound(seed):
     from pmegen.oracle import SingularMatrixError
 
     try:
-        direct = evaluate(e, binding)
-        canon = evaluate(normalize(e), binding)
+        direct = evaluate(e, values)
+        canon = evaluate(normalize(e), values)
     except SingularMatrixError:
         pytest.skip("randomly singular inverse argument")
     scale = max(np.linalg.norm(direct), 1.0)

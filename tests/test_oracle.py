@@ -16,7 +16,6 @@ from pmegen.expr import (
 )
 from pmegen.opspec import KIND_MATRIX, Property
 from pmegen.oracle import (
-    NumericBinding,
     OracleError,
     SingularMatrixError,
     UnboundOperandError,
@@ -132,20 +131,15 @@ class TestSampling:
 
 class TestEvaluate:
     def test_scalar_factor_solver(self):
-        binding = NumericBinding(sizes={}, values={"a": np.array([[4.0]])})
-        out = evaluate(solved_by("Gamma", [ref("a")]), binding)
+        out = evaluate(solved_by("Gamma", [ref("a")]), {"a": np.array([[4.0]])})
         assert out.shape == (1, 1) and abs(out[0, 0] - 2.0) <= 1e-15
 
     def test_factor_round_trip(self):
         rng = np.random.default_rng(1)
         base = rng.uniform(-1, 1, (5, 5))
         a = base.T @ base + 5 * np.eye(5)
-        binding = NumericBinding(sizes={}, values={"A": a})
-        l = evaluate(solved_by("Gamma", [ref("A")]), binding)
-        rebuilt = evaluate(
-            times(ref("L"), trans(ref("L"))),
-            NumericBinding(sizes={}, values={"L": l}),
-        )
+        l = evaluate(solved_by("Gamma", [ref("A")]), {"A": a})
+        rebuilt = evaluate(times(ref("L"), trans(ref("L"))), {"L": l})
         assert relative_residual(rebuilt, a) <= 1e-12
 
     def test_sylvester_operator_residual(self):
@@ -155,30 +149,25 @@ class TestEvaluate:
         u = np.triu(rng.uniform(-1, 1, (3, 3)))
         np.fill_diagonal(u, rng.uniform(1, 2, 3))
         c = rng.uniform(-1, 1, (4, 3))
-        binding = NumericBinding(
-            sizes={}, values={"L": l, "U": u, "C": c}
-        )
-        x = evaluate(solved_by("Omega", [ref("L"), ref("U"), ref("C")]), binding)
+        values = {"L": l, "U": u, "C": c}
+        x = evaluate(solved_by("Omega", [ref("L"), ref("U"), ref("C")]), values)
         assert relative_residual(l @ x + x @ u, c) <= 1e-10
 
     def test_unbound_operand(self):
         with pytest.raises(UnboundOperandError):
-            evaluate(ref("missing"), NumericBinding(sizes={}, values={}))
+            evaluate(ref("missing"), {})
 
     def test_bare_zero_needs_shape(self):
         from pmegen.expr import ZERO
 
         with pytest.raises(OracleError, match="zero"):
-            evaluate(ZERO, NumericBinding(sizes={}, values={}))
-        out = evaluate(ZERO, NumericBinding(sizes={}, values={}), shape=(2, 3))
+            evaluate(ZERO, {})
+        out = evaluate(ZERO, {}, shape=(2, 3))
         assert np.array_equal(out, np.zeros((2, 3)))
 
     def test_unknown_operator(self):
         with pytest.raises(OracleError, match="base solver"):
-            evaluate(
-                solved_by("Mystery", [ref("a")]),
-                NumericBinding(sizes={}, values={"a": np.eye(2)}),
-            )
+            evaluate(solved_by("Mystery", [ref("a")]), {"a": np.eye(2)})
 
 
 class TestCheckPme:
