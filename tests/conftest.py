@@ -210,8 +210,8 @@ def corpus_run() -> dict[str, list]:
     ``ops/`` changes none of their results; it only adds the calls that
     look for a nested derivation.
 
-    - ``"derived"``: (label, spec, ``derive_each`` results), with None as
-      the results of a spec without viable partitionings;
+    - ``"derived"``: (spec, ``derive_each`` results), with None as the
+      results of a spec without viable partitionings;
     - ``"states"``: each ``_initial_state`` state, as its derivation left it;
     - ``"grids"``: each grid of ``raw_blocked_equations``;
     - ``"prove_spd"``: each distinct SPD query, with a snapshot of its state;
@@ -255,12 +255,9 @@ def corpus_run() -> dict[str, list]:
         unknowns.setdefault((serialize(e), known), (e, known))
         return real_has_unknown(e, known)
 
-    runs = [
-        (f"spd:{name}:{'ops' if ops_dir else 'none'}", parse_operation(text), ops_dir)
-        for name, text in bench_corpus().spd_family()
-        for ops_dir in (None, OPS_DIR)
-    ]
-    runs += [(label, spec, OPS_DIR) for label, spec in corpus_specs()]
+    specs = [parse_operation(text) for _, text in bench_corpus().spd_family()]
+    runs = [(spec, ops_dir) for spec in specs for ops_dir in (None, OPS_DIR)]
+    runs += [(spec, OPS_DIR) for _, spec in corpus_specs()]
     derived = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_initial_state", initial_state)
@@ -270,12 +267,12 @@ def corpus_run() -> dict[str, list]:
         for module in (expr, blockarith, engine, opspec, partition):
             mp.setattr(module, "plus", plus_)
         mp.setattr(expr, "has_unknown", has_unknown)
-        for label, spec, ops_dir in runs:
+        for spec, ops_dir in runs:
             try:
                 results = engine.derive_each(spec, engine.seed_builtins(), ops_dir=ops_dir)
             except NoViablePartitioningsError:
                 results = None
-            derived.append((label, spec, results))
+            derived.append((spec, results))
     return {
         "derived": derived,
         "states": states,

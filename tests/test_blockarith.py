@@ -271,8 +271,7 @@ def reference_star(grid):
 
 def test_detect_star_matches_all_pairs_reference(corpus_run):
     stars = 0
-    for state in corpus_run["states"]:
-        grid = state.grid
+    for grid in (state.grid for state in corpus_run["states"]):
         unmarked = grid
         for q in grid.all_cells():
             if q.status == STATUS_STAR:

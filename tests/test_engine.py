@@ -738,7 +738,7 @@ class TestDeriveAll:
         normal, so only the input boundaries call normalize."""
         equations = [eq for p in seed_builtins().builtins for eq in (p.template, p.solved)]
         solved_cells = 0
-        for _, spec, results in corpus_run["derived"]:
+        for spec, results in corpus_run["derived"]:
             # the derived spec is the one its text parses back to
             parsed = parse_operation(render_spec(spec))
             assert parsed == spec
