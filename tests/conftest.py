@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 from dataclasses import replace
 
@@ -37,15 +38,132 @@ from pmegen.opspec import (
     parse_operation,
 )
 from pmegen.oracle import (
+    CONDITION_LIMIT,
+    OracleError,
+    SingularMatrixError,
     block_edges,
     eval_size,
     evaluate,
-    gauss_solve,
     sample_value,
 )
 
 OPS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "ops")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+# ---------------------------------------------------------------------------
+# first-principles solvers: the independent references for the oracle's
+# LAPACK kernels
+
+
+def cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor by the column-by-column recurrence."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise OracleError("cholesky needs a square matrix")
+    l = np.zeros_like(a)
+    for j in range(n):
+        d = a[j, j] - np.dot(l[j, :j], l[j, :j])
+        if d <= 0.0:
+            raise OracleError(f"matrix is not positive definite at column {j}")
+        l[j, j] = math.sqrt(d)
+        for i in range(j + 1, n):
+            l[i, j] = (a[i, j] - np.dot(l[i, :j], l[j, :j])) / l[j, j]
+    return l
+
+
+def solve_triangular_sylvester(
+    l: np.ndarray, u: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """Solve ``l x + x u = c`` with l lower and u upper triangular.
+
+    Entry (i, j) depends only on earlier rows of the same column and
+    earlier columns of the same row, so a forward sweep suffices.
+    """
+    l = np.asarray(l, dtype=float)
+    u = np.asarray(u, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = c.shape
+    x = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            denom = l[i, i] + u[j, j]
+            if abs(denom) < 1e-13:
+                raise SingularMatrixError(
+                    f"diagonal sum vanished at entry ({i}, {j})"
+                )
+            acc = c[i, j]
+            acc -= np.dot(l[i, :i], x[:i, j])
+            acc -= np.dot(x[i, :j], u[:j, j])
+            x[i, j] = acc / denom
+    return x
+
+
+def solve_transposed_lower_right(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``x @ l.T = b`` for lower triangular ``l`` by back substitution."""
+    l = np.asarray(l, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = b.shape
+    x = np.zeros((m, n))
+    for j in range(n):
+        if abs(l[j, j]) < 1e-13:
+            raise SingularMatrixError(f"zero diagonal at column {j}")
+        for i in range(m):
+            x[i, j] = (b[i, j] - np.dot(x[i, :j], l[j, :j])) / l[j, j]
+    return x
+
+
+def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse by Gauss-Jordan elimination with partial pivoting."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise OracleError("inverse needs a square matrix")
+    work = np.hstack([a.copy(), np.eye(n)])
+    scale = max(np.max(np.abs(a)), 1.0)
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
+        if abs(work[pivot_row, col]) < 1e-13 * scale:
+            raise SingularMatrixError(f"singular at column {col}")
+        if pivot_row != col:
+            work[[col, pivot_row]] = work[[pivot_row, col]]
+        work[col] /= work[col, col]
+        factors = work[:, col].copy()
+        factors[col] = 0.0
+        work -= np.outer(factors, work[col])
+    out = work[:, n:]
+    # crude condition estimate guards against meaningless results
+    cond = float(np.abs(a).sum(axis=1).max() * np.abs(out).sum(axis=1).max())
+    if cond > CONDITION_LIMIT:
+        raise SingularMatrixError(f"condition estimate {cond:.2e} too large")
+    return out
+
+
+def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` by Gauss elimination with partial pivoting."""
+    a = np.asarray(a, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    n = a.shape[0]
+    if b.ndim == 1:
+        b = b.reshape(n, 1)
+    scale = max(np.max(np.abs(a)), 1.0)
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[pivot, col]) < 1e-13 * scale:
+            raise SingularMatrixError(f"singular at column {col}")
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            b[[col, pivot]] = b[[pivot, col]]
+        for row in range(col + 1, n):
+            f = a[row, col] / a[col, col]
+            if f != 0.0:
+                a[row, col:] -= f * a[col, col:]
+                b[row] -= f * b[col]
+    x = np.zeros_like(b)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
 
 
 def kron_sylvester_solution(l: np.ndarray, u: np.ndarray, c: np.ndarray) -> np.ndarray:

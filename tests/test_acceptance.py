@@ -41,13 +41,13 @@ from pmegen.expr import (
 )
 from pmegen.oracle import (
     check_pme,
-    cholesky_lower,
     evaluate,
 )
 
 from conftest import (
     OPS_DIR,
     check_blocking_faithful,
+    cholesky_lower,
     cli_env,
     load_op,
     min_symmetric_eigenvalue,

@@ -50,12 +50,12 @@ from pmegen.expr import (
     trans,
 )
 from pmegen.opspec import Property, parse_operation, render_spec
-from pmegen.oracle import cholesky_lower
 from pmegen.partition import PropertyFact
 
 from conftest import (
     OPS_DIR,
     bench_corpus,
+    cholesky_lower,
     load_op,
     min_symmetric_eigenvalue,
     random_spec,

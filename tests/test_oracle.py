@@ -1,9 +1,11 @@
-"""Reference solvers, expression evaluation, and PME checking."""
+"""LAPACK kernels and their first-principles references, expression
+evaluation, and PME checking."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pmegen.binding import enumerate_combinations
 from pmegen.engine import PME, derive_all, derive_each, derive_pme, seed_builtins
@@ -20,20 +22,32 @@ from pmegen.oracle import (
     SingularMatrixError,
     UnboundOperandError,
     check_pme,
-    cholesky_lower,
+    cholesky,
     evaluate,
-    gauss_jordan_inverse,
-    gauss_solve,
+    inverse,
     relative_residual,
     sample_value,
+    sylvester,
+    trsm,
+)
+
+from conftest import (
+    cholesky_lower,
+    gauss_jordan_inverse,
+    gauss_solve,
+    kron_sylvester_solution,
+    load_op,
+    min_symmetric_eigenvalue,
+    random_spec,
     solve_transposed_lower_right,
     solve_triangular_sylvester,
 )
 
-from conftest import kron_sylvester_solution, load_op, min_symmetric_eigenvalue, random_spec
-
 
 class TestBaseSolvers:
+    """The first-principles references, and the guards they share with the
+    kernels."""
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
     def test_cholesky_reconstructs(self, n):
         rng = np.random.default_rng(n)
@@ -45,8 +59,9 @@ class TestBaseSolvers:
         assert relative_residual(l @ l.T, a) <= 1e-12
 
     def test_cholesky_rejects_indefinite(self):
-        with pytest.raises(OracleError, match="positive definite"):
-            cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        for factor in (cholesky, cholesky_lower):
+            with pytest.raises(OracleError, match="positive definite"):
+                factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sylvester_agrees_with_kronecker_system(self, seed):
@@ -101,12 +116,27 @@ class TestBaseSolvers:
             assert np.array_equal(gauss_jordan_inverse(b), row_loop_inverse(b))
 
     def test_singular_matrix_raises(self):
-        with pytest.raises(SingularMatrixError):
-            gauss_jordan_inverse(np.zeros((3, 3)))
+        for invert in (inverse, gauss_jordan_inverse):
+            with pytest.raises(SingularMatrixError):
+                invert(np.zeros((3, 3)))
 
     def test_condition_limit_raises(self):
-        with pytest.raises(SingularMatrixError, match="condition"):
-            gauss_jordan_inverse(np.diag([2e6, 1e-6]))
+        for invert in (inverse, gauss_jordan_inverse):
+            with pytest.raises(SingularMatrixError, match="condition"):
+                invert(np.diag([2e6, 1e-6]))
+
+    def test_vanishing_diagonal_sum_raises(self):
+        l = np.array([[1.0, 0.0], [0.5, 2.0]])
+        u = np.array([[3.0, 0.5], [0.0, -2.0]])
+        for solve in (sylvester, solve_triangular_sylvester):
+            with pytest.raises(SingularMatrixError, match=r"diagonal sum vanished at entry \(1, 1\)"):
+                solve(l, u, np.ones((2, 2)))
+
+    def test_zero_triangular_diagonal_raises(self):
+        l = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.5, 1.0]])
+        for solve in (trsm, solve_transposed_lower_right):
+            with pytest.raises(SingularMatrixError, match="zero diagonal at column 1"):
+                solve(l, np.ones((2, 3)))
 
     def test_gauss_solve(self):
         rng = np.random.default_rng(5)
@@ -114,6 +144,61 @@ class TestBaseSolvers:
         b = rng.uniform(-1, 1, (6, 2))
         x = gauss_solve(a, b)
         assert relative_residual(a @ x, b) <= 1e-12
+
+
+def _triangular(rng: np.random.Generator, n: int, lower: bool) -> np.ndarray:
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    a = np.tril(a) if lower else np.triu(a)
+    np.fill_diagonal(a, rng.uniform(1.0, 2.0, n))
+    return a
+
+
+def _close(got: np.ndarray, want: np.ndarray) -> bool:
+    return bool(np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want))
+
+
+class TestKernels:
+    """Each LAPACK kernel against its first-principles reference and
+    against ``scipy.linalg``, on structured inputs of sizes 1-8."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inverse(self, n):
+        rng = np.random.default_rng(n)
+        general = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+        spd = general.T @ general + n * np.eye(n)
+        for a in (general, _triangular(rng, n, True), _triangular(rng, n, False), spd):
+            got = inverse(a)
+            assert _close(got, gauss_jordan_inverse(a))
+            assert _close(got, scipy.linalg.inv(a))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cholesky(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.uniform(-1.0, 1.0, (n, n))
+        a = base.T @ base + n * np.eye(n)
+        got = cholesky(a)
+        assert _close(got, cholesky_lower(a))
+        assert _close(got, scipy.linalg.cholesky(a, lower=True))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sylvester(self, n):
+        rng = np.random.default_rng(n)
+        m = int(rng.integers(1, 9))
+        l, u = _triangular(rng, m, True), _triangular(rng, n, False)
+        c = rng.uniform(-1.0, 1.0, (m, n))
+        got = sylvester(l, u, c)
+        assert _close(got, solve_triangular_sylvester(l, u, c))
+        assert _close(got, scipy.linalg.solve_sylvester(l, u, c))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trsm(self, n):
+        rng = np.random.default_rng(n)
+        m = int(rng.integers(1, 9))
+        l = _triangular(rng, n, True)
+        b = rng.uniform(-1.0, 1.0, (m, n))
+        got = trsm(l, b)
+        assert _close(got, solve_transposed_lower_right(l, b))
+        assert _close(got, scipy.linalg.solve_triangular(l, b.T, lower=True).T)
 
 
 class TestSampling:
@@ -226,136 +311,139 @@ class TestCheckPme:
         assert r1 == r2
 
 
-# Residual bits and reports of ``check_pme(..., trials=6, seed=0)``, recorded
-# before the trial loop was rewritten.  Any change to the sampling order,
-# the block edges or the solvers' arithmetic shows up here.  Integer keys
-# are fuzz seeds of ``random_spec``; ``inv`` appears in cholesky and both.
+# Residual bits and reports of ``check_pme(..., trials=6, seed=0)``.  Any
+# change to the sampling order, the block edges or the solvers' arithmetic
+# shows up here.  Integer keys are fuzz seeds of ``random_spec``; ``inv``
+# appears in cholesky and both.  Each of these entries runs a solver or an
+# inverse, and their residuals were re-recorded once when those moved to
+# LAPACK kernels (seeds, sizes and verdicts stayed the same).
 # Fuzz seed 9, combination 7 runs no solver and no inverse (sums, products
-# and transposes only), so its bits pin the evaluation order itself.
+# and transposes only), so its bits pin the evaluation order itself: they
+# were recorded before the trial loop was compiled, and still hold.
 PINNED_CHECKS = {
     ('cholesky', 1): (
         [
-            '0x1.0cb8f66f37f72p-53',
+            '0x1.0ccdc163decd5p-53',
             '0x1.877049eb7adaap-54',
-            '0x1.3c1587790b8b1p-53',
-            '0x1.74f4e99a65d95p-53',
-            '0x1.214c7f33b0ca4p-53',
-            '0x1.52aec369c7533p-53',
+            '0x1.3d26c887aec0bp-53',
+            '0x1.74be77aa4817ep-53',
+            '0x1.236b624af79abp-53',
+            '0x1.54c582d8296c4p-53',
         ],
         "\n".join([
             'check cholesky combination 1: trials=6 tol=1.0e-08',
-            '  trial seed=0 k1=1 m=7 residual=1.165e-16 ok',
+            '  trial seed=0 k1=1 m=7 residual=1.166e-16 ok',
             '  trial seed=1 k1=4 m=5 residual=8.488e-17 ok',
-            '  trial seed=2 k1=2 m=7 residual=1.371e-16 ok',
+            '  trial seed=2 k1=2 m=7 residual=1.375e-16 ok',
             '  trial seed=3 k1=1 m=7 residual=1.617e-16 ok',
-            '  trial seed=4 k1=6 m=7 residual=1.255e-16 ok',
-            '  trial seed=5 k1=5 m=6 residual=1.469e-16 ok',
+            '  trial seed=4 k1=6 m=7 residual=1.264e-16 ok',
+            '  trial seed=5 k1=5 m=6 residual=1.478e-16 ok',
             '  max residual 1.617e-16',
             'PASS',
         ]),
     ),
     ('sylvester', 1): (
         [
-            '0x1.135fc6b17583ap-53',
-            '0x1.bc5f4169d5b07p-54',
-            '0x1.3cfa77135e315p-53',
-            '0x1.3783e12b30919p-54',
-            '0x1.9a6505e178ae3p-54',
-            '0x1.09ade94ccdb67p-53',
+            '0x1.28c91af2d18e9p-53',
+            '0x1.7a2ed70265d61p-54',
+            '0x1.e3480f067f7ddp-54',
+            '0x1.4c71ee1a400acp-53',
+            '0x1.1c9b97252dad9p-53',
+            '0x1.a37f4dde1a780p-53',
         ],
         "\n".join([
             'check sylvester combination 1: trials=6 tol=1.0e-08',
-            '  trial seed=0 k2=1 m=7 n=6 residual=1.194e-16 ok',
-            '  trial seed=1 k2=4 m=5 n=5 residual=9.636e-17 ok',
-            '  trial seed=2 k2=1 m=7 n=3 residual=1.375e-16 ok',
-            '  trial seed=3 k2=1 m=7 n=2 residual=6.755e-17 ok',
-            '  trial seed=4 k2=7 m=7 n=8 residual=8.899e-17 ok',
-            '  trial seed=5 k2=1 m=6 n=7 residual=1.152e-16 ok',
-            '  max residual 1.375e-16',
+            '  trial seed=0 k2=1 m=7 n=6 residual=1.287e-16 ok',
+            '  trial seed=1 k2=4 m=5 n=5 residual=8.201e-17 ok',
+            '  trial seed=2 k2=1 m=7 n=3 residual=1.048e-16 ok',
+            '  trial seed=3 k2=1 m=7 n=2 residual=1.442e-16 ok',
+            '  trial seed=4 k2=7 m=7 n=8 residual=1.234e-16 ok',
+            '  trial seed=5 k2=1 m=6 n=7 residual=1.819e-16 ok',
+            '  max residual 1.819e-16',
             'PASS',
         ]),
     ),
     ('sylvester', 2): (
         [
-            '0x1.12b429c18fe6cp-53',
-            '0x1.9c9b5e062eb37p-54',
-            '0x1.104b88b1c1ee8p-53',
-            '0x1.48edfcd9ee3e9p-53',
-            '0x1.9a6505e178ae3p-54',
-            '0x1.81899b158f24dp-53',
+            '0x1.3253a06d4c3e5p-53',
+            '0x1.544b5bd46fa99p-54',
+            '0x1.2644aff163fdap-53',
+            '0x1.c1e010e12cc25p-53',
+            '0x1.308276c2dabc0p-53',
+            '0x1.b33631bfafb75p-53',
         ],
         "\n".join([
             'check sylvester combination 2: trials=6 tol=1.0e-08',
-            '  trial seed=0 k1=1 m=7 n=6 residual=1.191e-16 ok',
-            '  trial seed=1 k1=4 m=5 n=5 residual=8.947e-17 ok',
-            '  trial seed=2 k1=1 m=7 n=3 residual=1.181e-16 ok',
-            '  trial seed=3 k1=2 m=7 n=2 residual=1.427e-16 ok',
-            '  trial seed=4 k1=6 m=7 n=8 residual=8.899e-17 ok',
-            '  trial seed=5 k1=1 m=6 n=7 residual=1.672e-16 ok',
-            '  max residual 1.672e-16',
+            '  trial seed=0 k1=1 m=7 n=6 residual=1.328e-16 ok',
+            '  trial seed=1 k1=4 m=5 n=5 residual=7.379e-17 ok',
+            '  trial seed=2 k1=1 m=7 n=3 residual=1.276e-16 ok',
+            '  trial seed=3 k1=2 m=7 n=2 residual=1.951e-16 ok',
+            '  trial seed=4 k1=6 m=7 n=8 residual=1.321e-16 ok',
+            '  trial seed=5 k1=1 m=6 n=7 residual=1.887e-16 ok',
+            '  max residual 1.951e-16',
             'PASS',
         ]),
     ),
     ('trsm', 1): (
         [
-            '0x1.3455783125cb3p-54',
-            '0x1.59eee5e6a3767p-54',
-            '0x1.1ee23f5172337p-54',
-            '0x1.83c612b360beap-54',
-            '0x1.9c83b2f960a3ep-53',
-            '0x1.f296832016c9fp-54',
+            '0x1.302126cd59ac2p-53',
+            '0x1.5347aeecf49b4p-54',
+            '0x1.6cdb7c51d08b5p-54',
+            '0x1.9d25096851447p-54',
+            '0x1.f5fdec89d2b3fp-53',
+            '0x1.29abb071e0c96p-53',
         ],
         "\n".join([
             'check trsm combination 1: trials=6 tol=1.0e-08',
-            '  trial seed=0 k2=1 m=7 n=6 residual=6.686e-17 ok',
-            '  trial seed=1 k2=4 m=5 n=5 residual=7.501e-17 ok',
-            '  trial seed=2 k2=1 m=7 n=3 residual=6.221e-17 ok',
-            '  trial seed=3 k2=1 m=7 n=2 residual=8.409e-17 ok',
-            '  trial seed=4 k2=7 m=7 n=8 residual=1.789e-16 ok',
-            '  trial seed=5 k2=1 m=6 n=7 residual=1.081e-16 ok',
-            '  max residual 1.789e-16',
+            '  trial seed=0 k2=1 m=7 n=6 residual=1.319e-16 ok',
+            '  trial seed=1 k2=4 m=5 n=5 residual=7.357e-17 ok',
+            '  trial seed=2 k2=1 m=7 n=3 residual=7.912e-17 ok',
+            '  trial seed=3 k2=1 m=7 n=2 residual=8.959e-17 ok',
+            '  trial seed=4 k2=7 m=7 n=8 residual=2.177e-16 ok',
+            '  trial seed=5 k2=1 m=6 n=7 residual=1.291e-16 ok',
+            '  max residual 2.177e-16',
             'PASS',
         ]),
     ),
     (13, 1): (
         [
-            '0x1.0f8622e8c36d0p-51',
-            '0x1.4abdc0aa28c0bp-52',
+            '0x1.09bdd10013cacp-51',
+            '0x1.89cca779f09dcp-52',
             '0x1.57ee03dabf4d8p-52',
-            '0x1.812701c35df26p-52',
-            '0x1.6cda9018a9ca7p-51',
+            '0x1.702fdff4b0adep-52',
+            '0x1.5778925a18dfdp-51',
             '0x1.57210d4ff1f12p-52',
         ],
         "\n".join([
             'check randop combination 1: trials=6 tol=1.0e-08',
-            '  trial seed=0 k3=1 m=7 n=6 p=5 residual=4.710e-16 ok',
-            '  trial seed=1 k3=4 m=5 n=5 p=7 residual=2.869e-16 ok',
+            '  trial seed=0 k3=1 m=7 n=6 p=5 residual=4.610e-16 ok',
+            '  trial seed=1 k3=4 m=5 n=5 p=7 residual=3.416e-16 ok',
             '  trial seed=2 k3=1 m=7 n=3 p=2 residual=2.983e-16 ok',
-            '  trial seed=3 k3=1 m=7 n=2 p=3 residual=3.341e-16 ok',
-            '  trial seed=4 k3=4 m=7 n=8 p=8 residual=6.329e-16 ok',
+            '  trial seed=3 k3=1 m=7 n=2 p=3 residual=3.194e-16 ok',
+            '  trial seed=4 k3=4 m=7 n=8 p=8 residual=5.958e-16 ok',
             '  trial seed=5 k3=5 m=6 n=7 p=2 residual=2.976e-16 ok',
-            '  max residual 6.329e-16',
+            '  max residual 5.958e-16',
             'PASS',
         ]),
     ),
     (29, 1): (
         [
-            '0x1.69e467f5b29e8p-52',
-            '0x1.481b01695240ep-52',
-            '0x1.c3b622e23e6bdp-54',
-            '0x1.fd24eb74c0b9bp-53',
-            '0x1.48e3870592a89p-52',
-            '0x1.167fe24f7dbfdp-52',
+            '0x1.911cb8d4d37b7p-52',
+            '0x1.eb74e75c03dc6p-53',
+            '0x1.0b3c71aab60cap-53',
+            '0x1.6305f4c5afe3bp-53',
+            '0x1.38d0e2b1e4c1ep-52',
+            '0x1.8c8bdb6f2e3f2p-53',
         ],
         "\n".join([
             'check randop combination 1: trials=6 tol=1.0e-08',
-            '  trial seed=0 k3=1 m=7 n=6 p=5 residual=3.139e-16 ok',
-            '  trial seed=1 k3=4 m=5 n=5 p=7 residual=2.846e-16 ok',
-            '  trial seed=2 k3=1 m=7 n=3 p=2 residual=9.795e-17 ok',
-            '  trial seed=3 k3=1 m=7 n=2 p=3 residual=2.208e-16 ok',
-            '  trial seed=4 k3=4 m=7 n=8 p=8 residual=2.853e-16 ok',
-            '  trial seed=5 k3=5 m=6 n=7 p=2 residual=2.416e-16 ok',
-            '  max residual 3.139e-16',
+            '  trial seed=0 k3=1 m=7 n=6 p=5 residual=3.479e-16 ok',
+            '  trial seed=1 k3=4 m=5 n=5 p=7 residual=2.131e-16 ok',
+            '  trial seed=2 k3=1 m=7 n=3 p=2 residual=1.159e-16 ok',
+            '  trial seed=3 k3=1 m=7 n=2 p=3 residual=1.540e-16 ok',
+            '  trial seed=4 k3=4 m=7 n=8 p=8 residual=2.713e-16 ok',
+            '  trial seed=5 k3=5 m=6 n=7 p=2 residual=1.720e-16 ok',
+            '  max residual 3.479e-16',
             'PASS',
         ]),
     ),
