@@ -16,6 +16,8 @@ residual digits of the checks once; seeds, sizes and verdicts did not.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence
@@ -34,6 +36,7 @@ from .expr import (
     Times,
     Transpose,
     Zero,
+    serialize,
     walk,
 )
 from .opspec import KIND_SCALAR, OperationSpec, Property
@@ -170,6 +173,11 @@ def sample_value(
 # evaluation
 
 
+# nodes whose value is kept for the rest of a trial when they repeat
+_REUSABLE = (Times, Inverse, SolvedBy)
+_TRANSPOSE = operator.attrgetter("T")
+
+
 def evaluate(
     e: Expression, values: Mapping[str, np.ndarray], shape: Optional[tuple[int, int]] = None
 ) -> np.ndarray:
@@ -178,41 +186,82 @@ def evaluate(
     ``shape`` supplies the dimensions of a bare zero block, which carries
     no size information of its own.
     """
+    sizes = {} if shape is None else {"rows": shape[0], "cols": shape[1]}
+    return _compile(e, frozenset(), shape and ("rows", "cols"))(values, sizes)
+
+
+def _compile(
+    e: Expression, reused: frozenset[str], shape: Optional[tuple[str, str]] = None
+) -> Callable[[dict, Mapping[str, int]], np.ndarray]:
+    """``e`` as a closure over one trial's values (names, and the keys of
+    reused subtrees) and sizes (size expressions).
+
+    Node types are dispatched here, once, so that a trial only computes.
+    ``shape`` names the size expressions of a bare zero block.  A subtree
+    whose key is in ``reused`` is evaluated once per trial: its value is
+    kept in the trial's values under that key, which no name can equal.
+    Errors that depend on the trial (an unbound name, an operator without
+    a solver, a singular kernel) are raised when the closure runs.
+    """
     if isinstance(e, OperandRef):
-        try:
-            return values[e.name]
-        except KeyError:
-            raise UnboundOperandError(f"operand {e.name} is unbound") from None
+        name = e.name
+
+        def run(values, sizes):
+            try:
+                return values[name]
+            except KeyError:
+                raise UnboundOperandError(f"operand {name} is unbound") from None
+
+        return run
     if isinstance(e, Zero):
-        if shape is None:
-            raise OracleError("cannot size a bare zero block without context")
-        return np.zeros(shape)
-    if isinstance(e, Plus):
-        acc = evaluate(e.terms[0], values, shape)
-        for t in e.terms[1:]:
-            acc = acc + evaluate(t, values, shape)
-        return acc
-    if isinstance(e, Times):
-        acc = evaluate(e.factors[0], values)
-        for f in e.factors[1:]:
-            acc = acc @ evaluate(f, values)
-        return acc
-    if isinstance(e, Minus):
-        return -evaluate(e.operand, values, shape)
-    if isinstance(e, Transpose):
-        return evaluate(e.operand, values).T
-    if isinstance(e, Inverse):
-        return inverse(evaluate(e.operand, values))
-    if isinstance(e, SolvedBy):
-        try:
-            solver = BASE_SOLVERS[e.operator_name]
-        except KeyError:
-            raise OracleError(
-                f"no base solver for operator {e.operator_name}"
-            ) from None
-        args = [evaluate(a, values) for a in e.arguments]
-        return solver(*args)
-    raise OracleError(f"cannot evaluate node {type(e).__name__}")
+
+        def run(values, sizes):
+            if shape is None:
+                raise OracleError("cannot size a bare zero block without context")
+            return np.zeros((sizes[shape[0]], sizes[shape[1]]))
+
+        return run
+    # only a sum or a negation hands a zero block's shape down
+    down = shape if isinstance(e, (Plus, Minus)) else None
+    children = [_compile(c, reused, down) for c in e.children()]
+    if isinstance(e, (Plus, Times)):
+        combine = operator.add if isinstance(e, Plus) else operator.matmul
+        first, *rest = children
+
+        def run(values, sizes):
+            acc = first(values, sizes)
+            for child in rest:
+                acc = combine(acc, child(values, sizes))
+            return acc
+
+    elif isinstance(e, SolvedBy):
+        operator_name, solver = e.operator_name, BASE_SOLVERS.get(e.operator_name)
+
+        def run(values, sizes):
+            if solver is None:
+                raise OracleError(f"no base solver for operator {operator_name}")
+            return solver(*[child(values, sizes) for child in children])
+
+    else:
+        unary = {Minus: operator.neg, Transpose: _TRANSPOSE, Inverse: inverse}.get(type(e))
+        if unary is None:
+            raise OracleError(f"cannot evaluate node {type(e).__name__}")
+        (child,) = children
+
+        def run(values, sizes):
+            return unary(child(values, sizes))
+
+    key = serialize(e)
+    if key not in reused:
+        return run
+
+    def shared(values, sizes):
+        value = values.get(key)
+        if value is None:
+            value = values[key] = run(values, sizes)
+        return value
+
+    return shared
 
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -266,11 +315,7 @@ def block_edges(sizes: Sequence[str], size_of: Mapping[str, int]) -> list[int]:
 
 
 def check_pme(
-    pme: PME,
-    spec: OperationSpec,
-    trials: int = 50,
-    tolerance: float = 1e-8,
-    seed: int = 0,
+    pme: PME, spec: OperationSpec, trials: int = 50, tolerance: float = 1e-8, seed: int = 0
 ) -> CheckReport:
     """Numerically verify a PME against the unblocked postcondition.
 
@@ -280,35 +325,48 @@ def check_pme(
     reassembles the blocked outputs, and measures the relative residual
     of the original equation.
 
-    The layout is built once per call: the distinct size expressions,
-    each input's named blocks, each assignment with its block shape, and
-    the output blocks.  Each trial evaluates every size expression once.
+    The plan is built once per call: the distinct size expressions, each
+    input's named blocks, each assignment and output block compiled with
+    its block shape, and both sides of the postcondition compiled.  Each
+    trial evaluates every size expression once, and every product,
+    inverse or solver application that occurs more than once in the plan
+    once.
     """
+    return _check_pme(pme, spec, trials, tolerance, seed, None)
+
+
+def _check_pme(
+    pme: PME, spec: OperationSpec, trials: int, tolerance: float, seed: int, blocks: Optional[dict]
+) -> CheckReport:
+    """:func:`check_pme` over ``blocks``, the blocked operands of the PME's
+    combination by name, when the caller has built them already."""
     if trials < 0:
         raise ValueError(f"trials must not be negative, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must not be negative, got {seed}")
     if pme.operation != spec.name:
         raise ValueError(f"PME of operation {pme.operation} given for operation {spec.name}")
-    blocks = blocked_operands(spec, pme.combination)
+    if blocks is None:
+        blocks = blocked_operands(spec, pme.combination)
     axes = {b.row_sizes for b in blocks.values()} | {b.col_sizes for b in blocks.values()}
     block_sizes = sorted({s for axis in axes for s in axis})
-    split_of: dict[str, str] = {}
-    for size in block_sizes:
-        if "-" in size:
-            parent, split = size.split("-", 1)
-            split_of[split] = parent
+    split_of = dict(size.split("-", 1)[::-1] for size in block_sizes if "-" in size)
     atoms = sorted({a for s in block_sizes for a in s.split("-") if a != "1"})
     parents = [a for a in atoms if a not in split_of]
     splits = sorted(split_of.items())
 
-    # inputs keep their named blocks, outputs every block expression
+    # inputs keep their named blocks, outputs every block expression with
+    # its shape
     inputs, outputs = [], []
     for decl in spec.operands:
         b = blocks[decl.name]
-        cells = [(i, j, cell) for i, row in enumerate(b.cells) for j, cell in enumerate(row)]
+        cells = [
+            (i, j, cell, (rows, cols))
+            for i, (rows, row) in enumerate(zip(b.row_sizes, b.cells))
+            for j, (cols, cell) in enumerate(zip(b.col_sizes, row))
+        ]
         if decl.is_input:
-            named = [(i, j, cell.name) for i, j, cell in cells if isinstance(cell, OperandRef)]
+            named = [(i, j, cell.name) for i, j, cell, _ in cells if isinstance(cell, OperandRef)]
             inputs.append((decl, b.row_sizes, b.col_sizes, named))
         else:
             outputs.append((decl.name, b.row_sizes, b.col_sizes, cells))
@@ -332,8 +390,20 @@ def check_pme(
                     f"{len(node.arguments)} arguments, but its solver takes "
                     f"{solver.__code__.co_argcount}"
                 )
-        steps.append((equation.lhs.name, equation.rhs, rows, cols))
-    size_strings = sorted({*block_sizes, *(s for step in steps for s in step[2:])})
+        steps.append((equation.lhs.name, equation.rhs, (rows, cols)))
+    size_strings = sorted({*block_sizes, *(s for step in steps for s in step[2])})
+
+    post = spec.postcondition
+    roots = [rhs for _, rhs, _ in steps] + [c[2] for *_, cells in outputs for c in cells]
+    nodes = (n for root in (*roots, post.lhs, post.rhs) for n in walk(root))
+    keys = [serialize(n) for n in nodes if isinstance(n, _REUSABLE)]
+    reused = frozenset(key for key, count in Counter(keys).items() if count > 1)
+    steps = [(name, _compile(rhs, reused, shape)) for name, rhs, shape in steps]
+    outputs = [
+        (name, rows, cols, [(i, j, _compile(cell, reused, shape)) for i, j, cell, shape in cells])
+        for name, rows, cols, cells in outputs
+    ]
+    lhs, rhs = _compile(post.lhs, reused), _compile(post.rhs, reused)
 
     results: list[TrialResult] = []
     worst = 0.0
@@ -354,40 +424,24 @@ def check_pme(
 
         # sample full inputs, then slice them into their blocks
         values: dict[str, np.ndarray] = {}
-        for decl, rows, cols, cells in inputs:
+        for decl, rows, cols, named in inputs:
             r, c = edges[rows], edges[cols]
             full = sample_value(decl.kind, (r[-1], c[-1]), decl.properties, rng)
             values[decl.name] = full
-            for i, j, name in cells:
+            for i, j, name in named:
                 values[name] = full[r[i] : r[i + 1], c[j] : c[j + 1]]
-        for name, rhs, rows, cols in steps:
-            values[name] = evaluate(rhs, values, (size_of[rows], size_of[cols]))
+        for name, run in steps:
+            values[name] = run(values, size_of)
         # assemble blocked outputs into full operands
         for name, rows, cols, cells in outputs:
             r, c = edges[rows], edges[cols]
             full = np.zeros((r[-1], c[-1]))
-            for i, j, cell in cells:
-                shape = (r[i + 1] - r[i], c[j + 1] - c[j])
-                full[r[i] : r[i + 1], c[j] : c[j + 1]] = evaluate(cell, values, shape)
+            for i, j, run in cells:
+                full[r[i] : r[i + 1], c[j] : c[j + 1]] = run(values, size_of)
             values[name] = full
-        residual = relative_residual(
-            evaluate(spec.postcondition.lhs, values),
-            evaluate(spec.postcondition.rhs, values),
-        )
+        residual = relative_residual(lhs(values, size_of), rhs(values, size_of))
         worst = max(worst, residual)
-        results.append(
-            TrialResult(
-                seed=trial_seed,
-                sizes=tuple(sorted(sizes.items())),
-                residual=residual,
-                ok=residual <= tolerance,
-            )
-        )
-    return CheckReport(
-        operation=pme.operation,
-        combination_index=pme.combination.index,
-        tolerance=tolerance,
-        trials=tuple(results),
-        max_residual=worst,
-        ok=all(r.ok for r in results),
-    )
+        sized = tuple(sorted(sizes.items()))
+        results.append(TrialResult(trial_seed, sized, residual, residual <= tolerance))
+    ok = all(r.ok for r in results)
+    return CheckReport(pme.operation, pme.combination.index, tolerance, tuple(results), worst, ok)

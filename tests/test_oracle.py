@@ -9,12 +9,15 @@ import scipy.linalg
 
 from pmegen.binding import enumerate_combinations
 from pmegen.engine import PME, derive_all, derive_each, derive_pme, seed_builtins
+from pmegen import oracle
 from pmegen.expr import (
     Equation,
+    Inverse,
     ref,
     solved_by,
     times,
     trans,
+    walk,
 )
 from pmegen.opspec import KIND_MATRIX, Property
 from pmegen.oracle import (
@@ -128,8 +131,9 @@ class TestBaseSolvers:
     def test_vanishing_diagonal_sum_raises(self):
         l = np.array([[1.0, 0.0], [0.5, 2.0]])
         u = np.array([[3.0, 0.5], [0.0, -2.0]])
+        message = r"diagonal sum vanished at entry \(1, 1\)"
         for solve in (sylvester, solve_triangular_sylvester):
-            with pytest.raises(SingularMatrixError, match=r"diagonal sum vanished at entry \(1, 1\)"):
+            with pytest.raises(SingularMatrixError, match=message):
                 solve(l, u, np.ones((2, 2)))
 
     def test_zero_triangular_diagonal_raises(self):
@@ -303,6 +307,23 @@ class TestCheckPme:
         for pme in derive_all(trsm_spec, seed_builtins()):
             report = check_pme(pme, trsm_spec, trials=10, tolerance=1e-10, seed=0)
             assert report.ok, report.render()
+
+    def test_repeated_inverse_evaluated_once_per_trial(self, monkeypatch):
+        # fuzz seed 29, combination 7 applies inv(B_TL) and inv(B_BR) twice each
+        spec = random_spec(np.random.default_rng(29))
+        (pme,) = [r for r in derive_each(spec, seed_builtins(), combination=7) if r is not None]
+        nodes = [n for q in pme.all_cells() for n in walk(q.equation.rhs)]
+        inverses = [n for n in nodes if isinstance(n, Inverse)]
+        assert len(inverses) == 4 and len(set(inverses)) == 2
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return inverse(a)
+
+        monkeypatch.setattr(oracle, "inverse", counted)
+        report = check_pme(pme, spec, trials=3, seed=0)
+        assert report.ok and len(calls) == 2 * 3
 
     def test_report_renders_deterministically(self, cholesky_spec):
         (pme,) = derive_all(cholesky_spec, seed_builtins())
