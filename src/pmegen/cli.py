@@ -29,13 +29,14 @@ from .binding import (
     BindingError,
     NoViablePartitioningsError,
     RuleCombination,
-    enumerate_combinations,
+    _combinations,
+    analyze,
 )
 from .blockarith import (
     STATUS_SOLVED,
     STATUS_STAR,
     QuadrantEquation,
-    blocked_operands,
+    operand_blockings,
     raw_blocked_equations,
 )
 from .engine import (
@@ -53,7 +54,7 @@ from .opspec import (
     expr_to_latex,
     parse_operation,
 )
-from .partition import PartitionRule, PartitionShape, position_names
+from .partition import BlockedOperand, PartitionRule, PartitionShape, position_names
 
 
 EXIT_OK = 0
@@ -241,23 +242,25 @@ def pme_from_json_dict(doc: dict) -> PME:
     )
 
 
-def _resolve_pme(pme: PME, spec: OperationSpec, combos: Sequence[RuleCombination]) -> PME:
-    """``pme`` over the spec's own combination, once its layout is that blocking's.
+def _resolve_pme(
+    pme: PME, spec: OperationSpec, combo: Optional[RuleCombination], table: dict
+) -> tuple[PME, Optional[dict[str, BlockedOperand]]]:
+    """``pme`` over ``combo``, the spec's combination equal to its own, with
+    its blocks from ``table``, once its layout is that blocking's.
 
-    The combination must be one of ``combos`` (the spec's), the block sizes
-    those of its grid, every cell may name only blocks of its blocking, and
-    ``order`` must list distinct solved positions.
-    A PME of another operation comes back as it is: ``check_pme`` rejects it.
+    ``combo`` must exist, the block sizes be those of its grid, every cell
+    may name only blocks of its blocking, and ``order`` must list distinct
+    solved positions.  A PME of another operation comes back as it is,
+    without blocks: the oracle rejects it.
     """
     if pme.operation != spec.name:
-        return pme
-    combo = next((c for c in combos if c == pme.combination), None)
+        return pme, None
     if combo is None:
         raise ValueError(
             f"PME combination {pme.combination.index} is not one that "
             f"operation {spec.name} enumerates"
         )
-    blocks = blocked_operands(spec, combo)
+    blocks = {d.name: table[combo.rule_for(d.name)] for d in spec.operands}
     grid = raw_blocked_equations(spec, blocks)
     sizes = (list(pme.row_sizes), list(pme.col_sizes))
     if sizes != (list(grid.row_sizes), list(grid.col_sizes)):
@@ -279,7 +282,7 @@ def _resolve_pme(pme: PME, spec: OperationSpec, combos: Sequence[RuleCombination
             f"PME combination {combo.index}: order {list(pme.order)} "
             f"must list distinct solved positions"
         )
-    return replace(pme, combination=combo)
+    return replace(pme, combination=combo), blocks
 
 
 def document_to_json(operation: str, pmes: Sequence[PME]) -> str:
@@ -372,18 +375,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot read {args.pme_json}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    # the spec decides the blocking: every PME matches it before any trial
-    combos = enumerate_combinations(spec) if pmes else ()
+    # the spec decides the blocking: every PME matches it before any trial;
+    # the spec is analyzed once, and each operand blocked once per rule
+    analysis = analyze(spec) if pmes else None
+    combos = _combinations(spec, analysis) if analysis else ()
+    own = [next((c for c in combos if c == p.combination), None) for p in pmes]
+    table = operand_blockings(spec, analysis, [c for c in own if c is not None]) if analysis else {}
     try:
-        pmes = [_resolve_pme(p, spec, combos) for p in pmes]
+        checks = [_resolve_pme(p, spec, c, table) for p, c in zip(pmes, own)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     failed = False
-    for pme in pmes:
+    for pme, blocks in checks:
         try:
-            report = oracle.check_pme(
-                pme, spec, trials=args.trials, tolerance=args.tolerance, seed=args.seed
+            report = oracle._check_pme(
+                pme, spec, args.trials, args.tolerance, args.seed, blocks
             )
         except oracle.OracleError as exc:
             print(f"error: {exc}", file=sys.stderr)

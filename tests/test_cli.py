@@ -24,7 +24,7 @@ from pmegen.cli import (
     render_pme_latex,
     render_pme_text,
 )
-from pmegen import binding, engine
+from pmegen import binding, blockarith, cli, engine
 from pmegen.engine import derive_all, seed_builtins
 
 from conftest import OPS_DIR, cli_env
@@ -712,6 +712,31 @@ class TestOneDerivation:
         code, out, _ = run_main(["derive", SYLVESTER_OP], capsys)
         assert code == EXIT_OK and out.count("PME (combination") == 3
         assert calls == ["sylvester"]
+
+    def test_check_analyzes_and_blocks_once(self, tmp_path, monkeypatch, capsys):
+        # one analysis of the spec, and one blocking per distinct operand
+        # and rule of the document's combinations
+        code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
+        pme_file = tmp_path / "s.json"
+        pme_file.write_text(out)
+        analyzed, blocked = [], []
+
+        def counted_analyze(spec):
+            analyzed.append(spec.name)
+            return real_analyze(spec)
+
+        def counted_apply_rule(decl, rule):
+            blocked.append((decl.name, rule))
+            return real_apply_rule(decl, rule)
+
+        real_analyze, real_apply_rule = binding.analyze, blockarith.apply_rule
+        for module in (binding, blockarith, cli, engine):
+            monkeypatch.setattr(module, "analyze", counted_analyze, raising=False)
+        monkeypatch.setattr(blockarith, "apply_rule", counted_apply_rule)
+        code, out, _ = run_main(["check", SYLVESTER_OP, str(pme_file), "--trials", "2"], capsys)
+        assert code == EXIT_OK and out.count("PASS") == 3
+        assert analyzed == ["sylvester"]
+        assert len(blocked) == len(set(blocked)) == 10
 
     @pytest.mark.parametrize(
         "make_args, expected",
