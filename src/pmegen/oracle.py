@@ -89,6 +89,8 @@ def sylvester(l: np.ndarray, u: np.ndarray, c: np.ndarray) -> np.ndarray:
     when one of those sums vanishes.
     """
     m, n = c.shape
+    if l.shape != (m, m) or u.shape != (n, n):
+        raise OracleError(f"sylvester blocks do not conform to the {m}x{n} right side")
     vanished = np.argwhere(np.abs(np.add.outer(np.diag(l), np.diag(u))) < 1e-13)
     if len(vanished):
         raise SingularMatrixError("diagonal sum vanished at entry ({}, {})".format(*vanished[0]))

@@ -194,6 +194,11 @@ class TestKernels:
         assert _close(got, solve_triangular_sylvester(l, u, c))
         assert _close(got, scipy.linalg.solve_sylvester(l, u, c))
 
+    def test_sylvester_rejects_nonconforming_blocks(self):
+        l, u = np.eye(2), np.eye(1)
+        with pytest.raises(OracleError, match="do not conform to the 2x3 right side"):
+            sylvester(l, u, np.ones((2, 3)))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trsm(self, n):
         rng = np.random.default_rng(n)
