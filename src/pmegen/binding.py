@@ -53,9 +53,6 @@ class DimensionVar:
     operand: str
     axis: str
 
-    def __str__(self) -> str:
-        return f"{self.operand}_{self.axis}"
-
 
 @dataclass(frozen=True, slots=True)
 class RuleCombination:

@@ -88,6 +88,7 @@ from .opspec import (
     KIND_MATRIX,
     KIND_SCALAR,
     KIND_VECTOR,
+    OperandDecl,
     OperationSpec,
     Property,
     ROLE_KNOWN,
@@ -125,37 +126,22 @@ class CombinationRangeError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class PatternSlot:
-    """One operand slot of a pattern.
+class Pattern:
+    """An operation's slots, template and solved form.
 
-    ``dims`` records the slot's symbolic shape; shared symbols across
-    slots express the dimension relations the precondition imposes
-    (a factorization's operands are all square of one size, a solve's
-    right-hand side agrees with its system, and so on).
+    Each slot is an operand declaration.  Its ``dims`` record the slot's
+    symbolic shape; shared symbols across slots express the dimension
+    relations the precondition imposes (a factorization's operands are
+    all square of one size, a solve's right-hand side agrees with its
+    system, and so on).
     """
 
     name: str
-    kind: str
-    io_role: str
-    properties: frozenset[Property]
-    dims: Optional[Dimension] = None
-    require_square: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class Pattern:
-    name: str
     solution_operator: Optional[str]
-    slots: tuple[PatternSlot, ...]
+    slots: tuple[OperandDecl, ...]
     template: Equation
     solved: Equation
     provenance: str
-
-    def slot(self, name: str) -> PatternSlot:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def signature(self) -> tuple:
         return (
@@ -173,10 +159,6 @@ def pattern_from_spec(spec: OperationSpec, provenance: str) -> Pattern:
     The template is the canonical postcondition; the solved form applies
     the solution operator to the inputs in declaration order.
     """
-    slots = tuple(
-        PatternSlot(d.name, d.kind, d.io_role, d.properties, d.dims)
-        for d in spec.operands
-    )
     template = to_canonical_equation(spec.postcondition, spec.known_names())
     outputs = spec.outputs()
     if len(outputs) != 1:
@@ -187,7 +169,7 @@ def pattern_from_spec(spec: OperationSpec, provenance: str) -> Pattern:
         OperandRef(outputs[0].name),
         solved_by(spec.solution_operator, [OperandRef(d.name) for d in spec.inputs()]),
     )
-    return Pattern(spec.name, spec.solution_operator, slots, template, solved, provenance)
+    return Pattern(spec.name, spec.solution_operator, spec.operands, template, solved, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +182,19 @@ def _slot(
     dims: Optional[tuple[str, str]] = None,
     kind: str = KIND_MATRIX,
     props: Iterable[Property] = (),
-    square: bool = False,
-) -> PatternSlot:
-    return PatternSlot(
+) -> OperandDecl:
+    return OperandDecl(
         name,
         kind,
+        Dimension(*dims) if dims else None,
         io_role,
         frozenset(props),
-        Dimension(*dims) if dims else None,
-        square,
     )
 
 
 def _builtin(
     name: str,
-    slots: Sequence[PatternSlot],
+    slots: Sequence[OperandDecl],
     template: Equation,
     solved: Equation,
 ) -> Pattern:
@@ -254,7 +234,7 @@ def _seed_patterns() -> tuple[Pattern, ...]:
         _builtin(
             "solve_left",
             [
-                _slot("A", ROLE_KNOWN, ("q", "q"), props=(Property.GENERAL,), square=True),
+                _slot("A", ROLE_KNOWN, ("q", "q"), props=(Property.GENERAL,)),
                 _slot("X", ROLE_UNKNOWN, ("q", "n")),
                 _slot("B", ROLE_KNOWN, ("q", "n")),
             ],
@@ -264,7 +244,7 @@ def _seed_patterns() -> tuple[Pattern, ...]:
         _builtin(
             "solve_right",
             [
-                _slot("A", ROLE_KNOWN, ("n", "n"), props=(Property.GENERAL,), square=True),
+                _slot("A", ROLE_KNOWN, ("n", "n"), props=(Property.GENERAL,)),
                 _slot("X", ROLE_UNKNOWN, ("q", "n")),
                 _slot("B", ROLE_KNOWN, ("q", "n")),
             ],
@@ -471,18 +451,14 @@ def _blocking_table(
     """Each operand's blocking under each distinct rule of ``combos``, with
     what depends on that blocking alone.
 
-    An entry is the blocked operand, its inherited facts, its SPD facts not
-    among those, its block dims, and, for an input, its block names.
+    An entry is the blocked operand, its inherited facts, its SPD facts,
+    its block dims, and, for an input, its block names.
     """
     table: dict[PartitionRule, tuple] = {}
     for rule, b in operand_blockings(spec, analysis, combos).items():
         decl = spec.operand(rule.operand)
         inherited = inheritance_facts(b)
-        spd: list[PropertyFact] = []
-        if Property.SPD in decl.properties:
-            for f in spd_facts(b):
-                if f not in inherited and f not in spd:
-                    spd.append(f)
+        spd = spd_facts(b) if Property.SPD in decl.properties else ()
         dims = b.block_dims()
         table[rule] = (b, inherited, spd, dims, frozenset(dims if decl.is_input else ()))
     return table
@@ -595,10 +571,6 @@ class MatchResult:
 class GuardFailure(Exception):
     """Internal: records why a structurally matching pattern was rejected."""
 
-    def __init__(self, note: str) -> None:
-        super().__init__(note)
-        self.note = note
-
 
 def _unify_slot_dims(
     pattern: Pattern, sizes: dict[str, Optional[Dimension]]
@@ -657,8 +629,6 @@ def _check_guards(
         d = sizes[slot.name]
         if slot.kind == KIND_SCALAR and (d is None or d != Dimension("1", "1")):
             raise GuardFailure(f"slot {slot.name} must bind a scalar")
-        if slot.require_square and (d is None or d.rows != d.cols):
-            raise GuardFailure(f"slot {slot.name} must bind a square quantity")
         for prop in sorted(slot.properties, key=lambda p: p.value):
             if prop is Property.GENERAL:
                 if not _is_plain_general(bound, state):
@@ -696,7 +666,7 @@ def match_equation(
             _check_guards(pattern, binds, state)
         except GuardFailure as g:
             if notes is not None:
-                notes.append(f"{eq.position}: pattern {pattern.name}: {g.note}")
+                notes.append(f"{eq.position}: pattern {pattern.name}: {g}")
             continue
         solved = Equation(
             _substitute(pattern.solved.lhs, binds),
@@ -1014,10 +984,6 @@ def _derive_pme(
         for pos in unsolved:
             q = cells[pos]
             if is_tautology_candidate(q.equation, state.known):
-                if q.equation.lhs == q.equation.rhs:
-                    cells[pos] = replace(q, status=STATUS_SOLVED)
-                    progressed = True
-                    break
                 notes.append(
                     f"{pos}: no unknowns left but sides differ "
                     f"({serialize_equation(q.equation)})"
@@ -1232,7 +1198,7 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     record: dict[str, object] | None = None
-    slots: list[PatternSlot] = []
+    slots: list[OperandDecl] = []
     lineno = 0
     try:
         for lineno, raw in enumerate(lines, start=1):
@@ -1264,7 +1230,7 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
                 rows, cols = fields[4], fields[5]
                 dims = None if rows == "-" else Dimension(rows, cols)
                 props = frozenset(Property(p) for p in fields[6:])
-                slots.append(PatternSlot(fields[1], fields[2], fields[3], props, dims))
+                slots.append(OperandDecl(fields[1], fields[2], dims, fields[3], props))
             elif head == "post":
                 record["post"] = parse_prefix_equation(line[len("post ") :])
             elif head == "solved":
@@ -1282,7 +1248,7 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
 
 
 def _close_record(
-    kb: KnowledgeBase, record: dict[str, object] | None, slots: list[PatternSlot]
+    kb: KnowledgeBase, record: dict[str, object] | None, slots: list[OperandDecl]
 ) -> KnowledgeBase:
     if record is None:
         raise KnowledgeBaseError("'end' without a record")

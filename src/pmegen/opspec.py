@@ -54,9 +54,6 @@ class Property(str, enum.Enum):
     DIAGONAL = "diagonal"
     GENERAL = "general"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 #: properties that force a square matrix and constrain partitioning
 STRUCTURAL = frozenset(
@@ -98,11 +95,14 @@ class SpecValidationError(SpecError):
 
 @dataclass(frozen=True, slots=True)
 class OperandDecl:
-    """One declared operand.  An empty property set means general."""
+    """One declared operand.  An empty property set means general.
+
+    Pattern slots are operands too; a KB slot of any shape has no ``dims``.
+    """
 
     name: str
     kind: str
-    dims: Dimension
+    dims: Optional[Dimension]
     io_role: str
     properties: frozenset[Property]
 

@@ -43,9 +43,6 @@ class PartitionShape(str, enum.Enum):
     R2x1 = "2x1"
     R2x2 = "2x2"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class InadmissibleRuleError(ValueError):
     pass

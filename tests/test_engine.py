@@ -33,6 +33,7 @@ from pmegen.engine import (
 )
 from pmegen.expr import (
     ZERO,
+    Dimension,
     Equation,
     Expression,
     _local_variants,
@@ -229,6 +230,81 @@ class TestMatchEquation:
             ref("Y"),
             solved_by("Omega", [ref("L2"), ref("U2"), plus(ref("F"), minus(ref("G")))]),
         )
+
+    @pytest.mark.parametrize(
+        "name,lhs,symbol",
+        [("solve_left", times(N, ref("X")), "q"), ("solve_right", times(ref("X"), N), "n")],
+    )
+    def test_general_solve_rejects_non_square_system(self, cholesky_state, name, lhs, symbol):
+        # the system slot is declared square through one size symbol, so a
+        # non-square block fails the dimension unification
+        pattern = seed_builtins().get(name)
+        eq = QuadrantEquation("TL", Equation(lhs, ref("B")))
+        x_dims = Dimension("k", "p") if name == "solve_left" else Dimension("p", "m")
+        b_dims = Dimension("m", "p") if name == "solve_left" else Dimension("p", "k")
+        state = replace(
+            cholesky_state,
+            known={"N", "B"},
+            facts=[],
+            dims={"N": Dimension("m", "k"), "X": x_dims, "B": b_dims},
+        )
+        notes: list[str] = []
+        assert match_equation(eq, [pattern], state, notes) is None
+        assert notes == [
+            f"TL: pattern {name}: slot A: size {symbol} would need to be both m and k"
+        ]
+        square = {"N": Dimension("m", "m"), "X": Dimension("m", "m"), "B": Dimension("m", "m")}
+        result = match_equation(eq, [pattern], replace(state, dims=square))
+        assert result is not None and result.outputs == ("X",)
+
+
+class TestEstablished:
+    """The structural closure behind the triangular, symmetric and diagonal
+    guards."""
+
+    @pytest.fixture
+    def state(self, cholesky_state):
+        facts = [
+            PropertyFact(ref(name), prop)
+            for name, prop in [
+                ("L", Property.LOWER_TRIANGULAR),
+                ("U", Property.UPPER_TRIANGULAR),
+                ("S", Property.SYMMETRIC),
+                ("D", Property.DIAGONAL),
+                ("P", Property.SPD),
+            ]
+        ]
+        return replace(cholesky_state, facts=facts)
+
+    def test_zero_block(self, state):
+        assert all(
+            engine._established(ZERO, prop, state)
+            for prop in (
+                Property.LOWER_TRIANGULAR,
+                Property.UPPER_TRIANGULAR,
+                Property.SYMMETRIC,
+                Property.DIAGONAL,
+            )
+        )
+        assert not engine._established(ZERO, Property.SPD, state)
+
+    def test_negation_keeps_non_spd_properties(self, state):
+        assert engine._established(minus(ref("L")), Property.LOWER_TRIANGULAR, state)
+        assert engine._established(minus(ref("S")), Property.SYMMETRIC, state)
+        assert not engine._established(minus(ref("L")), Property.UPPER_TRIANGULAR, state)
+        # a negated spd block is not spd
+        assert not engine._established(minus(ref("P")), Property.SPD, state)
+
+    def test_transpose_flips_triangles_and_keeps_the_rest(self, state):
+        lower, upper = Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR
+        assert engine._established(trans(ref("L")), upper, state)
+        assert not engine._established(trans(ref("L")), lower, state)
+        assert engine._established(trans(ref("U")), lower, state)
+        assert not engine._established(trans(ref("U")), upper, state)
+        assert engine._established(trans(ref("S")), Property.SYMMETRIC, state)
+        assert engine._established(trans(ref("D")), Property.DIAGONAL, state)
+        assert engine._established(trans(ref("P")), Property.SPD, state)
+        assert not engine._established(trans(ref("S")), Property.DIAGONAL, state)
 
 
 class TestProveSpd:
@@ -813,7 +889,8 @@ class TestLearn:
         pattern = kb.get("cholesky")
         from pmegen.opspec import Property
 
-        assert Property.SPD in pattern.slot("A").properties
+        slots = {s.name: s for s in pattern.slots}
+        assert Property.SPD in slots["A"].properties
 
 
 class TestKnowledgeBaseFile:
