@@ -244,17 +244,16 @@ def pme_from_json_dict(doc: dict) -> PME:
 
 def _resolve_pme(
     pme: PME, spec: OperationSpec, combo: Optional[RuleCombination], table: dict
-) -> tuple[PME, Optional[dict[str, BlockedOperand]]]:
+) -> tuple[PME, dict[str, BlockedOperand]]:
     """``pme`` over ``combo``, the spec's combination equal to its own, with
     its blocks from ``table``, once its layout is that blocking's.
 
-    ``combo`` must exist, the block sizes be those of its grid, every cell
-    may name only blocks of its blocking, and ``order`` must list distinct
-    solved positions.  A PME of another operation comes back as it is,
-    without blocks: the oracle rejects it.
+    The PME must be one of ``spec``'s, ``combo`` must exist, the block
+    sizes be those of its grid, every cell may name only blocks of its
+    blocking, and ``order`` must list distinct solved positions.
     """
     if pme.operation != spec.name:
-        return pme, None
+        raise ValueError(f"PME of operation {pme.operation} given for operation {spec.name}")
     if combo is None:
         raise ValueError(
             f"PME combination {pme.combination.index} is not one that "

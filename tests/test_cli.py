@@ -402,6 +402,21 @@ class TestCheck:
         assert code == EXIT_PARSE and out == ""
         assert err == "error: PME of operation sylvester given for operation cholesky\n"
 
+    def test_pme_of_other_operation_after_own_rejected_before_any_trial(
+        self, tmp_path, capsys
+    ):
+        docs = []
+        for op in (CHOLESKY_OP, SYLVESTER_OP):
+            code, out, _ = run_main(["derive", op, "--format", "json"], capsys)
+            assert code == EXIT_OK
+            docs.append(json.loads(out)["pmes"][0])
+        pme_file = tmp_path / "mixed.json"
+        pme_file.write_text(json.dumps({"operation": "cholesky", "pmes": docs}))
+        args = ["check", CHOLESKY_OP, str(pme_file), "--trials", "2"]
+        code, out, err = run_main(args, capsys)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: PME of operation sylvester given for operation cholesky\n"
+
     def _sylvester_doc(self, capsys) -> dict:
         code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
         assert code == EXIT_OK
