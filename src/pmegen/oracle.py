@@ -150,7 +150,6 @@ def sample_value(
     conditioning stays mild at desk scale.
     """
     m, n = shape
-    a = rng.uniform(-1.0, 1.0, size=(m, n))
     if kind == KIND_SCALAR:
         return rng.uniform(1.0, 2.0, size=(1, 1))
     if Property.SPD in properties:
@@ -158,6 +157,7 @@ def sample_value(
         return base.T @ base + m * np.eye(m)
     if Property.DIAGONAL in properties:
         return np.diag(rng.uniform(1.0, 2.0, size=m))
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
     if Property.LOWER_TRIANGULAR in properties:
         a = np.tril(a)
         a[np.diag_indices(m)] = rng.uniform(1.0, 2.0, size=m)
