@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -309,13 +310,26 @@ def corpus_specs() -> list[tuple[str, OperationSpec]]:
     return specs + [(f"seed:{s}", random_spec(np.random.default_rng(s))) for s in range(300)]
 
 
-def bench_corpus():
-    """The benchmark's input generators (``bench/corpus.py``)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.py")
-    module_spec = importlib.util.spec_from_file_location("bench_corpus", path)
+def _bench_module(name: str):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", f"{name}.py")
+    module_spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(module)
     return module
+
+
+def bench_corpus():
+    """The benchmark's input generators (``bench/corpus.py``)."""
+    return _bench_module("corpus")
+
+
+def bench_worker():
+    """The benchmark's outcome checks (``bench/worker.py``).  The worker puts
+    ``bench/`` on ``sys.path`` to import its siblings; that lasts only while
+    it loads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        return _bench_module("worker")
 
 
 @pytest.fixture(scope="session")
@@ -328,8 +342,8 @@ def corpus_run() -> dict[str, list]:
     ``ops/`` changes none of their results; it only adds the calls that
     look for a nested derivation.
 
-    - ``"derived"``: (spec, ``derive_each`` results), with None as the
-      results of a spec without viable partitionings;
+    - ``"derived"``: (spec, ops_dir, ``derive_each`` results), with None as
+      the results of a spec without viable partitionings;
     - ``"states"``: each ``_initial_state`` state, as its derivation left it;
     - ``"grids"``: each grid of ``raw_blocked_equations``;
     - ``"prove_spd"``: each distinct SPD query, with a snapshot of its state;
@@ -390,7 +404,7 @@ def corpus_run() -> dict[str, list]:
                 results = engine.derive_each(spec, engine.seed_builtins(), ops_dir=ops_dir)
             except NoViablePartitioningsError:
                 results = None
-            derived.append((spec, results))
+            derived.append((spec, ops_dir, results))
     return {
         "derived": derived,
         "states": states,
