@@ -95,10 +95,8 @@ class SpecValidationError(SpecError):
 
 @dataclass(frozen=True, slots=True)
 class OperandDecl:
-    """One declared operand.  An empty property set means general.
-
-    Pattern slots are operands too; a KB slot of any shape has no ``dims``.
-    """
+    """One declared operand, or a pattern slot (a KB slot of any shape has
+    no ``dims``).  An empty property set means general."""
 
     name: str
     kind: str
