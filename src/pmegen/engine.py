@@ -71,12 +71,7 @@ from .expr import (
     normalize_equation,
     operand_names,
     parse_prefix_equation,
-    plus,
-    minus,
-    inv,
     trans,
-    times,
-    ref,
     rewrite_candidates,
     serialize,
     serialize_equation,
@@ -95,6 +90,7 @@ from .opspec import (
     ROLE_UNKNOWN,
     STRUCTURAL,
     SpecError,
+    parse_equation,
     parse_operation,
 )
 from .partition import (
@@ -143,15 +139,6 @@ class Pattern:
     solved: Equation
     provenance: str
 
-    def signature(self) -> tuple:
-        return (
-            self.name,
-            self.solution_operator,
-            self.slots,
-            serialize_equation(self.template),
-            serialize_equation(self.solved),
-        )
-
 
 def pattern_from_spec(spec: OperationSpec, provenance: str) -> Pattern:
     """The learnable pattern of an operation.
@@ -176,125 +163,48 @@ def pattern_from_spec(spec: OperationSpec, provenance: str) -> Pattern:
 # builtin patterns
 
 
-def _slot(
-    name: str,
-    io_role: str,
-    dims: Optional[tuple[str, str]] = None,
-    kind: str = KIND_MATRIX,
-    props: Iterable[Property] = (),
-) -> OperandDecl:
-    return OperandDecl(
-        name,
-        kind,
-        Dimension(*dims) if dims else None,
-        io_role,
-        frozenset(props),
-    )
-
-
-def _builtin(
-    name: str,
-    slots: Sequence[OperandDecl],
-    template: Equation,
-    solved: Equation,
-) -> Pattern:
-    return Pattern(
-        name=name,
-        solution_operator=None,
-        slots=tuple(slots),
-        template=template,
-        solved=solved,
-        provenance="builtin",
-    )
+# One row per builtin: ``name: slots | template | solved form``.  A slot is
+# ``name rows cols [property...]``; a 1 x 1 slot is a scalar.  The left side
+# of the solved form names the unknown slot.
+_BUILTIN_ROWS = """
+assign: X q n, E q n | X = E | X = E
+add_isolate: X q n, E q n, F q n | E + X = F | X = F - E
+solve_left: A q q general, X q n, B q n | A * X = B | X = inv(A) * B
+solve_right: A n n general, X q n, B q n | X * A = B | X = B * inv(A)
+trsm_lx: L q q lower_triangular, X q n, B q n | L * X = B | X = inv(L) * B
+trsm_xlt: L n n lower_triangular, X q n, B q n | X * trans(L) = B | X = B * trans(inv(L))
+trsm_ux: U q q upper_triangular, X q n, B q n | U * X = B | X = inv(U) * B
+trsm_xu: U n n upper_triangular, X q n, B q n | X * U = B | X = B * inv(U)
+trsm_ltx: L q q lower_triangular, X q n, B q n | trans(L) * X = B | X = trans(inv(L)) * B
+trsm_xl: L n n lower_triangular, X q n, B q n | X * L = B | X = B * inv(L)
+trsm_utx: U q q upper_triangular, X q n, B q n | trans(U) * X = B | X = trans(inv(U)) * B
+trsm_xut: U n n upper_triangular, X q n, B q n | X * trans(U) = B | X = B * trans(inv(U))
+transpose_solve: X q n, E n q | trans(X) = E | X = trans(E)
+scalar_div: s 1 1, x 1 1, t 1 1 | s * x = t | x = inv(s) * t
+"""
 
 
 def _seed_patterns() -> tuple[Pattern, ...]:
-    X, E, F, B = ref("X"), ref("E"), ref("F"), ref("B")
-    A, L, U = ref("A"), ref("L"), ref("U")
-    a, x, b = ref("s"), ref("x"), ref("t")
-    lower = (Property.LOWER_TRIANGULAR,)
-    upper = (Property.UPPER_TRIANGULAR,)
-    out = [
-        _builtin(
-            "assign",
-            [_slot("X", ROLE_UNKNOWN, ("q", "n")), _slot("E", ROLE_KNOWN, ("q", "n"))],
-            Equation(X, E),
-            Equation(X, E),
-        ),
-        _builtin(
-            "add_isolate",
-            [
-                _slot("X", ROLE_UNKNOWN, ("q", "n")),
-                _slot("E", ROLE_KNOWN, ("q", "n")),
-                _slot("F", ROLE_KNOWN, ("q", "n")),
-            ],
-            Equation(plus(X, E), F),
-            Equation(X, plus(F, minus(E))),
-        ),
-        _builtin(
-            "solve_left",
-            [
-                _slot("A", ROLE_KNOWN, ("q", "q"), props=(Property.GENERAL,)),
-                _slot("X", ROLE_UNKNOWN, ("q", "n")),
-                _slot("B", ROLE_KNOWN, ("q", "n")),
-            ],
-            Equation(times(A, X), B),
-            Equation(X, times(inv(A), B)),
-        ),
-        _builtin(
-            "solve_right",
-            [
-                _slot("A", ROLE_KNOWN, ("n", "n"), props=(Property.GENERAL,)),
-                _slot("X", ROLE_UNKNOWN, ("q", "n")),
-                _slot("B", ROLE_KNOWN, ("q", "n")),
-            ],
-            Equation(times(X, A), B),
-            Equation(X, times(B, inv(A))),
-        ),
-    ]
-    trsm_forms = [
-        ("trsm_lx", L, lower, ("q", "q"), times(L, X), times(inv(L), B)),
-        ("trsm_xlt", L, lower, ("n", "n"), times(X, trans(L)), times(B, trans(inv(L)))),
-        ("trsm_ux", U, upper, ("q", "q"), times(U, X), times(inv(U), B)),
-        ("trsm_xu", U, upper, ("n", "n"), times(X, U), times(B, inv(U))),
-        ("trsm_ltx", L, lower, ("q", "q"), times(trans(L), X), times(trans(inv(L)), B)),
-        ("trsm_xl", L, lower, ("n", "n"), times(X, L), times(B, inv(L))),
-        ("trsm_utx", U, upper, ("q", "q"), times(trans(U), X), times(trans(inv(U)), B)),
-        ("trsm_xut", U, upper, ("n", "n"), times(X, trans(U)), times(B, trans(inv(U)))),
-    ]
-    for bname, tri, props, tri_dims, lhs, solved_rhs in trsm_forms:
-        out.append(
-            _builtin(
-                bname,
-                [
-                    _slot(tri.name, ROLE_KNOWN, tri_dims, props=props),
-                    _slot("X", ROLE_UNKNOWN, ("q", "n")),
-                    _slot("B", ROLE_KNOWN, ("q", "n")),
-                ],
-                Equation(lhs, B),
-                Equation(X, solved_rhs),
+    out = []
+    for row in _BUILTIN_ROWS.strip().splitlines():
+        name, rest = row.split(": ", 1)
+        slot_texts, template, solved = rest.split(" | ")
+        solved_eq = parse_equation(solved)
+        slots = []
+        for text in slot_texts.split(", "):
+            slot, rows, cols, *props = text.split()
+            slots.append(
+                OperandDecl(
+                    slot,
+                    KIND_SCALAR if rows == cols == "1" else KIND_MATRIX,
+                    Dimension(rows, cols),
+                    ROLE_UNKNOWN if slot == solved_eq.lhs.name else ROLE_KNOWN,
+                    frozenset(map(Property, props)),
+                )
             )
+        out.append(
+            Pattern(name, None, tuple(slots), parse_equation(template), solved_eq, "builtin")
         )
-    out.append(
-        _builtin(
-            "transpose_solve",
-            [_slot("X", ROLE_UNKNOWN, ("q", "n")), _slot("E", ROLE_KNOWN, ("n", "q"))],
-            Equation(trans(X), E),
-            Equation(X, trans(E)),
-        )
-    )
-    out.append(
-        _builtin(
-            "scalar_div",
-            [
-                _slot("s", ROLE_KNOWN, ("1", "1"), kind=KIND_SCALAR),
-                _slot("x", ROLE_UNKNOWN, ("1", "1"), kind=KIND_SCALAR),
-                _slot("t", ROLE_KNOWN, ("1", "1"), kind=KIND_SCALAR),
-            ],
-            Equation(times(a, x), b),
-            Equation(x, times(inv(a), b)),
-        )
-    )
     return tuple(out)
 
 
@@ -343,7 +253,7 @@ def learn(spec: OperationSpec, kb: KnowledgeBase) -> KnowledgeBase:
     pattern = pattern_from_spec(spec, provenance=f"learned-from:{spec.name}")
     existing = kb.get(pattern.name)
     if existing is not None:
-        if existing.signature() == pattern.signature():
+        if replace(existing, provenance=pattern.provenance) == pattern:
             return kb
         raise PatternConflictError(
             f"pattern {pattern.name} already exists with a different definition"

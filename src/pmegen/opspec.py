@@ -144,14 +144,9 @@ class OperationSpec:
 # validation shared by the parser and programmatic construction
 
 
-def _validate_decl(decl: OperandDecl, line: int = 0) -> OperandDecl:
-    def fail(msg: str) -> None:
-        if line:
-            raise SpecSyntaxError(msg, line)
-        raise SpecValidationError(msg)
-
+def _validate_decl(decl: OperandDecl) -> OperandDecl:
     if not _IDENT.match(decl.name) or decl.name in _RESERVED:
-        fail(f"invalid operand name {decl.name!r}")
+        raise SpecValidationError(f"invalid operand name {decl.name!r}")
     props = set(decl.properties)
     props.discard(Property.GENERAL)
     if Property.SPD in props:
@@ -162,16 +157,19 @@ def _validate_decl(decl: OperandDecl, line: int = 0) -> OperandDecl:
         Property.DIAGONAL,
     }
     if len(exclusive) > 1:
-        fail(f"operand {decl.name}: conflicting shapes {sorted(p.value for p in exclusive)}")
+        shapes = sorted(p.value for p in exclusive)
+        raise SpecValidationError(f"operand {decl.name}: conflicting shapes {shapes}")
     if props & STRUCTURAL:
         if decl.kind != KIND_MATRIX:
-            fail(f"operand {decl.name}: structural properties need a matrix")
+            raise SpecValidationError(f"operand {decl.name}: structural properties need a matrix")
         if decl.dims.rows != decl.dims.cols:
-            fail(f"operand {decl.name}: structural properties need square dimensions")
+            raise SpecValidationError(
+                f"operand {decl.name}: structural properties need square dimensions"
+            )
     if decl.kind == KIND_VECTOR and decl.dims.cols != "1":
-        fail(f"operand {decl.name}: vectors have a single column")
+        raise SpecValidationError(f"operand {decl.name}: vectors have a single column")
     if decl.kind == KIND_SCALAR and decl.dims != Dimension("1", "1"):
-        fail(f"operand {decl.name}: scalars are 1 x 1")
+        raise SpecValidationError(f"operand {decl.name}: scalars are 1 x 1")
     return OperandDecl(decl.name, decl.kind, decl.dims, decl.io_role, frozenset(props))
 
 
@@ -220,23 +218,16 @@ class _Tok:
     col: int
 
 
+# blanks, then a token (group 1) or a character that starts none (group 2)
+_TOKEN = re.compile(r"[ \t]*(?:([+\-*(),=:]|[A-Za-z][A-Za-z0-9_]*|1)|([^ \t]))")
+
+
 def _lex(line: str, lineno: int) -> list[_Tok]:
     toks: list[_Tok] = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch in "+-*(),=:":
-            toks.append(_Tok(ch, i + 1))
-            i += 1
-            continue
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*|1", line[i:])
-        if not m:
-            raise SpecSyntaxError(f"unexpected character {ch!r}", lineno, i + 1)
-        toks.append(_Tok(m.group(0), i + 1))
-        i += len(m.group(0))
+    for m in _TOKEN.finditer(line):
+        if m.lastindex == 2:
+            raise SpecSyntaxError(f"unexpected character {m.group(2)!r}", lineno, m.start(2) + 1)
+        toks.append(_Tok(m.group(1), m.start(1) + 1))
     return toks
 
 
@@ -263,6 +254,15 @@ class _ExprParser:
         if t.text != text:
             raise SpecSyntaxError(f"expected {text!r}, found {t.text!r}", self.lineno, t.col)
         return t
+
+    def equation(self) -> Equation:
+        """``lhs = rhs`` over the remaining tokens."""
+        lhs = self.expression()
+        self.expect("=")
+        rhs = self.expression()
+        if (t := self.peek()) is not None:
+            raise SpecSyntaxError(f"trailing input {t.text!r}", self.lineno, t.col)
+        return Equation(lhs, rhs)
 
     def expression(self) -> Expression:
         terms = [self.term()]
@@ -349,7 +349,15 @@ def _parse_operand_line(toks: list[_Tok], lineno: int) -> OperandDecl:
             raise SpecSyntaxError("general is implied by omitting properties", lineno, prop_tok.col)
         props.add(prop)
     decl = OperandDecl(name, kind, dims, role_tok.text, frozenset(props))
-    return _validate_decl(decl, lineno)
+    try:
+        return _validate_decl(decl)
+    except SpecValidationError as exc:
+        raise SpecSyntaxError(str(exc), lineno) from exc
+
+
+def parse_equation(text: str) -> Equation:
+    """Parse one ``lhs = rhs`` in the postcondition syntax."""
+    return _ExprParser(_lex(text, 1), 1).equation()
 
 
 def parse_operation(text: str) -> OperationSpec:
@@ -378,14 +386,7 @@ def parse_operation(text: str) -> OperationSpec:
         elif head == "postcondition":
             if len(toks) < 2 or toks[1].text != ":":
                 raise SpecSyntaxError("expected: postcondition: <expr> = <expr>", lineno)
-            p = _ExprParser(toks[2:], lineno)
-            lhs = p.expression()
-            p.expect("=")
-            rhs = p.expression()
-            if p.peek() is not None:
-                t = p.peek()
-                raise SpecSyntaxError(f"trailing input {t.text!r}", lineno, t.col)
-            post = Equation(lhs, rhs)
+            post = _ExprParser(toks[2:], lineno).equation()
             post_line = lineno
         elif head == "solve":
             if len(toks) != 3 or toks[1].text != ":":

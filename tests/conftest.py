@@ -396,7 +396,7 @@ def corpus_run() -> dict[str, list]:
         mp.setattr(blockarith, "raw_blocked_equations", raw_blocked_equations)
         mp.setattr(engine, "prove_spd", prove_spd)
         # every module that imports ``plus`` by name, and expr for its own callers
-        for module in (expr, blockarith, engine, opspec, partition):
+        for module in (expr, blockarith, opspec, partition):
             mp.setattr(module, "plus", plus_)
         mp.setattr(expr, "has_unknown", has_unknown)
         for spec, ops_dir in runs:

@@ -118,6 +118,150 @@ DOWN_TAUTOLOGIES = _updated_cholesky_tautologies(
 )
 
 
+# Each builtin in order: name, slots as (name, kind, dims, role, properties),
+# and the prefix forms of its template and solved form.
+PINNED_BUILTINS = [
+    (
+        "assign",
+        [
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("E", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq X E)",
+        "(eq X E)",
+    ),
+    (
+        "add_isolate",
+        [
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("E", "matrix", ("q", "n"), "known", ()),
+            ("F", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (plus E X) F)",
+        "(eq X (plus (minus E) F))",
+    ),
+    (
+        "solve_left",
+        [
+            ("A", "matrix", ("q", "q"), "known", ("general",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times A X) B)",
+        "(eq X (times (inv A) B))",
+    ),
+    (
+        "solve_right",
+        [
+            ("A", "matrix", ("n", "n"), "known", ("general",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times X A) B)",
+        "(eq X (times B (inv A)))",
+    ),
+    (
+        "trsm_lx",
+        [
+            ("L", "matrix", ("q", "q"), "known", ("lower_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times L X) B)",
+        "(eq X (times (inv L) B))",
+    ),
+    (
+        "trsm_xlt",
+        [
+            ("L", "matrix", ("n", "n"), "known", ("lower_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times X (trans L)) B)",
+        "(eq X (times B (trans (inv L))))",
+    ),
+    (
+        "trsm_ux",
+        [
+            ("U", "matrix", ("q", "q"), "known", ("upper_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times U X) B)",
+        "(eq X (times (inv U) B))",
+    ),
+    (
+        "trsm_xu",
+        [
+            ("U", "matrix", ("n", "n"), "known", ("upper_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times X U) B)",
+        "(eq X (times B (inv U)))",
+    ),
+    (
+        "trsm_ltx",
+        [
+            ("L", "matrix", ("q", "q"), "known", ("lower_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times (trans L) X) B)",
+        "(eq X (times (trans (inv L)) B))",
+    ),
+    (
+        "trsm_xl",
+        [
+            ("L", "matrix", ("n", "n"), "known", ("lower_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times X L) B)",
+        "(eq X (times B (inv L)))",
+    ),
+    (
+        "trsm_utx",
+        [
+            ("U", "matrix", ("q", "q"), "known", ("upper_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times (trans U) X) B)",
+        "(eq X (times (trans (inv U)) B))",
+    ),
+    (
+        "trsm_xut",
+        [
+            ("U", "matrix", ("n", "n"), "known", ("upper_triangular",)),
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("B", "matrix", ("q", "n"), "known", ()),
+        ],
+        "(eq (times X (trans U)) B)",
+        "(eq X (times B (trans (inv U))))",
+    ),
+    (
+        "transpose_solve",
+        [
+            ("X", "matrix", ("q", "n"), "unknown", ()),
+            ("E", "matrix", ("n", "q"), "known", ()),
+        ],
+        "(eq (trans X) E)",
+        "(eq X (trans E))",
+    ),
+    (
+        "scalar_div",
+        [
+            ("s", "scalar", ("1", "1"), "known", ()),
+            ("x", "scalar", ("1", "1"), "unknown", ()),
+            ("t", "scalar", ("1", "1"), "known", ()),
+        ],
+        "(eq (times s x) t)",
+        "(eq x (times (inv s) t))",
+    ),
+]
+
+
 class TestBuiltins:
     def test_seed_names_stable(self):
         kb = seed_builtins()
@@ -137,6 +281,23 @@ class TestBuiltins:
             "transpose_solve",
             "scalar_div",
         )
+
+    def test_seed_patterns_pinned(self):
+        builtins = seed_builtins().builtins
+        assert {(p.solution_operator, p.provenance) for p in builtins} == {(None, "builtin")}
+        assert [
+            (
+                p.name,
+                [
+                    (s.name, s.kind, (s.dims.rows, s.dims.cols), s.io_role,
+                     tuple(sorted(x.value for x in s.properties)))
+                    for s in p.slots
+                ],
+                serialize_equation(p.template),
+                serialize_equation(p.solved),
+            )
+            for p in builtins
+        ] == PINNED_BUILTINS
 
     def test_triangular_system_lookup(self, cholesky_state):
         # bottom-left quadrant of the blocked factorization equation
@@ -933,9 +1094,7 @@ class TestKnowledgeBaseFile:
         path = str(tmp_path / "patterns.kb")
         save_kb(kb, path)
         loaded = load_kb(path)
-        assert [p.signature() for p in loaded.learned] == [
-            p.signature() for p in kb.learned
-        ]
+        assert loaded.learned == kb.learned
         # byte-stable on rewrite
         save_kb(loaded, path + ".2")
         assert open(path).read() == open(path + ".2").read()
