@@ -289,8 +289,13 @@ class TestBuiltins:
             (
                 p.name,
                 [
-                    (s.name, s.kind, (s.dims.rows, s.dims.cols), s.io_role,
-                     tuple(sorted(x.value for x in s.properties)))
+                    (
+                        s.name,
+                        s.kind,
+                        (s.dims.rows, s.dims.cols),
+                        s.io_role,
+                        tuple(sorted(x.value for x in s.properties)),
+                    )
                     for s in p.slots
                 ],
                 serialize_equation(p.template),
