@@ -13,6 +13,10 @@ the all-keep choice does not partition anything and is dropped, leaving
 ``2**g - 1`` viable rule combinations.  Combinations are emitted in
 binary counting order with the first-seen group as the most significant
 bit, and group ``i`` splits at the fresh size symbol ``k{i+1}``.
+
+This module alone decides the blockings: each combination it emits is
+admissible for every operand and conforms across the equation, and
+:mod:`partition` and :mod:`blockarith` build it without checking again.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .expr import (
     Zero,
 )
 from .opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec
-from .partition import PartitionRule, PartitionShape
+from .partition import PartitionRule
 
 
 class BindingError(ValueError):
@@ -67,9 +71,6 @@ class RuleCombination:
             if name == operand:
                 return rule
         raise KeyError(operand)
-
-    def is_all_identity(self) -> bool:
-        return all(rule.is_identity for _, rule in self.rules)
 
 
 class _DSU:
@@ -237,17 +238,7 @@ def _combinations(
             cg = analysis.var_group[DimensionVar(decl.name, "c")]
             srows = analysis.split_symbols[rg] if rg in split_groups else None
             scols = analysis.split_symbols[cg] if cg in split_groups else None
-            if srows and scols:
-                shape = PartitionShape.R2x2
-            elif srows:
-                shape = PartitionShape.R2x1
-            elif scols:
-                shape = PartitionShape.R1x2
-            else:
-                shape = PartitionShape.R1x1
-            rules.append(
-                (decl.name, PartitionRule(shape, decl.name, srows, scols))
-            )
+            rules.append((decl.name, PartitionRule(decl.name, srows, scols)))
         choices = tuple(
             (i, "split" if i in split_groups else "keep")
             for i in range(len(analysis.groups))

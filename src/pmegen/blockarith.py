@@ -5,7 +5,9 @@ out symbolic block products and sums turns one matrix equation into a
 grid of per-quadrant equations.  Each cell is put into canonical form
 immediately (unknown-containing terms left, known-only terms right), and
 cells whose equation is the transpose of another cell's are marked
-redundant with a star, pointing at their partner.
+redundant with a star, pointing at their partner.  The blockings come
+from :mod:`binding`, which makes them conform, so the block arithmetic
+here checks nothing again.
 
 Grids are at most 2x2 because individual operands are never blocked
 finer than 2x2.
@@ -21,11 +23,9 @@ from .expr import (
     Dimension,
     Equation,
     Expression,
-    Inverse,
     Minus,
     OperandRef,
     Plus,
-    SolvedBy,
     Times,
     Transpose,
     is_tautology_candidate,
@@ -46,10 +46,6 @@ from .partition import BlockedOperand, PartitionRule, apply_rule, position_names
 STATUS_UNSOLVED = "unsolved"
 STATUS_SOLVED = "solved"
 STATUS_STAR = "star"
-
-
-class ConformanceError(ValueError):
-    """The chosen blockings do not yield well-defined block arithmetic."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,10 +144,6 @@ class _Grid:
 
 
 def _mul(a: _Grid, b: _Grid) -> _Grid:
-    if a.col_sizes != b.row_sizes:
-        raise ConformanceError(
-            f"inner block sizes differ: {a.col_sizes} vs {b.row_sizes}"
-        )
     cells = tuple(
         tuple(
             plus(*(times(a.cells[i][k], b.cells[k][j]) for k in range(len(a.col_sizes))))
@@ -162,23 +154,11 @@ def _mul(a: _Grid, b: _Grid) -> _Grid:
     return _Grid(cells, a.row_sizes, b.col_sizes)
 
 
-def _same_shape(a: _Grid, b: _Grid, what: str) -> None:
-    if a.row_sizes != b.row_sizes or a.col_sizes != b.col_sizes:
-        raise ConformanceError(
-            f"{what}: block shapes differ: "
-            f"{a.row_sizes}x{a.col_sizes} vs {b.row_sizes}x{b.col_sizes}"
-        )
-
-
 def _eval_blocked(
     e: Expression, blocks: dict[str, BlockedOperand]
 ) -> _Grid | BlockedOperand:
     if isinstance(e, OperandRef):
         return blocks[e.name]
-    if isinstance(e, SolvedBy):
-        raise ConformanceError("solution operators may not appear in postconditions")
-    if not isinstance(e, (Times, Plus, Minus, Transpose, Inverse)):
-        raise ConformanceError(f"cannot block node {type(e).__name__}")
     grid, *rest = [_eval_blocked(x, blocks) for x in e.children()]
     rows, cols = grid.row_sizes, grid.col_sizes
     if isinstance(e, Times):
@@ -187,7 +167,6 @@ def _eval_blocked(
         return grid
     if isinstance(e, Plus):
         for other in rest:
-            _same_shape(grid, other, "sum")
             cells = tuple(tuple(map(plus, ra, rb)) for ra, rb in zip(grid.cells, other.cells))
             grid = _Grid(cells, rows, cols)
         return grid
@@ -195,18 +174,19 @@ def _eval_blocked(
         return _Grid(tuple(tuple(map(minus, row)) for row in grid.cells), rows, cols)
     if isinstance(e, Transpose):
         return _Grid(tuple(tuple(map(trans, col)) for col in zip(*grid.cells)), cols, rows)
-    if (len(rows), len(cols)) != (1, 1):
-        raise ConformanceError("blocked inverses of partitioned operands are unsupported")
     return _Grid(((inv(grid.cells[0][0]),),), rows, cols)
 
 
 def raw_blocked_equations(
     spec: OperationSpec, blocks: dict[str, BlockedOperand]
 ) -> BlockedEquationGrid:
-    """Distribute ``=`` over the given blockings without canonicalization."""
+    """Distribute ``=`` over the given blockings without canonicalization.
+
+    ``blocks`` must block each operand by its rule in one of
+    ``enumerate_combinations(spec)``, so the block arithmetic conforms.
+    """
     lhs = _eval_blocked(spec.postcondition.lhs, blocks)
     rhs = _eval_blocked(spec.postcondition.rhs, blocks)
-    _same_shape(lhs, rhs, "equation")
     nr, nc = len(lhs.row_sizes), len(lhs.col_sizes)
     names = position_names(nr, nc)
     cells = tuple(
@@ -227,25 +207,19 @@ def blocked_postcondition(
 ) -> BlockedEquationGrid:
     """The star-marked, canonicalized grid of quadrant equations.
 
-    Cells that hold trivially (zero equals zero) are marked solved right
-    away so the derivation loop only ever sees informative equations.
+    ``rules`` must be one of ``enumerate_combinations(spec)``.  Cells that
+    hold trivially (zero equals zero) are marked solved right away so the
+    derivation loop only ever sees informative equations.
     """
     blocks = blocked_operands(spec, rules)
     known = frozenset(n for d in spec.inputs() for n in blocks[d.name].block_dims())
-    return _blocked_grid(spec, rules, blocks, known)
+    return _blocked_grid(spec, blocks, known)
 
 
 def _blocked_grid(
-    spec: OperationSpec,
-    rules: RuleCombination,
-    blocks: dict[str, BlockedOperand],
-    known: frozenset[str],
+    spec: OperationSpec, blocks: dict[str, BlockedOperand], known: frozenset[str]
 ) -> BlockedEquationGrid:
     """:func:`blocked_postcondition` over blocks and known names already built."""
-    if rules.is_all_identity():
-        raise ConformanceError(
-            "the all-identity combination does not partition anything"
-        )
     raw = raw_blocked_equations(spec, blocks)
     rows: list[tuple[QuadrantEquation, ...]] = []
     for row in raw.cells:

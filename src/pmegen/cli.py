@@ -54,7 +54,7 @@ from .opspec import (
     expr_to_latex,
     parse_operation,
 )
-from .partition import BlockedOperand, PartitionRule, PartitionShape, position_names
+from .partition import BlockedOperand, PartitionRule, position_names
 
 
 EXIT_OK = 0
@@ -129,14 +129,9 @@ def _cell_latex(q: QuadrantEquation) -> str:
 def render_combination(combo: RuleCombination) -> list[str]:
     lines = [f"combination {combo.index}:"]
     for name, rule in combo.rules:
-        detail = ""
-        if rule.shape is PartitionShape.R2x2:
-            detail = f" (rows {rule.split_rows}, cols {rule.split_cols})"
-        elif rule.shape is PartitionShape.R2x1:
-            detail = f" (rows {rule.split_rows})"
-        elif rule.shape is PartitionShape.R1x2:
-            detail = f" (cols {rule.split_cols})"
-        lines.append(f"  {name}: {rule.shape.value}{detail}")
+        axes = (("rows", rule.split_rows), ("cols", rule.split_cols))
+        splits = ", ".join(f"{axis} {k}" for axis, k in axes if k is not None)
+        lines.append(f"  {name}: {rule.shape}" + (f" ({splits})" if splits else ""))
     return lines
 
 
@@ -171,7 +166,7 @@ def pme_to_json_dict(pme: PME) -> dict:
             "rules": [
                 {
                     "operand": name,
-                    "shape": rule.shape.value,
+                    "shape": rule.shape,
                     "split_rows": rule.split_rows,
                     "split_cols": rule.split_cols,
                 }
@@ -195,20 +190,21 @@ def pme_to_json_dict(pme: PME) -> dict:
     }
 
 
+def _rule_from_json(r: dict) -> PartitionRule:
+    """A PME document's rule; its ``shape`` must agree with its splits."""
+    rule = PartitionRule(r["operand"], r["split_rows"], r["split_cols"])
+    shape = r["shape"]
+    if shape not in ("1x1", "1x2", "2x1", "2x2"):
+        raise ValueError(f"unknown shape {shape!r} for {rule.operand}")
+    for axis, want, got in zip(("rows", "cols"), shape[::2], rule.shape[::2]):
+        if want != got:
+            raise ValueError(f"{shape} rule for {rule.operand}: split_{axis} mismatch")
+    return rule
+
+
 def pme_from_json_dict(doc: dict) -> PME:
     combo = doc["combination"]
-    rules = tuple(
-        (
-            r["operand"],
-            PartitionRule(
-                PartitionShape(r["shape"]),
-                r["operand"],
-                r["split_rows"],
-                r["split_cols"],
-            ),
-        )
-        for r in combo["rules"]
-    )
+    rules = tuple((r["operand"], _rule_from_json(r)) for r in combo["rules"])
     combination = RuleCombination(
         index=int(combo["index"]),
         rules=rules,

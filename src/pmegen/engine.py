@@ -392,7 +392,7 @@ def _initial_state(
                 facts.append(f)
         dims.update(block_dims)
     return DerivationState(
-        grid=_blocked_grid(spec, rules, blocked, known),
+        grid=_blocked_grid(spec, blocked, known),
         known=known,
         facts=facts,
         tautologies=[],

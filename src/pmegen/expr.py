@@ -297,15 +297,6 @@ def _read(toks: list[str], i: int) -> tuple[Expression, int]:
     return cls(tuple(args)), i
 
 
-def parse_prefix(text: str) -> Expression:
-    """Read an expression back from its prefix form."""
-    toks = _tokens(text)
-    node, i = _read(toks, 0)
-    if i != len(toks):
-        raise StructuralError("trailing tokens after prefix expression")
-    return node
-
-
 def parse_prefix_equation(text: str) -> Equation:
     toks = _tokens(text)
     if len(toks) < 4 or toks[0] != "(" or toks[1] != "eq":

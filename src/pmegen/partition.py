@@ -1,16 +1,18 @@
-"""Partitioning rules per operand structure and block property inheritance.
+"""Blocking of one operand and block property inheritance.
 
 A general matrix admits the identity, 1x2, 2x1 and 2x2 blockings; a
 structured matrix (triangular, symmetric, spd, diagonal) only the
 identity or a 2x2 blocking with a square top-left quadrant; vectors only
-the identity or 2x1; scalars only the identity.  Applying a rule yields a
-grid of block expressions together with the properties each named block
-inherits directly.  Blocks are named after :func:`position_names`, the
-one source of quadrant names (``A_TL``, ``x_B``; an unpartitioned
-operand keeps its own name).  Blocks on the diagonal inherit the parent's
-properties; triangular and diagonal parents put a zero block off the
-triangle, and symmetric (and spd) parents store the top-right quadrant
-literally as the transpose of the bottom-left one.
+the identity or 2x1; scalars only the identity.  :mod:`binding` enforces
+this table when it enumerates the rules; this module builds the blocking
+a rule asks for, a grid of block expressions together with the
+properties each named block inherits directly.  Blocks are named after
+:func:`position_names`, the one source of quadrant names (``A_TL``,
+``x_B``; an unpartitioned operand keeps its own name).  Blocks on the
+diagonal inherit the parent's properties; triangular and diagonal
+parents put a zero block off the triangle, and symmetric (and spd)
+parents store the top-right quadrant literally as the transpose of the
+bottom-left one.
 
 Beyond direct inheritance, an spd parent contributes theorem-level facts:
 both Schur complements of its 2x2 blocking are spd as well
@@ -19,7 +21,6 @@ both Schur complements of its 2x2 blocking are spd as well
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,44 +35,26 @@ from .expr import (
     times,
     trans,
 )
-from .opspec import OperandDecl, Property, KIND_SCALAR, KIND_VECTOR
-
-
-class PartitionShape(str, enum.Enum):
-    R1x1 = "1x1"
-    R1x2 = "1x2"
-    R2x1 = "2x1"
-    R2x2 = "2x2"
-
-
-class InadmissibleRuleError(ValueError):
-    pass
+from .opspec import OperandDecl, Property
 
 
 @dataclass(frozen=True, slots=True)
 class PartitionRule:
-    """A blocking choice for one operand; split sizes are fresh symbols."""
+    """A blocking choice for one operand: the fresh size symbol each split
+    axis is cut at, or None for an axis kept whole."""
 
-    shape: PartitionShape
     operand: str
     split_rows: Optional[str] = None
     split_cols: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        want_rows = self.shape in (PartitionShape.R2x1, PartitionShape.R2x2)
-        want_cols = self.shape in (PartitionShape.R1x2, PartitionShape.R2x2)
-        if want_rows != (self.split_rows is not None):
-            raise InadmissibleRuleError(
-                f"{self.shape.value} rule for {self.operand}: split_rows mismatch"
-            )
-        if want_cols != (self.split_cols is not None):
-            raise InadmissibleRuleError(
-                f"{self.shape.value} rule for {self.operand}: split_cols mismatch"
-            )
+    @property
+    def shape(self) -> str:
+        """``"RxC"``: 2 blocks along each split axis, 1 along a kept one."""
+        return f"{1 + (self.split_rows is not None)}x{1 + (self.split_cols is not None)}"
 
     @property
     def is_identity(self) -> bool:
-        return self.shape is PartitionShape.R1x1
+        return self.split_rows is None and self.split_cols is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,22 +96,6 @@ class BlockedOperand:
         return out
 
 
-def admissible_rules(decl: OperandDecl) -> tuple[PartitionShape, ...]:
-    """Blocking shapes allowed by the operand's kind and structure."""
-    if decl.kind == KIND_SCALAR:
-        return (PartitionShape.R1x1,)
-    if decl.kind == KIND_VECTOR:
-        return (PartitionShape.R1x1, PartitionShape.R2x1)
-    if decl.is_structured:
-        return (PartitionShape.R1x1, PartitionShape.R2x2)
-    return (
-        PartitionShape.R1x1,
-        PartitionShape.R1x2,
-        PartitionShape.R2x1,
-        PartitionShape.R2x2,
-    )
-
-
 def _rest(parent: str, split: str) -> str:
     return f"{parent}-{split}"
 
@@ -147,20 +114,14 @@ def position_names(nrows: int, ncols: int) -> tuple[tuple[str, ...], ...]:
 
 
 def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
-    """Block one operand; each block is named ``<operand>_<position>``."""
-    if rule.operand != decl.name:
-        raise InadmissibleRuleError(f"rule for {rule.operand} applied to {decl.name}")
-    if rule.shape not in admissible_rules(decl):
-        raise InadmissibleRuleError(
-            f"{rule.shape.value} is not admissible for operand {decl.name}"
-        )
+    """Block one operand; each block is named ``<operand>_<position>``.
+
+    ``rule`` must be ``decl``'s rule in one of ``enumerate_combinations(spec)``,
+    which admits it under the table above; it is built as given.
+    """
     name = decl.name
     props = decl.properties
     kr, kc = rule.split_rows, rule.split_cols
-    if decl.is_structured and kr != kc:
-        raise InadmissibleRuleError(
-            f"structured operand {name} needs a square top-left block"
-        )
     row_sizes = (decl.dims.rows,) if kr is None else (kr, _rest(decl.dims.rows, kr))
     col_sizes = (decl.dims.cols,) if kc is None else (kc, _rest(decl.dims.cols, kc))
     if rule.is_identity:
@@ -170,7 +131,7 @@ def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
         grid = [[OperandRef(f"{name}_{pos}") for pos in row] for row in names]
     # off the diagonal, a structured parent has a zero block or, when
     # symmetric, the mirror of the other off-diagonal quadrant
-    if rule.shape is PartitionShape.R2x2:
+    if rule.shape == "2x2":
         if Property.LOWER_TRIANGULAR in props:
             grid[0][1] = ZERO
         elif Property.UPPER_TRIANGULAR in props:
@@ -207,8 +168,6 @@ def spd_facts(blocked: BlockedOperand) -> tuple[PropertyFact, ...]:
         raise ValueError(f"operand {blocked.operand} is not spd")
     if blocked.shape == (1, 1):
         return (PropertyFact(OperandRef(blocked.operand), Property.SPD),)
-    if blocked.shape != (2, 2):
-        raise ValueError("spd operands are blocked 1x1 or 2x2 only")
     a_tl = blocked.cells[0][0]
     a_bl = blocked.cells[1][0]
     a_br = blocked.cells[1][1]

@@ -21,7 +21,7 @@ from pmegen.binding import (
     analyze,
     enumerate_combinations,
 )
-from pmegen.blockarith import STATUS_STAR, blocked_operands, raw_blocked_equations
+from pmegen.blockarith import STATUS_STAR
 from pmegen.engine import (
     derive_all,
     derive_pme,
@@ -121,7 +121,7 @@ def test_criterion_2_sylvester_binding_and_combinations():
             {"L": "2x2", "U": "2x2", "C": "2x2", "X": "2x2"},
         ]
         got = [
-            {name: rule.shape.value for name, rule in combo.rules}
+            {name: rule.shape for name, rule in combo.rules}
             for combo in combos
         ]
         assert got == expected
@@ -179,6 +179,7 @@ def test_criterion_5_pme_numeric_oracle():
 
 def test_criterion_6_combination_count_law():
     with criterion(6, "2^g - 1 combinations, all conformant, for 100 random specs"):
+        rng = np.random.default_rng(6)
         produced = 0
         seed = 0
         while produced < 100:
@@ -193,8 +194,9 @@ def test_criterion_6_combination_count_law():
             combos = enumerate_combinations(spec)
             assert len(combos) == 2**g - 1
             for combo in combos:
-                assert not combo.is_all_identity()
-                raw_blocked_equations(spec, blocked_operands(spec, combo))
+                assert not all(rule.is_identity for _, rule in combo.rules)
+                # conformant: every block equation evaluates to its slice
+                check_blocking_faithful(spec, combo, rng)
             produced += 1
 
 

@@ -16,12 +16,17 @@ from pmegen.binding import (
     analyze,
     enumerate_combinations,
 )
-from pmegen.blockarith import blocked_operands, raw_blocked_equations
 from pmegen.expr import Equation, SolvedBy, ref
-from pmegen.opspec import OperationSpec, parse_operation
-from pmegen.partition import PartitionShape
+from pmegen.opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec, parse_operation
 
-from conftest import OPS_DIR, load_op, random_spec
+from conftest import (
+    OPS_DIR,
+    bench_corpus,
+    check_blocking_faithful,
+    corpus_specs,
+    load_op,
+    random_spec,
+)
 
 
 def V(operand: str, axis: str) -> DimensionVar:
@@ -107,7 +112,7 @@ class TestBindDimensions:
         # the column group is still free, so exactly one combination remains
         combos = enumerate_combinations(spec)
         assert len(combos) == 1
-        assert combos[0].rule_for("A").shape is PartitionShape.R1x1
+        assert combos[0].rule_for("A").shape == "1x1"
 
 
     @pytest.mark.parametrize(
@@ -130,7 +135,7 @@ class TestEnumerate:
         assert len(combos) == 3
 
         def shapes(c):
-            return {name: rule.shape.value for name, rule in c.rules}
+            return {name: rule.shape for name, rule in c.rules}
 
         assert shapes(combos[0]) == {"L": "1x1", "U": "2x2", "C": "1x2", "X": "1x2"}
         assert shapes(combos[1]) == {"L": "2x2", "U": "1x1", "C": "2x1", "X": "2x1"}
@@ -147,7 +152,7 @@ class TestEnumerate:
     def test_cholesky_single_combination(self, cholesky_spec):
         combos = enumerate_combinations(cholesky_spec)
         assert len(combos) == 1
-        assert {n: r.shape.value for n, r in combos[0].rules} == {
+        assert {n: r.shape for n, r in combos[0].rules} == {
             "L": "2x2",
             "A": "2x2",
         }
@@ -177,12 +182,12 @@ class TestEnumerate:
         )
         combos = enumerate_combinations(spec)
         shapes_seen = {
-            tuple(sorted((n, r.shape.value) for n, r in c.rules)) for c in combos
+            tuple(sorted((n, r.shape) for n, r in c.rules)) for c in combos
         }
         # columns of the vectors never split
         for c in combos:
-            assert c.rule_for("x").shape in (PartitionShape.R1x1, PartitionShape.R2x1)
-            assert c.rule_for("b").shape in (PartitionShape.R1x1, PartitionShape.R2x1)
+            assert c.rule_for("x").shape in ("1x1", "2x1")
+            assert c.rule_for("b").shape in ("1x1", "2x1")
         assert len(combos) == 3
         assert len(shapes_seen) == 3
 
@@ -201,5 +206,34 @@ def test_combination_count_law_and_conformance(seed):
     assert len(combos) == 2**g - 1
     assert len({tuple(c.group_choices) for c in combos}) == len(combos)
     for combo in combos:
-        assert not combo.is_all_identity()
-        raw_blocked_equations(spec, blocked_operands(spec, combo))
+        assert not all(rule.is_identity for _, rule in combo.rules)
+        check_blocking_faithful(spec, combo, np.random.default_rng(seed))
+
+
+def test_binding_output_is_admissible():
+    """The admissibility table of :mod:`pmegen.partition`, on every
+    combination binding enumerates for the specs of ``corpus_run``: a scalar
+    is kept whole, a vector splits its rows only, a structured operand is
+    kept whole or split 2x2 at one symbol, and every combination splits
+    something."""
+    specs = [parse_operation(text) for _, text in bench_corpus().spd_family()]
+    combos = 0
+    for spec in specs + [spec for _, spec in corpus_specs()]:
+        try:
+            enumerated = enumerate_combinations(spec)
+        except NoViablePartitioningsError:
+            continue
+        for combo in enumerated:
+            combos += 1
+            assert not all(rule.is_identity for _, rule in combo.rules), combo
+            for decl in spec.operands:
+                rule = combo.rule_for(decl.name)
+                if decl.kind == KIND_SCALAR:
+                    assert rule.shape == "1x1", rule
+                elif decl.kind == KIND_VECTOR:
+                    assert rule.shape in ("1x1", "2x1"), rule
+                elif decl.is_structured:
+                    assert rule.is_identity or (
+                        rule.shape == "2x2" and rule.split_rows == rule.split_cols
+                    ), rule
+    assert combos > 2000

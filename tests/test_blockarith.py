@@ -9,7 +9,6 @@ import pytest
 
 from pmegen.binding import RuleCombination, enumerate_combinations
 from pmegen.blockarith import (
-    ConformanceError,
     STATUS_SOLVED,
     STATUS_STAR,
     STATUS_UNSOLVED,
@@ -27,11 +26,9 @@ from pmegen.expr import (
     transpose_equation,
 )
 from pmegen.opspec import parse_operation
-from pmegen.partition import PartitionRule, PartitionShape
+from pmegen.partition import PartitionRule
 
 from conftest import check_blocking_faithful, random_spec
-
-R = PartitionShape
 
 
 def combo(rules: dict[str, PartitionRule], index: int = 1) -> RuleCombination:
@@ -41,57 +38,22 @@ def combo(rules: dict[str, PartitionRule], index: int = 1) -> RuleCombination:
 
 
 def distribute(spec, rules):
-    """Distribute the postcondition; raises ConformanceError when ill defined."""
+    """Distribute the postcondition over ``rules``, which must be one of
+    ``enumerate_combinations(spec)``."""
     return raw_blocked_equations(spec, blocked_operands(spec, rules))
 
 
 class TestValidateConformance:
-    def test_identity_factor_with_split_rhs_ill_defined(self, cholesky_spec):
-        rules = combo(
-            {
-                "L": PartitionRule(R.R1x1, "L"),
-                "A": PartitionRule(R.R2x2, "A", "k1", "k1"),
-            }
-        )
-        with pytest.raises(ConformanceError):
-            distribute(cholesky_spec, rules)
-
-    def test_split_factor_with_identity_rhs_ill_defined(self, cholesky_spec):
-        rules = combo(
-            {
-                "L": PartitionRule(R.R2x2, "L", "k1", "k1"),
-                "A": PartitionRule(R.R1x1, "A"),
-            }
-        )
-        with pytest.raises(ConformanceError):
-            distribute(cholesky_spec, rules)
-
     def test_matching_splits_conform(self, cholesky_spec):
         rules = combo(
             {
-                "L": PartitionRule(R.R2x2, "L", "k1", "k1"),
-                "A": PartitionRule(R.R2x2, "A", "k1", "k1"),
+                "L": PartitionRule("L", "k1", "k1"),
+                "A": PartitionRule("A", "k1", "k1"),
             }
         )
+        # the one combination binding offers; the arithmetic conforms
+        assert rules.rules == enumerate_combinations(cholesky_spec)[0].rules
         assert distribute(cholesky_spec, rules).shape
-
-    def test_all_identity_conforms_but_is_no_candidate(self, cholesky_spec):
-        rules = combo(
-            {"L": PartitionRule(R.R1x1, "L"), "A": PartitionRule(R.R1x1, "A")}
-        )
-        assert distribute(cholesky_spec, rules).shape
-        with pytest.raises(ConformanceError, match="identity"):
-            blocked_postcondition(cholesky_spec, rules)
-
-    def test_mismatched_split_symbols_ill_defined(self, cholesky_spec):
-        rules = combo(
-            {
-                "L": PartitionRule(R.R2x2, "L", "k1", "k1"),
-                "A": PartitionRule(R.R2x2, "A", "k2", "k2"),
-            }
-        )
-        with pytest.raises(ConformanceError):
-            distribute(cholesky_spec, rules)
 
 
 def grid_by_position(grid):

@@ -377,6 +377,29 @@ class TestCheck:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot read {pme_file}: ")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"shape": "1x1"}, "1x1 rule for L: split_rows mismatch"),
+            ({"shape": "3x3"}, "unknown shape '3x3' for L"),
+            ({"split_cols": None}, "2x2 rule for L: split_cols mismatch"),
+        ],
+        ids=["1x1_with_splits", "unknown_shape", "2x2_without_split_cols"],
+    )
+    def test_rule_shape_disagreeing_with_splits_is_read_error(
+        self, edit, message, tmp_path, capsys
+    ):
+        # rules come from outside the binding only in a PME document
+        code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
+        doc = json.loads(out)
+        (rule,) = [r for r in doc["pmes"][0]["combination"]["rules"] if r["operand"] == "L"]
+        rule.update(edit)
+        pme_file = tmp_path / "rule.json"
+        pme_file.write_text(json.dumps(doc))
+        code, out, err = run_main(["check", CHOLESKY_OP, str(pme_file)], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: cannot read {pme_file}: {message}\n"
+
     def test_pme_of_other_operation_rejected(self, tmp_path, capsys):
         code, out, _ = run_main(["derive", SYLVESTER_OP, "--format", "json"], capsys)
         pme_file = tmp_path / "s.json"

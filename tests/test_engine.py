@@ -947,9 +947,9 @@ class TestDeriveAll:
         monkeypatch.setattr(blockarith, "apply_rule", apply_rule)
         grids = []
 
-        def blocked_grid(spec, rules, blocks, known):
-            grids.append((rules, blocks, len(applied)))
-            return real_grid(spec, rules, blocks, known)
+        def blocked_grid(spec, blocks, known):
+            grids.append((blocks, len(applied)))
+            return real_grid(spec, blocks, known)
 
         real_grid = engine._blocked_grid
         monkeypatch.setattr(engine, "_blocked_grid", blocked_grid)
@@ -968,10 +968,10 @@ class TestDeriveAll:
             assert len(applied) == len(set(applied)) == len(distinct)
             assert set(applied) == distinct
             assert len(distinct) < sum(len(c.rules) for c in combos)
-            assert {built for _, _, built in grids} == {len(distinct)}
+            assert {built for _, built in grids} == {len(distinct)}
             # combinations that share a rule share its blocked operand
             by_rule: dict = {}
-            for rules, blocks, _ in grids:
+            for rules, (blocks, _) in zip(combos, grids):
                 for name, rule in rules.rules:
                     assert by_rule.setdefault(rule, blocks[name]) is blocks[name]
             assert len(by_rule) == len(distinct)

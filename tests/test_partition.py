@@ -5,21 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pmegen.binding import enumerate_combinations
 from pmegen.expr import Dimension, OperandRef, ZERO, ref, serialize, trans
 from pmegen.opspec import (
     KIND_MATRIX,
-    KIND_SCALAR,
     KIND_VECTOR,
     OperandDecl,
     Property,
     ROLE_KNOWN,
+    parse_operation,
 )
 from pmegen.oracle import eval_size, sample_value
 from pmegen.partition import (
-    InadmissibleRuleError,
     PartitionRule,
-    PartitionShape,
-    admissible_rules,
     apply_rule,
     inheritance_facts,
     spd_facts,
@@ -32,35 +30,71 @@ def decl(props=(), kind=KIND_MATRIX, dims=("m", "n"), name="A", role=ROLE_KNOWN)
     return OperandDecl(name, kind, Dimension(*dims), role, frozenset(props))
 
 
-R = PartitionShape
+def offered(operands: str, postcondition: str, operand: str) -> list[PartitionRule]:
+    """The rules binding offers ``operand`` across a spec's combinations."""
+    spec = parse_operation(
+        f"operation op\n{operands}  postcondition: {postcondition}\n  solve: S\n"
+    )
+    return [c.rule_for(operand) for c in enumerate_combinations(spec)]
+
+
+def shapes(rules: list[PartitionRule]) -> set[str]:
+    return {r.shape for r in rules}
 
 
 class TestAdmissibleRules:
+    """The table of the module docstring, as binding enforces it."""
+
     def test_general_matrix_all_four(self):
-        assert admissible_rules(decl()) == (R.R1x1, R.R1x2, R.R2x1, R.R2x2)
+        operands = (
+            "  operand A : matrix(m,n) , known\n"
+            "  operand X : matrix(n,p) , unknown\n"
+            "  operand B : matrix(m,p) , known\n"
+        )
+        assert shapes(offered(operands, "A * X = B", "A")) == {"1x1", "1x2", "2x1", "2x2"}
+
+    @staticmethod
+    def structured(prop: str) -> list[PartitionRule]:
+        operands = (
+            f"  operand A : matrix(m,m) , known , {prop}\n"
+            "  operand X : matrix(m,n) , unknown\n"
+            "  operand B : matrix(m,n) , known\n"
+        )
+        return offered(operands, "A * X = B", "A")
 
     def test_spd_identity_or_square_2x2(self):
-        d = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
-        assert admissible_rules(d) == (R.R1x1, R.R2x2)
+        rules = self.structured("spd")
+        assert shapes(rules) == {"1x1", "2x2"}
+        assert all(r.split_rows == r.split_cols for r in rules)
 
     def test_triangular_and_diagonal(self):
-        for p in (Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR, Property.DIAGONAL):
-            assert admissible_rules(decl({p}, dims=("n", "n"))) == (R.R1x1, R.R2x2)
+        for prop in ("lower_triangular", "upper_triangular", "diagonal"):
+            rules = self.structured(prop)
+            assert shapes(rules) == {"1x1", "2x2"}
+            assert all(r.split_rows == r.split_cols for r in rules)
 
     def test_scalar_identity_only(self):
-        assert admissible_rules(decl(kind=KIND_SCALAR, dims=("1", "1"))) == (R.R1x1,)
+        operands = (
+            "  operand x : vector(m) , known\n"
+            "  operand a : scalar , known\n"
+            "  operand y : vector(m) , unknown\n"
+        )
+        assert shapes(offered(operands, "x * a = y", "a")) == {"1x1"}
 
     def test_vector_identity_or_rows(self):
-        assert admissible_rules(decl(kind=KIND_VECTOR, dims=("m", "1"))) == (
-            R.R1x1,
-            R.R2x1,
+        operands = (
+            "  operand A : matrix(m,n) , known\n"
+            "  operand x : vector(n) , known\n"
+            "  operand b : vector(m) , unknown\n"
         )
+        for name in ("x", "b"):
+            assert shapes(offered(operands, "A * x = b", name)) == {"1x1", "2x1"}
 
 
 class TestApplyRule:
     def test_spd_2x2_mirrors_lower_block(self):
         d = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
-        b = apply_rule(d, PartitionRule(R.R2x2, "A", "k1", "k1"))
+        b = apply_rule(d, PartitionRule("A", "k1", "k1"))
         assert b.cells == (
             (ref("A_TL"), trans(ref("A_BL"))),
             (ref("A_BL"), ref("A_BR")),
@@ -73,7 +107,7 @@ class TestApplyRule:
 
     def test_lower_triangular_2x2(self):
         d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
-        b = apply_rule(d, PartitionRule(R.R2x2, "L", "k1", "k1"))
+        b = apply_rule(d, PartitionRule("L", "k1", "k1"))
         assert b.cells == ((ref("L_TL"), ZERO), (ref("L_BL"), ref("L_BR")))
         props = dict(b.props)
         assert props["L_TL"] == frozenset({Property.LOWER_TRIANGULAR})
@@ -81,50 +115,42 @@ class TestApplyRule:
 
     def test_diagonal_2x2(self):
         d = decl({Property.DIAGONAL}, dims=("m", "m"), name="D")
-        b = apply_rule(d, PartitionRule(R.R2x2, "D", "k1", "k1"))
+        b = apply_rule(d, PartitionRule("D", "k1", "k1"))
         assert b.cells == ((ref("D_TL"), ZERO), (ZERO, ref("D_BR")))
 
     def test_identity_unchanged(self):
-        b = apply_rule(decl(name="C"), PartitionRule(R.R1x1, "C"))
+        b = apply_rule(decl(name="C"), PartitionRule("C"))
         assert b.cells == ((ref("C"),),)
         assert b.row_sizes == ("m",) and b.col_sizes == ("n",)
 
     def test_general_2x2_and_vectors(self):
-        b = apply_rule(decl(name="C"), PartitionRule(R.R2x2, "C", "k1", "k2"))
+        b = apply_rule(decl(name="C"), PartitionRule("C", "k1", "k2"))
         assert [c.name for row in b.cells for c in row] == [
             "C_TL", "C_TR", "C_BL", "C_BR",
         ]
         v = apply_rule(
             decl(kind=KIND_VECTOR, dims=("m", "1"), name="v"),
-            PartitionRule(R.R2x1, "v", split_rows="k1"),
+            PartitionRule("v", split_rows="k1"),
         )
         assert v.cells == ((ref("v_T"),), (ref("v_B"),))
-        h = apply_rule(decl(name="C"), PartitionRule(R.R1x2, "C", split_cols="k2"))
+        h = apply_rule(decl(name="C"), PartitionRule("C", split_cols="k2"))
         assert h.cells == ((ref("C_L"), ref("C_R")),)
 
-    def test_inadmissible_rules_rejected(self):
-        spd = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
-        with pytest.raises(InadmissibleRuleError):
-            apply_rule(spd, PartitionRule(R.R1x2, "A", split_cols="k1"))
-        with pytest.raises(InadmissibleRuleError):
-            apply_rule(spd, PartitionRule(R.R2x2, "A", "k1", "k2"))
-        with pytest.raises(InadmissibleRuleError):
-            apply_rule(
-                decl(kind=KIND_SCALAR, dims=("1", "1")),
-                PartitionRule(R.R2x1, "A", split_rows="k1"),
-            )
-
-    def test_rule_split_validation(self):
-        with pytest.raises(InadmissibleRuleError):
-            PartitionRule(R.R2x2, "A", "k1", None)
-        with pytest.raises(InadmissibleRuleError):
-            PartitionRule(R.R1x1, "A", split_rows="k1")
+    def test_shape_follows_splits(self):
+        rules = [
+            PartitionRule("C"),
+            PartitionRule("C", split_cols="k2"),
+            PartitionRule("C", split_rows="k1"),
+            PartitionRule("C", "k1", "k2"),
+        ]
+        assert [r.shape for r in rules] == ["1x1", "1x2", "2x1", "2x2"]
+        assert [r.is_identity for r in rules] == [True, False, False, False]
 
 
 class TestSpdFacts:
     def test_both_schur_complements(self):
         d = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
-        b = apply_rule(d, PartitionRule(R.R2x2, "A", "k1", "k1"))
+        b = apply_rule(d, PartitionRule("A", "k1", "k1"))
         facts = spd_facts(b)
         texts = {serialize(f.expression) for f in facts}
         assert texts == {
@@ -137,42 +163,42 @@ class TestSpdFacts:
 
     def test_identity_blocking_single_fact(self):
         d = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
-        b = apply_rule(d, PartitionRule(R.R1x1, "A"))
+        b = apply_rule(d, PartitionRule("A"))
         (fact,) = spd_facts(b)
         assert fact.expression == ref("A") and fact.property is Property.SPD
 
     def test_non_spd_parent_rejected(self):
         d = decl({Property.SYMMETRIC}, dims=("m", "m"))
-        b = apply_rule(d, PartitionRule(R.R2x2, "A", "k1", "k1"))
+        b = apply_rule(d, PartitionRule("A", "k1", "k1"))
         with pytest.raises(ValueError, match="not spd"):
             spd_facts(b)
 
 
 GOLDEN_PROPS = {
-    (frozenset(), R.R2x2): {
+    frozenset(): {
         "A_TL": frozenset(), "A_TR": frozenset(),
         "A_BL": frozenset(), "A_BR": frozenset(),
     },
-    (frozenset({Property.LOWER_TRIANGULAR}), R.R2x2): {
+    frozenset({Property.LOWER_TRIANGULAR}): {
         "A_TL": frozenset({Property.LOWER_TRIANGULAR}),
         "A_BL": frozenset(),
         "A_BR": frozenset({Property.LOWER_TRIANGULAR}),
     },
-    (frozenset({Property.UPPER_TRIANGULAR}), R.R2x2): {
+    frozenset({Property.UPPER_TRIANGULAR}): {
         "A_TL": frozenset({Property.UPPER_TRIANGULAR}),
         "A_TR": frozenset(),
         "A_BR": frozenset({Property.UPPER_TRIANGULAR}),
     },
-    (frozenset({Property.DIAGONAL}), R.R2x2): {
+    frozenset({Property.DIAGONAL}): {
         "A_TL": frozenset({Property.DIAGONAL}),
         "A_BR": frozenset({Property.DIAGONAL}),
     },
-    (frozenset({Property.SYMMETRIC}), R.R2x2): {
+    frozenset({Property.SYMMETRIC}): {
         "A_TL": frozenset({Property.SYMMETRIC}),
         "A_BL": frozenset(),
         "A_BR": frozenset({Property.SYMMETRIC}),
     },
-    (frozenset({Property.SPD, Property.SYMMETRIC}), R.R2x2): {
+    frozenset({Property.SPD, Property.SYMMETRIC}): {
         "A_TL": frozenset({Property.SPD, Property.SYMMETRIC}),
         "A_BL": frozenset(),
         "A_BR": frozenset({Property.SPD, Property.SYMMETRIC}),
@@ -181,13 +207,13 @@ GOLDEN_PROPS = {
 
 
 def test_block_property_golden_tables():
-    for (props, shape), expected in GOLDEN_PROPS.items():
+    for props, expected in GOLDEN_PROPS.items():
         d = decl(props, dims=("m", "m"))
-        b = apply_rule(d, PartitionRule(shape, "A", "k1", "k1"))
+        b = apply_rule(d, PartitionRule("A", "k1", "k1"))
         assert dict(b.props) == expected
     # facts mirror the tables
     d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
-    b = apply_rule(d, PartitionRule(R.R2x2, "L", "k1", "k1"))
+    b = apply_rule(d, PartitionRule("L", "k1", "k1"))
     facts = inheritance_facts(b)
     assert (
         sum(1 for f in facts if f.property is Property.LOWER_TRIANGULAR) == 2
@@ -225,7 +251,7 @@ def test_numeric_reassembly(props, seed):
     inherited block property, and reassembling reproduces the parent."""
     rng = np.random.default_rng(seed)
     d = decl(props, dims=("m", "m"))
-    b = apply_rule(d, PartitionRule(R.R2x2, "A", "k1", "k1"))
+    b = apply_rule(d, PartitionRule("A", "k1", "k1"))
     m = int(rng.integers(3, 8))
     k = int(rng.integers(1, m))
     sizes = {"m": m, "k1": k}
