@@ -21,7 +21,7 @@ admissible for every operand and conforms across the equation, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .expr import (
     Expression,
@@ -50,16 +50,14 @@ class NoViablePartitioningsError(BindingError):
     """No dimension group can be partitioned."""
 
 
-@dataclass(frozen=True, slots=True)
-class DimensionVar:
+class DimensionVar(NamedTuple):
     """One axis of one operand; axis is ``"r"`` or ``"c"``."""
 
     operand: str
     axis: str
 
 
-@dataclass(frozen=True, slots=True)
-class RuleCombination:
+class RuleCombination(NamedTuple):
     """One keep/split choice per dimension group, mapped to operand rules."""
 
     index: int
@@ -94,8 +92,7 @@ class _DSU:
             self.parent[rb] = ra
 
 
-@dataclass
-class BindingAnalysis:
+class BindingAnalysis(NamedTuple):
     """Groups plus the per-group data the rest of the pipeline needs."""
 
     groups: tuple[frozenset[DimensionVar], ...]

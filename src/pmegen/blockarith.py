@@ -15,8 +15,7 @@ finer than 2x2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .binding import BindingAnalysis, RuleCombination, analyze
 from .expr import (
@@ -48,8 +47,7 @@ STATUS_SOLVED = "solved"
 STATUS_STAR = "star"
 
 
-@dataclass(frozen=True, slots=True)
-class QuadrantEquation:
+class QuadrantEquation(NamedTuple):
     """One per-block equation with its solving status."""
 
     position: str
@@ -82,11 +80,18 @@ class QuadrantCells:
         return tuple(q for row in self.cells for q in row)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockedEquationGrid(QuadrantCells):
-    cells: tuple[tuple[QuadrantEquation, ...], ...]
+class _Grid(NamedTuple):
+    """Cells over block sizes: block expressions while blocked arithmetic
+    runs, quadrant equations in a :class:`BlockedEquationGrid`; a
+    :class:`BlockedOperand` has the same fields."""
+
+    cells: tuple[tuple, ...]
     row_sizes: tuple[str, ...]
     col_sizes: tuple[str, ...]
+
+
+class BlockedEquationGrid(_Grid, QuadrantCells):
+    __slots__ = ()
 
     def scan_positions(self) -> tuple[str, ...]:
         """Column-major scan order: TL, BL, TR, BR (T, B / L, R / whole)."""
@@ -99,7 +104,7 @@ class BlockedEquationGrid(QuadrantCells):
             tuple(q if c.position == q.position else c for c in row)
             for row in self.cells
         )
-        return replace(self, cells=rows)
+        return self._replace(cells=rows)
 
 
 def blocked_operands(
@@ -132,15 +137,6 @@ def operand_blockings(
             if rule not in out:
                 out[rule] = apply_rule(canonical, rule)
     return out
-
-
-@dataclass(frozen=True, slots=True)
-class _Grid:
-    """Block expressions over sizes; a :class:`BlockedOperand` has the same fields."""
-
-    cells: tuple[tuple[Expression, ...], ...]
-    row_sizes: tuple[str, ...]
-    col_sizes: tuple[str, ...]
 
 
 def _mul(a: _Grid, b: _Grid) -> _Grid:

@@ -17,11 +17,9 @@ impossible numeric check, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
 from . import engine
@@ -108,6 +106,13 @@ def _non_negative(kind: Callable[[str], Any]) -> Callable[[str], Any]:
         return value
 
     return parse
+
+
+def _directory(text: str) -> str:
+    """An argparse type: the path of an existing directory."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"not a directory: {text!r}")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +282,12 @@ def _resolve_pme(
             f"PME combination {combo.index}: order {list(pme.order)} "
             f"must list distinct solved positions"
         )
-    return replace(pme, combination=combo), blocks
+    return pme._replace(combination=combo), blocks
 
 
 def document_to_json(operation: str, pmes: Sequence[PME]) -> str:
+    import json
+
     doc = {"operation": operation, "pmes": [pme_to_json_dict(p) for p in pmes]}
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -302,8 +309,11 @@ def cmd_derive(args: argparse.Namespace) -> int:
     spec = _load_spec(args.op_file)
     kb_path = _kb_path(args)
     kb = engine.load_kb(kb_path)
-    if args.no_builtin:
-        kb = kb.without_builtins(args.no_builtin)
+    for name in args.no_builtin:
+        if len(kb.without_builtins([name]).builtins) == len(kb.builtins):
+            print(f"error: --no-builtin {name}: no such builtin or family", file=sys.stderr)
+            return EXIT_USAGE
+    kb = kb.without_builtins(args.no_builtin)
     selection = engine.derive_each(
         spec, kb, ops_dir=args.ops_dir, combination=args.combination
     )
@@ -359,6 +369,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     # the numeric oracle, and numpy with it, is loaded for this command only
+    import json
+
     from . import oracle
 
     spec = _load_spec(args.op_file)
@@ -436,7 +448,7 @@ def _build_parser() -> _Parser:
     p_derive = sub.add_parser("derive", help="derive PMEs for an operation file")
     p_derive.add_argument("op_file")
     p_derive.add_argument("--kb", default=None)
-    p_derive.add_argument("--ops-dir", default=None)
+    p_derive.add_argument("--ops-dir", type=_directory, default=None)
     p_derive.add_argument(
         "--format", choices=("text", "latex", "json"), default="text"
     )

@@ -32,10 +32,10 @@ separates from every fact: each search step keeps a node's value there.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binding import (
     BindingAnalysis,
@@ -121,8 +121,7 @@ class CombinationRangeError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(NamedTuple):
     """An operation's slots, template and solved form.
 
     Each slot is an operand declaration.  Its ``dims`` record the slot's
@@ -208,8 +207,7 @@ def _seed_patterns() -> tuple[Pattern, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     """Immutable pattern store: fixed builtins plus learned patterns."""
 
     builtins: tuple[Pattern, ...]
@@ -226,7 +224,7 @@ class KnowledgeBase:
         return tuple(reversed(self.learned)) + self.builtins
 
     def with_learned(self, pattern: Pattern) -> "KnowledgeBase":
-        return replace(self, learned=self.learned + (pattern,))
+        return self._replace(learned=self.learned + (pattern,))
 
     def without_builtins(self, names: Iterable[str]) -> "KnowledgeBase":
         """Drop builtins by exact name or family prefix (``trsm``)."""
@@ -236,7 +234,7 @@ class KnowledgeBase:
             for p in self.builtins
             if not any(p.name == n or p.name.startswith(n + "_") for n in drop)
         )
-        return replace(self, builtins=keep)
+        return self._replace(builtins=keep)
 
 
 def seed_builtins() -> KnowledgeBase:
@@ -253,7 +251,7 @@ def learn(spec: OperationSpec, kb: KnowledgeBase) -> KnowledgeBase:
     pattern = pattern_from_spec(spec, provenance=f"learned-from:{spec.name}")
     existing = kb.get(pattern.name)
     if existing is not None:
-        if replace(existing, provenance=pattern.provenance) == pattern:
+        if existing._replace(provenance=pattern.provenance) == pattern:
             return kb
         raise PatternConflictError(
             f"pattern {pattern.name} already exists with a different definition"
@@ -324,8 +322,7 @@ def _match_equation_shape(
 # derivation state and guards
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     step: int
     position: str
     pattern: str
@@ -471,8 +468,7 @@ def _is_plain_general(e: Expression, state: DerivationState) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     pattern: Pattern
     solved: Equation
     outputs: tuple[str, ...]
@@ -806,17 +802,20 @@ class AllCombinationsStuck(Exception):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class PME(QuadrantCells):
-    """A fully solved grid: each output block expressed over known inputs."""
-
+class _PMEFields(NamedTuple):
     operation: str
     combination: RuleCombination
     row_sizes: tuple[str, ...]
     col_sizes: tuple[str, ...]
     cells: tuple[tuple[QuadrantEquation, ...], ...]
     order: tuple[str, ...]
-    trace: tuple[TraceStep, ...] = field(compare=False, default=())
+    trace: tuple[TraceStep, ...] = ()
+
+
+class PME(_PMEFields, QuadrantCells):
+    """A fully solved grid: each output block expressed over known inputs."""
+
+    __slots__ = ()
 
 
 class _OpsDir:
@@ -921,9 +920,8 @@ def _derive_pme(
             for other in scan:
                 oq = cells[other]
                 if oq.status == STATUS_UNSOLVED:
-                    cells[other] = replace(
-                        oq,
-                        equation=to_canonical_equation(oq.equation, state.known),
+                    cells[other] = oq._replace(
+                        equation=to_canonical_equation(oq.equation, state.known)
                     )
             progressed = True
             break

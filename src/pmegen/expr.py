@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -153,28 +153,28 @@ class _Unary(Expression):
         return (self.operand,)
 
 
-@dataclass(frozen=True, slots=True)
 class Minus(_Unary):
     """Unary negation."""
 
+    __slots__ = ()
     head = "minus"
 
     def rebuild(self, children: Sequence[Expression]) -> Expression:
         return minus(*children)
 
 
-@dataclass(frozen=True, slots=True)
 class Transpose(_Unary):
+    __slots__ = ()
     head = "trans"
 
     def rebuild(self, children: Sequence[Expression]) -> Expression:
         return trans(*children)
 
 
-@dataclass(frozen=True, slots=True)
 class Inverse(_Unary):
     """Formal inverse; no invertibility check happens at this layer."""
 
+    __slots__ = ()
     head = "inv"
 
     def rebuild(self, children: Sequence[Expression]) -> Expression:
@@ -214,8 +214,7 @@ class Equation:
         _check_child(self.rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class Dimension:
+class Dimension(NamedTuple):
     """Symbolic dimensions; sizes are identifiers, ``1``, or ``a-b``."""
 
     rows: str

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .expr import (
     _IDENT,
@@ -93,8 +92,7 @@ class SpecValidationError(SpecError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class OperandDecl:
+class OperandDecl(NamedTuple):
     """One declared operand, or a pattern slot (a KB slot of any shape has
     no ``dims``).  An empty property set means general."""
 
@@ -117,8 +115,7 @@ class OperandDecl:
         return bool(self.properties & STRUCTURAL)
 
 
-@dataclass(frozen=True, slots=True)
-class OperationSpec:
+class OperationSpec(NamedTuple):
     name: str
     operands: tuple[OperandDecl, ...]
     postcondition: Equation
@@ -212,8 +209,7 @@ def build_spec(
 # parser
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     col: int
 
@@ -410,8 +406,7 @@ def parse_operation(text: str) -> OperationSpec:
 # rendering
 
 
-@dataclass(frozen=True, slots=True)
-class _InfixStyle:
+class _InfixStyle(NamedTuple):
     """What distinguishes one infix notation from another."""
 
     name: Callable[[str], str]

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -275,16 +274,14 @@ def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
 # PME checking
 
 
-@dataclass(frozen=True, slots=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     seed: int
     sizes: tuple[tuple[str, int], ...]
     residual: float
     ok: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     operation: str
     combination_index: int
     tolerance: float

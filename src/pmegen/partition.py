@@ -21,8 +21,7 @@ both Schur complements of its 2x2 blocking are spd as well
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expr import (
     Dimension,
@@ -38,8 +37,7 @@ from .expr import (
 from .opspec import OperandDecl, Property
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionRule:
+class PartitionRule(NamedTuple):
     """A blocking choice for one operand: the fresh size symbol each split
     axis is cut at, or None for an axis kept whole."""
 
@@ -57,16 +55,14 @@ class PartitionRule:
         return self.split_rows is None and self.split_cols is None
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyFact:
+class PropertyFact(NamedTuple):
     """A property asserted for a (normalized) expression."""
 
     expression: Expression
     property: Property
 
 
-@dataclass(frozen=True, slots=True)
-class BlockedOperand:
+class BlockedOperand(NamedTuple):
     """An operand rewritten as a grid of block expressions.
 
     ``cells[i][j]`` is the block expression (a block reference, the zero

@@ -212,21 +212,24 @@ def test_combination_count_law_and_conformance(seed):
 
 def test_binding_output_is_admissible():
     """The admissibility table of :mod:`pmegen.partition`, on every
-    combination binding enumerates for the specs of ``corpus_run``: a scalar
-    is kept whole, a vector splits its rows only, a structured operand is
-    kept whole or split 2x2 at one symbol, and every combination splits
-    something."""
-    specs = [parse_operation(text) for _, text in bench_corpus().spd_family()]
+    combination binding enumerates for the specs of ``corpus_run`` and the
+    benchmark's probes: a scalar is kept whole, a vector splits its rows
+    only, a structured operand is kept whole or split 2x2 at one symbol,
+    and every combination splits something."""
+    corpus = bench_corpus()
+    texts = [text for _, text in corpus.spd_family() + corpus.probes()]
     combos = 0
-    for spec in specs + [spec for _, spec in corpus_specs()]:
+    kinds = set()
+    for spec in [parse_operation(t) for t in texts] + [spec for _, spec in corpus_specs()]:
         try:
             enumerated = enumerate_combinations(spec)
-        except NoViablePartitioningsError:
+        except (NoViablePartitioningsError, DimensionConflictError):
             continue
         for combo in enumerated:
             combos += 1
             assert not all(rule.is_identity for _, rule in combo.rules), combo
             for decl in spec.operands:
+                kinds.add(decl.kind)
                 rule = combo.rule_for(decl.name)
                 if decl.kind == KIND_SCALAR:
                     assert rule.shape == "1x1", rule
@@ -237,3 +240,5 @@ def test_binding_output_is_admissible():
                         rule.shape == "2x2" and rule.split_rows == rule.split_cols
                     ), rule
     assert combos > 2000
+    # trsv brings vectors; no spec that binds has a scalar yet
+    assert KIND_VECTOR in kinds

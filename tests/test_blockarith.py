@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -225,7 +223,7 @@ def reference_star(grid):
             ):
                 continue
             star, keep = (a, b) if j > i and not bi_j > bi_i else (b, a)
-            out = out.with_cell(replace(star, status=STATUS_STAR, partner=keep.position))
+            out = out.with_cell(star._replace(status=STATUS_STAR, partner=keep.position))
             starred.add(star.position)
             break
     return out
@@ -238,6 +236,6 @@ def test_detect_star_matches_all_pairs_reference(corpus_run):
         for q in grid.all_cells():
             if q.status == STATUS_STAR:
                 stars += 1
-                unmarked = unmarked.with_cell(replace(q, status=STATUS_UNSOLVED, partner=None))
+                unmarked = unmarked.with_cell(q._replace(status=STATUS_UNSOLVED, partner=None))
         assert detect_star(unmarked) == reference_star(unmarked) == grid, str(grid)
     assert stars > 0

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 
 import pytest
+
+import pmegen
 
 from pmegen.cli import (
     EXIT_CHECK_FAILED,
@@ -149,6 +154,23 @@ class TestDerive:
         )
         assert run_main(args, capsys) == expected
         assert expected[0] == EXIT_OK
+
+    @pytest.mark.parametrize("name", ["nosuch", "trs"])
+    def test_no_builtin_matching_nothing_is_usage_error(self, name, capsys):
+        # "trs" is a prefix of the trsm names, but names no family
+        code, out, err = run_main(["derive", CHOLESKY_OP, "--no-builtin", name], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: --no-builtin {name}: no such builtin or family\n"
+
+    def test_missing_ops_dir_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nosuchdir")
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", CHOLESKY_OP, "--ops-dir", missing])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert captured.out == ""
+        assert errors == [f"error: argument --ops-dir: not a directory: {missing!r}"]
 
     def test_latex_format(self, capsys):
         code, out, _ = run_main(
@@ -834,3 +856,47 @@ class TestImports:
             [sys.executable, "-c", code], capture_output=True, env=cli_env()
         )
         assert r.returncode == 0, r.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "args", [["derive", CHOLESKY_OP], ["kb", "list"]]
+    )
+    def test_json_not_loaded(self, args):
+        # only the JSON reader and writer of the CLI import json
+        code = (
+            "import sys\n"
+            "from pmegen.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "assert 'json' not in sys.modules, 'json loaded'\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=cli_env()
+        )
+        assert r.returncode == 0, r.stderr.decode()
+
+    def test_only_expression_nodes_equation_and_state_are_dataclasses(self):
+        # every other record is a NamedTuple, which costs no generated code
+        # at import; the benchmark walks expression nodes through
+        # ``dataclasses.fields``.  True marks a class that is decorated itself.
+        found = {}
+        for info in pkgutil.iter_modules(pmegen.__path__):
+            module = importlib.import_module(f"pmegen.{info.name}")
+            for obj in vars(module).values():
+                if (
+                    isinstance(obj, type)
+                    and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)
+                ):
+                    found[f"{info.name}.{obj.__qualname__}"] = "__dataclass_fields__" in vars(obj)
+        assert found == {
+            "expr.OperandRef": True,
+            "expr.Zero": True,
+            "expr.Plus": True,
+            "expr.Times": True,
+            "expr._Unary": True,
+            "expr.Minus": False,
+            "expr.Transpose": False,
+            "expr.Inverse": False,
+            "expr.SolvedBy": True,
+            "expr.Equation": True,
+            "engine.DerivationState": True,
+        }

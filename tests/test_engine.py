@@ -1185,3 +1185,17 @@ class TestKnowledgeBaseFile:
             )
         with pytest.raises(KnowledgeBaseError, match=f"badslot.kb:4: {message}"):
             load_kb(path)
+
+
+def test_records_stay_immutable(cholesky_spec):
+    (pme,) = derive_all(cholesky_spec, seed_builtins())
+    records = [
+        (pme.combination.rule_for("L"), "split_rows"),
+        (pme.cell("TL"), "status"),
+        (seed_builtins().builtins[0], "template"),
+        (cholesky_spec.operands[0], "properties"),
+        (pme, "order"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,9 @@ from pmegen.expr import (
     times,
     to_canonical_equation,
     trans,
+    walk,
 )
+from pmegen.engine import PME
 from pmegen.oracle import evaluate
 
 A, B, C, X = ref("A"), ref("B"), ref("C"), ref("X")
@@ -215,6 +220,32 @@ def test_node_interface_round_trip(e):
     assert repr(fresh) == repr(e)
     assert serialize(fresh) == key
     assert repr(fresh) == repr(e)
+
+
+def test_dataclass_fields_are_children_on_corpus(corpus_run):
+    """The benchmark counts tree nodes through ``dataclasses.fields``: on
+    every node of every corpus PME cell, the Expression values of the
+    fields are ``children()``, in order, so a walk over ``children()``
+    counts the same nodes."""
+    seen = set()
+    for _, _, results in corpus_run["derived"]:
+        for pme in results or ():
+            if not isinstance(pme, PME):
+                continue
+            for q in pme.all_cells():
+                for node in (*walk(q.equation.lhs), *walk(q.equation.rhs)):
+                    found = [
+                        c
+                        for f in dataclasses.fields(node)
+                        for v in [getattr(node, f.name)]
+                        for c in (v if isinstance(v, tuple) else (v,))
+                        if isinstance(c, Expression)
+                    ]
+                    kids = node.children()
+                    assert len(found) == len(kids), serialize(node)
+                    assert all(map(operator.is_, found, kids)), serialize(node)
+                    seen.add(type(node))
+    assert seen >= {OperandRef, Plus, Times, Minus, Transpose, Inverse, SolvedBy}
 
 
 def test_serialization_golden():
