@@ -874,9 +874,10 @@ class TestImports:
         assert r.returncode == 0, r.stderr.decode()
 
     def test_only_expression_nodes_equation_and_state_are_dataclasses(self):
-        # every other record is a NamedTuple, which costs no generated code
-        # at import; the benchmark walks expression nodes through
-        # ``dataclasses.fields``.  True marks a class that is decorated itself.
+        # every other record is a NamedTuple: ``@dataclass`` writes and
+        # compiles methods on every import, which each CLI run pays.  The
+        # benchmark walks expression nodes through ``dataclasses.fields``.
+        # True marks a class decorated itself, False one that inherits.
         found = {}
         for info in pkgutil.iter_modules(pmegen.__path__):
             module = importlib.import_module(f"pmegen.{info.name}")

@@ -234,13 +234,11 @@ def test_dataclass_fields_are_children_on_corpus(corpus_run):
                 continue
             for q in pme.all_cells():
                 for node in (*walk(q.equation.lhs), *walk(q.equation.rhs)):
-                    found = [
-                        c
-                        for f in dataclasses.fields(node)
-                        for v in [getattr(node, f.name)]
-                        for c in (v if isinstance(v, tuple) else (v,))
-                        if isinstance(c, Expression)
-                    ]
+                    found = []
+                    for f in dataclasses.fields(node):
+                        value = getattr(node, f.name)
+                        values = value if isinstance(value, tuple) else (value,)
+                        found += [c for c in values if isinstance(c, Expression)]
                     kids = node.children()
                     assert len(found) == len(kids), serialize(node)
                     assert all(map(operator.is_, found, kids)), serialize(node)
