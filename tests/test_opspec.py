@@ -173,6 +173,248 @@ class TestParseErrors:
             parse_operation("operation x\n  operand A : scalar , unknown\n  solve: S\n")
 
 
+# pieces of the malformed operation files below
+_HEAD = "operation t\n"
+_DECL_A = "  operand A : matrix(m,m) , known\n"
+_DECL_X = "  operand X : matrix(m,m) , unknown\n"
+_POST = "  postcondition: X = A\n"
+_SOLVE = "  solve: S\n"
+
+# the exact message of each malformed file, position included: a change to
+# the lexer or to how a parsed spec is assembled must keep every byte
+_MALFORMED = [
+    pytest.param(
+        "!operation t\n",
+        "line 1, column 1: unexpected character '!'",
+        id="bad-char-col1",
+    ),
+    pytest.param(
+        _HEAD + "\toperand ? : matrix(m,m) , known\n",
+        "line 2, column 10: unexpected character '?'",
+        id="bad-char-after-tab",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + " \t \tpostcondition: X = A %\n",
+        "line 4, column 26: unexpected character '%'",
+        id="bad-char-after-tabs-and-blanks",
+    ),
+    pytest.param(
+        "operation t$\n",
+        "line 1, column 12: unexpected character '$'",
+        id="bad-char-after-token",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m;m) , known\n",
+        "line 2, column 23: unexpected character ';'",
+        id="bad-char-in-dims",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : tensor(m,m) , known\n",
+        "line 2, column 15: expected matrix/vector/scalar, found 'tensor'",
+        id="unknown-kind",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m) , input\n",
+        "line 2, column 29: expected known or unknown, found 'input'",
+        id="unknown-role",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m) , known , banded\n",
+        "line 2, column 37: unknown property 'banded'",
+        id="unknown-property",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m) , known , general\n",
+        "line 2, column 37: general is implied by omitting properties",
+        id="general-property",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix m,m) , known\n",
+        "line 2, column 22: expected '(', found 'm'",
+        id="missing-open-paren",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m m) , known\n",
+        "line 2, column 24: expected ',', found 'm'",
+        id="missing-comma-in-dims",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m) known\n",
+        "line 2, column 27: expected ',', found 'known'",
+        id="missing-comma-before-role",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m , known\n",
+        "line 2, column 26: expected ')', found ','",
+        id="missing-close-paren-dims",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: trans(X = A\n" + _SOLVE,
+        "line 4, column 26: expected ')', found '='",
+        id="missing-close-paren-expr",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m) , known spd\n",
+        "line 2, column 35: expected ',', found 'spd'",
+        id="missing-comma-after-role",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,known) , known\n",
+        "line 2, column 24: expected a size symbol, found 'known'",
+        id="reserved-size-symbol",
+    ),
+    pytest.param(
+        _HEAD + "  operand trans : matrix(m,m) , known\n",
+        "line 2, column 1: invalid operand name 'trans'",
+        id="reserved-operand-name",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,m) ,\n",
+        "line 2, column 1: unexpected end of expression",
+        id="operand-line-ends-early",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: X = A A\n" + _SOLVE,
+        "line 4, column 24: trailing input 'A'",
+        id="trailing-input",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: X = A)\n" + _SOLVE,
+        "line 4, column 23: trailing input ')'",
+        id="trailing-close-paren",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: X = A +\n" + _SOLVE,
+        "line 4, column 1: unexpected end of expression",
+        id="expression-ends-early",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: X A\n" + _SOLVE,
+        "line 4, column 20: expected '=', found 'A'",
+        id="missing-equals",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: X = 1\n" + _SOLVE,
+        "line 4, column 22: unexpected token '1' in expression",
+        id="one-in-expression",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition: X = known\n" + _SOLVE,
+        "line 4, column 22: unexpected token 'known' in expression",
+        id="keyword-in-expression",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  postcondition X = A\n" + _SOLVE,
+        "line 4, column 1: expected: postcondition: <expr> = <expr>",
+        id="postcondition-without-colon",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + _POST + "  solve: S T\n",
+        "line 5, column 1: expected: solve: <OperatorName>",
+        id="solve-malformed",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + "operation u\n",
+        "line 3, column 1: duplicate operation line",
+        id="duplicate-operation-line",
+    ),
+    pytest.param(
+        "operation t u\n",
+        "line 1, column 1: expected: operation <name>",
+        id="operation-line-malformed",
+    ),
+    pytest.param(
+        _HEAD + _DECL_X + _POST + _DECL_A + _SOLVE,
+        "line 4, column 1: operands must precede the postcondition",
+        id="operand-after-postcondition",
+    ),
+    pytest.param(
+        _HEAD + "  oprand A : matrix(m,m) , known\n",
+        "line 2, column 1: unexpected line starting with 'oprand'",
+        id="unexpected-line",
+    ),
+    pytest.param(
+        _DECL_A + _DECL_X + _POST + _SOLVE,
+        "line 1, column 1: missing operation line",
+        id="missing-operation-line",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + _SOLVE,
+        "line 1, column 1: missing postcondition",
+        id="missing-postcondition",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + _POST,
+        "line 1, column 1: missing solve line",
+        id="missing-solve-line",
+    ),
+    pytest.param(
+        "# only a comment\n\n",
+        "line 1, column 1: missing operation line",
+        id="empty-text",
+    ),
+    pytest.param(
+        _HEAD + _DECL_X + _POST + _SOLVE,
+        "line 3, column 1: operand A used in postcondition but not declared",
+        id="undeclared-operand",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  operand B : matrix(m,m) , known\n" + _POST + _SOLVE,
+        "line 5, column 1: operand B declared but unused",
+        id="unused-operand",
+    ),
+    pytest.param(
+        _HEAD + "  operand A : matrix(m,n) , known , spd\n" + _DECL_X + _POST + _SOLVE,
+        "line 2, column 1: operand A: structural properties need square dimensions",
+        id="structural-needs-square",
+    ),
+    pytest.param(
+        "operation t\u00e9\n",
+        "line 1, column 12: unexpected character 'é'",
+        id="non-ascii-after-token",
+    ),
+    pytest.param(
+        "operation 1\n" + _DECL_A + _DECL_X + _POST + _SOLVE,
+        "line 4, column 1: invalid operation name '1'",
+        id="invalid-operation-name",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + _POST + "  solve: 1\n",
+        "line 4, column 1: invalid solution operator '1'",
+        id="invalid-solution-operator",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + _DECL_X + "  operand A : matrix(m,m) , known\n" + _POST + _SOLVE,
+        "line 5, column 1: duplicate operand name A",
+        id="duplicate-operand",
+    ),
+    pytest.param(
+        _HEAD + _DECL_A + "  postcondition: A = A\n" + _SOLVE,
+        "line 3, column 1: an operation needs at least one unknown operand",
+        id="no-unknown-operand",
+    ),
+    pytest.param(
+        _HEAD + _POST + _SOLVE,
+        "line 2, column 1: an operation needs at least one operand",
+        id="no-operands",
+    ),
+    pytest.param(
+        _HEAD
+        + "  operand a : scalar , known , diagonal\n"
+        + "  operand x : scalar , unknown\n  postcondition: x = a\n"
+        + _SOLVE,
+        "line 2, column 1: operand a: structural properties need a matrix",
+        id="scalar-structural",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED)
+def test_error_message_exact(text, message):
+    with pytest.raises(SpecError) as err:
+        parse_operation(text)
+    assert str(err.value) == message
+
 class TestRender:
     @pytest.mark.parametrize("name", ["cholesky", "sylvester", "trsm"])
     def test_round_trip_shipped_ops(self, name):
