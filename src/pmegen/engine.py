@@ -822,27 +822,34 @@ class _OpsDir:
     """An operations directory, parsed when a nested derivation first needs it.
 
     One instance serves a top-level derivation and every derivation nested
-    in it, so each file is read and parsed at most once per top-level call.
+    in it, so each file is read, parsed and turned into a pattern at most
+    once per top-level call.
     """
 
     def __init__(self, path: Optional[str]) -> None:
         self.path = path
 
     @cached_property
-    def specs(self) -> list[OperationSpec]:
+    def candidates(self) -> list[tuple[OperationSpec, Pattern]]:
+        """Each operation of the directory that yields a pattern, with it."""
         if not self.path or not os.path.isdir(self.path):
             return []
-        specs = []
+        out = []
         for fname in sorted(os.listdir(self.path)):
             if not fname.endswith(".op"):
                 continue
             path = os.path.join(self.path, fname)
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    specs.append(parse_operation(fh.read()))
+                with open(path, "rb") as fh:
+                    spec = parse_operation(fh.read().decode("utf-8"))
             except (SpecError, UnicodeDecodeError) as exc:
                 raise SpecError(f"{path}: {exc}") from exc
-        return specs
+            try:
+                out.append((spec, pattern_from_spec(spec, f"learned-from:{spec.name}")))
+            except PatternConflictError:
+                # an operation that yields no pattern cannot solve anything
+                continue
+        return out
 
 
 def derive_pme(
@@ -964,16 +971,11 @@ def _try_nested(
     """Acquire a pattern from the operations directory for a stuck equation."""
     if not ops.path or depth >= NESTED_DEPTH_LIMIT:
         return False
-    candidates: list[tuple[OperationSpec, Pattern]] = []
-    for cand in ops.specs:
-        if cand.name == spec.name or cand.name in tried or kb.get(cand.name) is not None:
-            continue
-        try:
-            pattern = pattern_from_spec(cand, provenance=f"learned-from:{cand.name}")
-        except PatternConflictError:
-            # an operation that yields no pattern cannot solve anything
-            continue
-        candidates.append((cand, pattern))
+    candidates = [
+        (cand, pattern)
+        for cand, pattern in ops.candidates
+        if cand.name != spec.name and cand.name not in tried and kb.get(cand.name) is None
+    ]
     for pos in scan:
         q = cells[pos]
         if q.status != STATUS_UNSOLVED:

@@ -46,6 +46,12 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"plus", "minus", "times", "trans", "inv", "solved", "eq"})
 
+#: nesting levels an operation file may write; a tree built from them is at
+#: most about three times as deep, and its prefix form may nest four times
+#: as deep.  Both keep every recursive walk far from Python's limit.
+MAX_DEPTH = 64
+_PREFIX_DEPTH = 4 * MAX_DEPTH
+
 
 class StructuralError(ValueError):
     """A node was built with the wrong arity or a malformed child."""
@@ -260,7 +266,8 @@ def _tokens(text: str) -> list[str]:
 _PREFIX_NODES = {cls.head: cls for cls in (Plus, Times, Minus, Transpose, Inverse, SolvedBy)}
 
 
-def _read(toks: list[str], i: int) -> tuple[Expression, int]:
+def _read(toks: list[str], i: int, depth: int) -> tuple[Expression, int]:
+    """The node at ``toks[i]``, nested ``depth`` nodes deep, and the index past it."""
     if i >= len(toks):
         raise StructuralError("unexpected end of prefix form")
     t = toks[i]
@@ -270,6 +277,8 @@ def _read(toks: list[str], i: int) -> tuple[Expression, int]:
         if t == "0":
             return ZERO, i + 1
         return OperandRef(t), i + 1
+    if depth == _PREFIX_DEPTH:
+        raise StructuralError(f"prefix form nested deeper than {_PREFIX_DEPTH} levels")
     head = toks[i + 1] if i + 1 < len(toks) else None
     i += 2
     cls = _PREFIX_NODES.get(head)
@@ -282,7 +291,7 @@ def _read(toks: list[str], i: int) -> tuple[Expression, int]:
         i += 1
     args: list[Expression] = []
     while i < len(toks) and toks[i] != ")":
-        node, i = _read(toks, i)
+        node, i = _read(toks, i, depth + 1)
         args.append(node)
     if i >= len(toks):
         raise StructuralError("missing ')' in prefix form")
@@ -300,8 +309,8 @@ def parse_prefix_equation(text: str) -> Equation:
     toks = _tokens(text)
     if len(toks) < 4 or toks[0] != "(" or toks[1] != "eq":
         raise StructuralError("expected '(eq lhs rhs)'")
-    lhs, i = _read(toks, 2)
-    rhs, i = _read(toks, i)
+    lhs, i = _read(toks, 2, 0)
+    rhs, i = _read(toks, i, 0)
     if i != len(toks) - 1 or toks[i] != ")":
         raise StructuralError("malformed '(eq ...)' form")
     return Equation(lhs, rhs)

@@ -12,6 +12,12 @@ solve and the name of its solution operator::
 
 Comments start with ``#``.  Properties: ``lower_triangular``,
 ``upper_triangular``, ``symmetric``, ``spd``, ``diagonal``.
+
+A postcondition nests at most 64 levels (brackets, ``trans(``, ``inv(``,
+unary ``-``), has a product weight of at most 12 (a name weighs 1, a
+product the sum of its factors, another node its heaviest child) and at
+most 64 operand references: a blocked product grows exponentially with its
+length, and matching a sum permutes its terms.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .expr import (
     _IDENT,
     _RESERVED as _EXPR_RESERVED,
+    MAX_DEPTH,
     Dimension,
     Equation,
     Expression,
@@ -34,14 +41,13 @@ from .expr import (
     Times,
     Transpose,
     Zero,
+    _leaf_names,
     minus,
     normalize_equation,
-    operand_names,
     plus,
     times,
     trans,
     inv,
-    walk,
 )
 
 
@@ -90,6 +96,10 @@ class SpecSyntaxError(SpecError):
 
 class SpecValidationError(SpecError):
     pass
+
+
+#: bounds on a postcondition's product weight and operand references
+MAX_WEIGHT, MAX_OCCURRENCES = 12, 64
 
 
 class OperandDecl(NamedTuple):
@@ -178,6 +188,23 @@ def build_spec(
 ) -> OperationSpec:
     """Validate and assemble a spec from already-built pieces."""
     decls = tuple(_validate_decl(d) for d in operands)
+    return _assemble(name, decls, normalize_equation(postcondition), solution_operator)
+
+
+def _weight(e: Expression) -> int:
+    """A product's weight sums its factors'; another node's is its heaviest child's."""
+    if isinstance(e, OperandRef):
+        return 1
+    if isinstance(e, SolvedBy):
+        raise SpecValidationError("postconditions may not contain solution operators")
+    weights = [_weight(c) for c in e.children()]
+    return sum(weights) if isinstance(e, Times) else max(weights, default=0)
+
+
+def _assemble(
+    name: str, decls: tuple[OperandDecl, ...], post: Equation, solution_operator: str
+) -> OperationSpec:
+    """The spec of validated operands and a normalized postcondition."""
     if not _IDENT.match(name):
         raise SpecValidationError(f"invalid operation name {name!r}")
     if not decls:
@@ -191,17 +218,20 @@ def build_spec(
         raise SpecValidationError("an operation needs at least one unknown operand")
     if not _IDENT.match(solution_operator):
         raise SpecValidationError(f"invalid solution operator {solution_operator!r}")
-    post = normalize_equation(postcondition)
-    used = operand_names(post.lhs) | operand_names(post.rhs)
+    occurrences = [*_leaf_names(post.lhs), *_leaf_names(post.rhs)]
+    used = frozenset(occurrences)
     for n in sorted(used):
         if n not in seen:
             raise SpecValidationError(f"operand {n} used in postcondition but not declared")
     for d in decls:
         if d.name not in used:
             raise SpecValidationError(f"operand {d.name} declared but unused")
-    for side in (post.lhs, post.rhs):
-        if any(isinstance(n, SolvedBy) for n in walk(side)):
-            raise SpecValidationError("postconditions may not contain solution operators")
+    for what, size, bound in (
+        ("product weight", max(_weight(post.lhs), _weight(post.rhs)), MAX_WEIGHT),
+        ("operand occurrences", len(occurrences), MAX_OCCURRENCES),
+    ):
+        if size > bound:
+            raise SpecValidationError(f"postcondition too large: {what} {size}, at most {bound}")
     return OperationSpec(name, decls, post, solution_operator)
 
 
@@ -209,46 +239,47 @@ def build_spec(
 # parser
 
 
-class _Tok(NamedTuple):
-    text: str
-    col: int
+# blanks (group 1), then a token (group 2) or a character that starts none
+# (group 3); the matches tile the line up to its trailing blanks
+_TOKEN = re.compile(r"([ \t]*)(?:([+\-*(),=:]|[A-Za-z][A-Za-z0-9_]*|1)|([^ \t]))")
 
 
-# blanks, then a token (group 1) or a character that starts none (group 2)
-_TOKEN = re.compile(r"[ \t]*(?:([+\-*(),=:]|[A-Za-z][A-Za-z0-9_]*|1)|([^ \t]))")
-
-
-def _lex(line: str, lineno: int) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for m in _TOKEN.finditer(line):
-        if m.lastindex == 2:
-            raise SpecSyntaxError(f"unexpected character {m.group(2)!r}", lineno, m.start(2) + 1)
-        toks.append(_Tok(m.group(1), m.start(1) + 1))
+def _lex(line: str, lineno: int) -> list[tuple[str, int]]:
+    """Each token of ``line`` with its 1-based column."""
+    toks: list[tuple[str, int]] = []
+    col = 1
+    for blanks, text, bad in _TOKEN.findall(line):
+        col += len(blanks)
+        if bad:
+            raise SpecSyntaxError(f"unexpected character {bad!r}", lineno, col)
+        toks.append((text, col))
+        col += len(text)
     return toks
 
 
 class _ExprParser:
     """Recursive-descent parser for postcondition expressions."""
 
-    def __init__(self, toks: list[_Tok], lineno: int) -> None:
+    def __init__(self, toks: list[tuple[str, int]], lineno: int) -> None:
         self.toks = toks
         self.lineno = lineno
         self.i = 0
+        self.depth = 0
 
-    def peek(self) -> Optional[_Tok]:
+    def peek(self) -> Optional[tuple[str, int]]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def take(self) -> _Tok:
+    def take(self) -> tuple[str, int]:
         t = self.peek()
         if t is None:
             raise SpecSyntaxError("unexpected end of expression", self.lineno)
         self.i += 1
         return t
 
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> tuple[str, int]:
         t = self.take()
-        if t.text != text:
-            raise SpecSyntaxError(f"expected {text!r}, found {t.text!r}", self.lineno, t.col)
+        if t[0] != text:
+            raise SpecSyntaxError(f"expected {text!r}, found {t[0]!r}", self.lineno, t[1])
         return t
 
     def equation(self) -> Equation:
@@ -257,55 +288,58 @@ class _ExprParser:
         self.expect("=")
         rhs = self.expression()
         if (t := self.peek()) is not None:
-            raise SpecSyntaxError(f"trailing input {t.text!r}", self.lineno, t.col)
+            raise SpecSyntaxError(f"trailing input {t[0]!r}", self.lineno, t[1])
         return Equation(lhs, rhs)
 
     def expression(self) -> Expression:
         terms = [self.term()]
-        while (t := self.peek()) is not None and t.text in "+-":
+        while (t := self.peek()) is not None and t[0] in "+-":
             self.take()
             nxt = self.term()
-            terms.append(minus(nxt) if t.text == "-" else nxt)
+            terms.append(minus(nxt) if t[0] == "-" else nxt)
         return plus(*terms)
 
     def term(self) -> Expression:
         factors = [self.factor()]
-        while (t := self.peek()) is not None and t.text == "*":
+        while (t := self.peek()) is not None and t[0] == "*":
             self.take()
             factors.append(self.factor())
         return times(*factors)
 
     def factor(self) -> Expression:
-        t = self.take()
-        if t.text == "-":
-            return minus(self.factor())
-        if t.text == "(":
+        text, col = self.take()
+        if text not in ("-", "(", "trans", "inv"):
+            if _IDENT.match(text) and text not in _RESERVED:
+                return OperandRef(text)
+            raise SpecSyntaxError(f"unexpected token {text!r} in expression", self.lineno, col)
+        # each of these opens one nesting level
+        if self.depth == MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise SpecSyntaxError(message, self.lineno, col)
+        self.depth += 1
+        if text == "-":
+            e = minus(self.factor())
+        else:
+            if text != "(":
+                self.expect("(")
             e = self.expression()
             self.expect(")")
-            return e
-        if t.text in ("trans", "inv"):
-            self.expect("(")
-            e = self.expression()
-            self.expect(")")
-            return trans(e) if t.text == "trans" else inv(e)
-        if _IDENT.match(t.text) and t.text not in _RESERVED:
-            return OperandRef(t.text)
-        raise SpecSyntaxError(f"unexpected token {t.text!r} in expression", self.lineno, t.col)
+            e = trans(e) if text == "trans" else inv(e) if text == "inv" else e
+        self.depth -= 1
+        return e
 
 
-def _parse_operand_line(toks: list[_Tok], lineno: int) -> OperandDecl:
+def _parse_operand_line(toks: list[tuple[str, int]], lineno: int) -> OperandDecl:
     p = _ExprParser(toks, lineno)
     p.expect("operand")
-    name_tok = p.take()
-    name = name_tok.text
+    name = p.take()[0]
     p.expect(":")
-    kind_tok = p.take()
-    kind = kind_tok.text
+    kind, kind_col = p.take()
     def dim_token() -> str:
-        t = p.take()
-        if not _IDENT.match(t.text) or t.text in _RESERVED:
-            raise SpecSyntaxError(f"expected a size symbol, found {t.text!r}", lineno, t.col)
-        return t.text
+        text, col = p.take()
+        if not _IDENT.match(text) or text in _RESERVED:
+            raise SpecSyntaxError(f"expected a size symbol, found {text!r}", lineno, col)
+        return text
 
     if kind == KIND_MATRIX:
         p.expect("(")
@@ -322,29 +356,23 @@ def _parse_operand_line(toks: list[_Tok], lineno: int) -> OperandDecl:
     elif kind == KIND_SCALAR:
         dims = Dimension("1", "1")
     else:
-        raise SpecSyntaxError(
-            f"expected matrix/vector/scalar, found {kind!r}", lineno, kind_tok.col
-        )
+        raise SpecSyntaxError(f"expected matrix/vector/scalar, found {kind!r}", lineno, kind_col)
     p.expect(",")
-    role_tok = p.take()
-    if role_tok.text not in (ROLE_KNOWN, ROLE_UNKNOWN):
-        raise SpecSyntaxError(
-            f"expected known or unknown, found {role_tok.text!r}", lineno, role_tok.col
-        )
+    role, role_col = p.take()
+    if role not in (ROLE_KNOWN, ROLE_UNKNOWN):
+        raise SpecSyntaxError(f"expected known or unknown, found {role!r}", lineno, role_col)
     props: set[Property] = set()
     while p.peek() is not None:
         p.expect(",")
-        prop_tok = p.take()
+        prop_text, prop_col = p.take()
         try:
-            prop = Property(prop_tok.text)
+            prop = Property(prop_text)
         except ValueError:
-            raise SpecSyntaxError(
-                f"unknown property {prop_tok.text!r}", lineno, prop_tok.col
-            ) from None
+            raise SpecSyntaxError(f"unknown property {prop_text!r}", lineno, prop_col) from None
         if prop is Property.GENERAL:
-            raise SpecSyntaxError("general is implied by omitting properties", lineno, prop_tok.col)
+            raise SpecSyntaxError("general is implied by omitting properties", lineno, prop_col)
         props.add(prop)
-    decl = OperandDecl(name, kind, dims, role_tok.text, frozenset(props))
+    decl = OperandDecl(name, kind, dims, role, frozenset(props))
     try:
         return _validate_decl(decl)
     except SpecValidationError as exc:
@@ -368,26 +396,26 @@ def parse_operation(text: str) -> OperationSpec:
         if not line.strip():
             continue
         toks = _lex(line, lineno)
-        head = toks[0].text
+        head = toks[0][0]
         if head == "operation":
             if name is not None:
                 raise SpecSyntaxError("duplicate operation line", lineno)
             if len(toks) != 2:
                 raise SpecSyntaxError("expected: operation <name>", lineno)
-            name = toks[1].text
+            name = toks[1][0]
         elif head == "operand":
             if post is not None:
                 raise SpecSyntaxError("operands must precede the postcondition", lineno)
             operands.append(_parse_operand_line(toks, lineno))
         elif head == "postcondition":
-            if len(toks) < 2 or toks[1].text != ":":
+            if len(toks) < 2 or toks[1][0] != ":":
                 raise SpecSyntaxError("expected: postcondition: <expr> = <expr>", lineno)
             post = _ExprParser(toks[2:], lineno).equation()
             post_line = lineno
         elif head == "solve":
-            if len(toks) != 3 or toks[1].text != ":":
+            if len(toks) != 3 or toks[1][0] != ":":
                 raise SpecSyntaxError("expected: solve: <OperatorName>", lineno)
-            solve = toks[2].text
+            solve = toks[2][0]
         else:
             raise SpecSyntaxError(f"unexpected line starting with {head!r}", lineno)
     if name is None:
@@ -396,8 +424,10 @@ def parse_operation(text: str) -> OperationSpec:
         raise SpecSyntaxError("missing postcondition", 1)
     if solve is None:
         raise SpecSyntaxError("missing solve line", 1)
+    # each operand line is validated, and the parser's smart constructors
+    # leave the postcondition normalized
     try:
-        return build_spec(name, operands, post, solve)
+        return _assemble(name, tuple(operands), post, solve)
     except SpecValidationError as exc:
         raise SpecSyntaxError(str(exc), post_line) from exc
 

@@ -803,19 +803,29 @@ class TestOneDerivation:
         [(_cholesky_without_trsm, EXIT_OK), (_chol_down, EXIT_STUCK)],
     )
     def test_ops_dir_parsed_once(self, make_args, expected, tmp_path, monkeypatch, capsys):
+        # each file is parsed once and turned into a candidate pattern once,
+        # however many combinations try a nested derivation
         parsed: list[str] = []
+        patterned: list[str] = []
 
         def counted(text):
             spec = real(text)
             parsed.append(spec.name)
             return spec
 
-        real = engine.parse_operation
+        def counted_pattern(spec, provenance):
+            if provenance != "self":
+                patterned.append(spec.name)
+            return real_pattern(spec, provenance)
+
+        real, real_pattern = engine.parse_operation, engine.pattern_from_spec
         monkeypatch.setattr(engine, "parse_operation", counted)
+        monkeypatch.setattr(engine, "pattern_from_spec", counted_pattern)
         code, _, _ = run_main([*make_args(tmp_path), "--ops-dir", OPS_DIR], capsys)
         assert code == expected
         names = sorted(f[: -len(".op")] for f in os.listdir(OPS_DIR) if f.endswith(".op"))
         assert sorted(parsed) == names
+        assert sorted(patterned) == names
 
 
     def test_combination_out_of_range_before_deriving(self, capsys):
@@ -901,3 +911,143 @@ class TestImports:
             "expr.Equation": True,
             "engine.DerivationState": True,
         }
+
+
+def _deep_op(post: str) -> str:
+    return (
+        "operation deep\n"
+        "  operand A : matrix(m,m) , known\n"
+        "  operand X : matrix(m,m) , unknown\n"
+        f"  postcondition: {post}\n"
+        "  solve: S\n"
+    )
+
+
+def _nested(opening: str, levels: int) -> str:
+    closing = ")" * opening.count("(")
+    return "X = " + opening * levels + "A" + closing * levels
+
+
+def _deep_kb(template: str) -> str:
+    return (
+        "pattern deep\nprovenance learned-from:deep\nsolve S\n"
+        "slot A matrix known m m\nslot X matrix unknown m m\n"
+        f"post (eq X {template})\nsolved (eq X (solved S A))\nend\n"
+    )
+
+
+def _prefix_chain(levels: int) -> str:
+    # normalized, 3 * levels + 1 nodes deep: the inverse of a sum that
+    # holds the negation of the next level
+    e = "(inv A)"
+    for _ in range(levels):
+        e = f"(inv (plus (minus {e}) A))"
+    return e
+
+
+class TestBounds:
+    """Nesting and size bounds: each reader stops with one error line."""
+
+    def _error(self, args, capsys, contains):
+        code, _, err = run_main(args, capsys)
+        assert code == EXIT_PARSE
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and contains in lines[0]
+
+    @pytest.mark.parametrize(
+        "post, column",
+        [
+            (_nested("(", 3000), 86),
+            (_nested("trans(", 3000), 406),
+            ("X = " + "- " * 5000 + "A", 150),
+            (_nested("(", 65), 86),
+            (_nested("inv(", 65), 278),
+        ],
+        ids=["parens-3000", "trans-3000", "minus-5000", "parens-65", "inv-65"],
+    )
+    def test_deep_postcondition(self, post, column, tmp_path, capsys):
+        op = tmp_path / "deep.op"
+        op.write_text(_deep_op(post))
+        message = f"line 4, column {column}: expression nested deeper than 64 levels"
+        self._error(["derive", str(op)], capsys, message)
+        ops_dir = tmp_path / "ops"
+        ops_dir.mkdir()
+        op.rename(ops_dir / "deep.op")
+        args = ["derive", CHOLESKY_OP, "--no-builtin", "trsm", "--ops-dir", str(ops_dir)]
+        self._error(args, capsys, f"deep.op: {message}")
+
+    @pytest.mark.parametrize(
+        "post",
+        [_nested("(", 64), _nested("trans(", 64), "X = " + "- " * 64 + "A"],
+        ids=["parens", "trans", "minus"],
+    )
+    def test_postcondition_at_nesting_bound_derives(self, post, tmp_path, capsys):
+        op = tmp_path / "deep.op"
+        op.write_text(_deep_op(post))
+        code, out, _ = run_main(["derive", str(op)], capsys)
+        assert code == EXIT_OK and "PME (combination 1)" in out
+
+    @pytest.mark.parametrize("command", [["kb", "list"], ["derive", CHOLESKY_OP]])
+    @pytest.mark.parametrize(
+        "template",
+        ["(trans " * 3000 + "A" + ")" * 3000, "(trans " * 257 + "A" + ")" * 257],
+        ids=["3000", "257"],
+    )
+    def test_deep_kb_template(self, command, template, tmp_path, capsys):
+        kb = tmp_path / "deep.kb"
+        kb.write_text(_deep_kb(template))
+        message = f"{kb}:6: prefix form nested deeper than 256 levels"
+        self._error([*command, "--kb", str(kb)], capsys, message)
+
+    def test_kb_template_at_nesting_bound_reads(self, tmp_path, capsys):
+        kb = tmp_path / "deep.kb"
+        kb.write_text(_deep_kb(_prefix_chain(85)))
+        code, out, _ = run_main(["kb", "list", "--kb", str(kb)], capsys)
+        assert code == EXIT_OK and out.endswith("deep (learned)\n")
+        code, out, _ = run_main(["derive", CHOLESKY_OP, "--kb", str(kb)], capsys)
+        assert code == EXIT_OK and "PME (combination 1)" in out
+
+    @pytest.mark.parametrize("chain, code", [(254, EXIT_OK), (255, EXIT_PARSE), (3000, EXIT_PARSE)])
+    def test_pme_document_nesting(self, chain, code, tmp_path, capsys):
+        # the solved cell's input, nested in ``solved`` and ``plus``; an even
+        # chain of transposes and the extra terms leave its value B_L
+        _, out, _ = run_main(["derive", TRSM_OP, "--format", "json"], capsys)
+        doc = json.loads(out)
+        deep = "(trans " * chain + "B_L" + ")" * chain
+        doc["pmes"][0]["cells"][0]["equation"] = (
+            f"(eq X_L (solved Trsm L_TL (plus {deep} (minus B_L) B_L)))"
+        )
+        pme_file = tmp_path / "deep.json"
+        pme_file.write_text(json.dumps(doc))
+        args = ["check", TRSM_OP, str(pme_file), "--trials", "2"]
+        if code == EXIT_OK:
+            got, out, _ = run_main(args, capsys)
+            assert got == EXIT_OK and out.count("PASS") == len(doc["pmes"])
+        else:
+            self._error(args, capsys, "prefix form nested deeper than 256 levels")
+
+    @pytest.mark.parametrize(
+        "post, message",
+        [
+            ("X = " + " * ".join(["A"] * 13), "product weight 13, at most 12"),
+            ("X = " + " * ".join(["A"] * 40), "product weight 40, at most 12"),
+            ("X = " + " + ".join(["A"] * 64), "operand occurrences 65, at most 64"),
+            ("X = " + " + ".join(["A"] * 1000), "operand occurrences 1001, at most 64"),
+        ],
+        ids=["product-13", "product-40", "sum-65", "sum-1001"],
+    )
+    def test_postcondition_past_size_bound(self, post, message, tmp_path, capsys):
+        op = tmp_path / "big.op"
+        op.write_text(_deep_op(post))
+        self._error(["derive", str(op)], capsys, f"line 4, column 1: postcondition too large: {message}")
+
+    @pytest.mark.parametrize(
+        "post",
+        ["X = " + " * ".join(["A"] * 12), "X = " + " + ".join(["A"] * 63)],
+        ids=["product-12", "sum-64"],
+    )
+    def test_postcondition_at_size_bound_derives(self, post, tmp_path, capsys):
+        op = tmp_path / "big.op"
+        op.write_text(_deep_op(post))
+        code, out, _ = run_main(["derive", str(op)], capsys)
+        assert code == EXIT_OK and "PME (combination 1)" in out

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmegen.expr import (
+    MAX_DEPTH,
     Equation,
     Expression,
     Inverse,
@@ -251,6 +252,19 @@ def test_serialization_golden():
     assert serialize_equation(eq) == "(eq (times L (trans L)) A)"
     assert serialize(plus(A, minus(times(B, C)))) == "(plus (minus (times B C)) A)"
     assert parse_prefix_equation("(eq (times L (trans L)) A)") == eq
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_prefix_nesting_bound(side):
+    def nested(levels):
+        deep = "(minus " * levels + "A" + ")" * levels
+        return f"(eq {deep} X)" if side == "lhs" else f"(eq X {deep})"
+
+    eq = parse_prefix_equation(nested(4 * MAX_DEPTH))
+    assert serialize_equation(eq) == nested(4 * MAX_DEPTH)
+    for levels in (4 * MAX_DEPTH + 1, 3000):
+        with pytest.raises(StructuralError, match="^prefix form nested deeper than 256 levels$"):
+            parse_prefix_equation(nested(levels))
 
 
 class TestCanonicalEquation:

@@ -4,10 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pmegen.expr import Dimension, Equation, ref, serialize_equation, times, trans
+from pmegen.expr import (
+    Dimension,
+    Equation,
+    Inverse,
+    Minus,
+    OperandRef,
+    Plus,
+    Times,
+    Transpose,
+    Zero,
+    normalize,
+    minus,
+    normalize_equation,
+    operand_names,
+    plus,
+    ref,
+    serialize_equation,
+    times,
+    trans,
+    walk,
+)
 from pmegen.opspec import (
     KIND_MATRIX,
+    MAX_OCCURRENCES,
+    MAX_WEIGHT,
     OperandDecl,
     Property,
     ROLE_KNOWN,
@@ -16,6 +40,7 @@ from pmegen.opspec import (
     SpecSyntaxError,
     SpecValidationError,
     build_spec,
+    equation_to_text,
     parse_operation,
     render_spec,
 )
@@ -464,3 +489,78 @@ class TestRender:
     def test_round_trip_random_specs(self, seed):
         spec = random_spec(np.random.default_rng(seed))
         assert parse_operation(render_spec(spec)) == spec
+
+
+def _flat(cls, kids):
+    flat = []
+    for k in kids:
+        flat.extend(k.children() if isinstance(k, cls) else [k])
+    return cls(tuple(flat)) if len(flat) >= 2 else flat[0]
+
+
+# trees of the nodes an operation file can write, not yet normalized
+_written = st.recursive(
+    st.sampled_from("ABC").map(OperandRef),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda ts: _flat(Plus, ts)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda fs: _flat(Times, fs)),
+        kids.map(Minus),
+        kids.map(Transpose),
+        kids.map(Inverse),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_written, _written)
+def test_parsed_postcondition_is_normal(e1, e2):
+    # the parser builds through the smart constructors, so what it returns
+    # is already normal and the spec needs no second normalization
+    post = Equation(plus(ref("X"), normalize(e1)), normalize(e2))
+    assume(not any(isinstance(n, Zero) for side in (post.lhs, post.rhs) for n in walk(side)))
+    names = sorted(operand_names(post.lhs) | operand_names(post.rhs))
+    text = "operation t\n" + "".join(
+        f"  operand {n} : matrix(m,m) , {'unknown' if n == 'X' else 'known'}\n" for n in names
+    ) + f"  postcondition: {equation_to_text(post)}\n  solve: S\n"
+    parsed = parse_operation(text).postcondition
+    assert serialize_equation(normalize_equation(parsed)) == serialize_equation(parsed)
+
+
+class TestSizeBounds:
+    def _spec(self, post):
+        decls = [
+            OperandDecl("A", KIND_MATRIX, Dimension("m", "m"), ROLE_KNOWN, frozenset()),
+            OperandDecl("X", KIND_MATRIX, Dimension("m", "m"), ROLE_UNKNOWN, frozenset()),
+        ]
+        return build_spec("big", decls, post, "S")
+
+    def test_product_weight(self):
+        chain = [ref("A")] * MAX_WEIGHT
+        assert self._spec(Equation(ref("X"), times(*chain)))
+        # a sum weighs as its heaviest term, and negation changes nothing
+        post = Equation(ref("X"), plus(times(*chain), minus(times(ref("A"), trans(ref("A"))))))
+        assert self._spec(post)
+        with pytest.raises(SpecValidationError, match="product weight 13, at most 12"):
+            self._spec(Equation(ref("X"), times(*chain, ref("A"))))
+        with pytest.raises(SpecValidationError, match="product weight 13, at most 12"):
+            self._spec(Equation(times(*chain, ref("X")), ref("A")))
+
+    def test_operand_occurrences(self):
+        terms = [ref("A")] * (MAX_OCCURRENCES - 1)
+        assert self._spec(Equation(ref("X"), plus(*terms)))
+        with pytest.raises(SpecValidationError, match="operand occurrences 65, at most 64"):
+            self._spec(Equation(ref("X"), plus(*terms, ref("A"))))
+
+    def test_parsed_past_bound_names_postcondition_line(self):
+        text = (
+            "operation big\n"
+            "  operand A : matrix(m,m) , known\n"
+            "  operand X : matrix(m,m) , unknown\n"
+            "\n"
+            "  postcondition: X = " + " * ".join(["A"] * 13) + "\n"
+            "  solve: S\n"
+        )
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_operation(text)
+        assert str(err.value) == "line 5, column 1: postcondition too large: product weight 13, at most 12"
