@@ -41,6 +41,7 @@ from pmegen.opspec import (
     SpecValidationError,
     build_spec,
     equation_to_text,
+    parse_equation,
     parse_operation,
     render_spec,
 )
@@ -512,18 +513,29 @@ _written = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_written, _written)
-def test_parsed_postcondition_is_normal(e1, e2):
+def _depth(e):
+    return 1 + max(map(_depth, e.children()), default=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_written, _written, st.booleans())
+def test_parsed_postcondition_is_normal(e1, e2, normal_first):
     # the parser builds through the smart constructors, so what it returns
-    # is already normal and the spec needs no second normalization
-    post = Equation(plus(ref("X"), normalize(e1)), normalize(e2))
-    assume(not any(isinstance(n, Zero) for side in (post.lhs, post.rhs) for n in walk(side)))
-    names = sorted(operand_names(post.lhs) | operand_names(post.rhs))
-    text = "operation t\n" + "".join(
+    # is already normal and the spec needs no second normalization.  The
+    # text is that of a normalized tree, or of the tree as drawn, which
+    # writes what normal trees never show, such as ``-(A + B)`` or ``--A``
+    assume(_depth(e1) <= 20 and _depth(e2) <= 20)
+    if normal_first:
+        e1, e2 = normalize(e1), normalize(e2)
+        assume(not any(isinstance(n, Zero) for e in (e1, e2) for n in walk(e)))
+    text = equation_to_text(Equation(_flat(Plus, [ref("X"), e1]), e2))
+    eq = parse_equation(text)
+    names = sorted(operand_names(eq.lhs) | operand_names(eq.rhs))
+    assume("X" in names)
+    spec_text = "operation t\n" + "".join(
         f"  operand {n} : matrix(m,m) , {'unknown' if n == 'X' else 'known'}\n" for n in names
-    ) + f"  postcondition: {equation_to_text(post)}\n  solve: S\n"
-    parsed = parse_operation(text).postcondition
+    ) + f"  postcondition: {text}\n  solve: S\n"
+    parsed = parse_operation(spec_text).postcondition
     assert serialize_equation(normalize_equation(parsed)) == serialize_equation(parsed)
 
 
