@@ -1039,7 +1039,8 @@ class TestBounds:
     def test_postcondition_past_size_bound(self, post, message, tmp_path, capsys):
         op = tmp_path / "big.op"
         op.write_text(_deep_op(post))
-        self._error(["derive", str(op)], capsys, f"line 4, column 1: postcondition too large: {message}")
+        message = f"line 4, column 1: postcondition too large: {message}"
+        self._error(["derive", str(op)], capsys, message)
 
     @pytest.mark.parametrize(
         "post",

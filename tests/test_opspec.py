@@ -531,7 +531,6 @@ def test_parsed_postcondition_is_normal(e1, e2, normal_first):
     text = equation_to_text(Equation(_flat(Plus, [ref("X"), e1]), e2))
     eq = parse_equation(text)
     names = sorted(operand_names(eq.lhs) | operand_names(eq.rhs))
-    assume("X" in names)
     spec_text = "operation t\n" + "".join(
         f"  operand {n} : matrix(m,m) , {'unknown' if n == 'X' else 'known'}\n" for n in names
     ) + f"  postcondition: {text}\n  solve: S\n"
@@ -575,4 +574,6 @@ class TestSizeBounds:
         )
         with pytest.raises(SpecSyntaxError) as err:
             parse_operation(text)
-        assert str(err.value) == "line 5, column 1: postcondition too large: product weight 13, at most 12"
+        assert str(err.value) == (
+            "line 5, column 1: postcondition too large: product weight 13, at most 12"
+        )
