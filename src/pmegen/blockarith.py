@@ -208,7 +208,7 @@ def blocked_postcondition(
     derivation loop only ever sees informative equations.
     """
     blocks = blocked_operands(spec, rules)
-    known = frozenset(n for d in spec.inputs() for n in blocks[d.name].block_dims())
+    known = frozenset(n for d in spec.inputs() for n in blocks[d.name].dims)
     return _blocked_grid(spec, blocks, known)
 
 

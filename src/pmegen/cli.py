@@ -268,7 +268,7 @@ def _resolve_pme(
             f"PME combination {combo.index}: block sizes {sizes[0]} x {sizes[1]} "
             f"are not its blocking's {list(grid.row_sizes)} x {list(grid.col_sizes)}"
         )
-    names = {n for b in blocks.values() for n in b.block_dims()}
+    names = {n for b in blocks.values() for n in b.dims}
     for q in pme.all_cells():
         for name in sorted(operand_names(q.equation.lhs) | operand_names(q.equation.rhs)):
             if name not in names:

@@ -38,7 +38,6 @@ from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binding import (
-    BindingAnalysis,
     NoViablePartitioningsError,
     RuleCombination,
     _combinations,
@@ -93,13 +92,7 @@ from .opspec import (
     parse_equation,
     parse_operation,
 )
-from .partition import (
-    BlockedOperand,
-    PartitionRule,
-    PropertyFact,
-    inheritance_facts,
-    spd_facts,
-)
+from .partition import BlockedOperand, PartitionRule, PropertyFact
 
 
 SPD_SEARCH_DEPTH = 8
@@ -349,51 +342,22 @@ class DerivationState:
 
 
 def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationState:
-    return _initial_state(spec, rules, _blocking_table(spec, analyze(spec), (rules,)))
-
-
-def _blocking_table(
-    spec: OperationSpec, analysis: BindingAnalysis, combos: Sequence[RuleCombination]
-) -> dict[PartitionRule, tuple]:
-    """Each operand's blocking under each distinct rule of ``combos``, with
-    what depends on that blocking alone.
-
-    An entry is the blocked operand, its inherited facts, its SPD facts,
-    its block dims, and, for an input, its block names.
-    """
-    table: dict[PartitionRule, tuple] = {}
-    for rule, b in operand_blockings(spec, analysis, combos).items():
-        decl = spec.operand(rule.operand)
-        inherited = inheritance_facts(b)
-        spd = spd_facts(b) if Property.SPD in decl.properties else ()
-        dims = b.block_dims()
-        table[rule] = (b, inherited, spd, dims, frozenset(dims if decl.is_input else ()))
-    return table
+    return _initial_state(spec, rules, operand_blockings(spec, analyze(spec), (rules,)))
 
 
 def _initial_state(
-    spec: OperationSpec, rules: RuleCombination, table: dict[PartitionRule, tuple]
+    spec: OperationSpec, rules: RuleCombination, table: dict[PartitionRule, BlockedOperand]
 ) -> DerivationState:
-    """The state of one combination, assembled from its operands' entries."""
-    blocked: dict[str, BlockedOperand] = {}
-    known: set[str] = set()
-    facts: list[PropertyFact] = []
-    dims: dict[str, Dimension] = {}
-    for name, rule in rules.rules:
-        b, inherited, spd, block_dims, names = table[rule]
-        blocked[name] = b
-        known |= names
-        facts.extend(inherited)
-        for f in spd:
-            if f not in facts:
-                facts.append(f)
-        dims.update(block_dims)
+    """The state of one combination, joined from its operands' blockings in
+    rule order."""
+    blocked = {name: table[rule] for name, rule in rules.rules}
+    known = {n for d in spec.inputs() for n in blocked[d.name].dims}
     return DerivationState(
         grid=_blocked_grid(spec, blocked, known),
         known=known,
-        facts=facts,
+        facts=[f for b in blocked.values() for f in b.facts],
         tautologies=[],
-        dims=dims,
+        dims={n: d for b in blocked.values() for n, d in b.dims.items()},
     )
 
 
@@ -867,7 +831,7 @@ def derive_pme(
     derivations; a pattern acquired that way is used immediately.
     """
     self_pattern = pattern_from_spec(spec, provenance="self")
-    table = _blocking_table(spec, analyze(spec), (rules,))
+    table = operand_blockings(spec, analyze(spec), (rules,))
     return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, table, self_pattern)
 
 
@@ -877,7 +841,7 @@ def _derive_pme(
     kb: KnowledgeBase,
     ops: _OpsDir,
     depth: int,
-    table: dict[PartitionRule, tuple],
+    table: dict[PartitionRule, BlockedOperand],
     self_pattern: Pattern,
 ) -> PME:
     """:func:`derive_pme` at nesting ``depth``, over a blocking table of
@@ -1031,7 +995,7 @@ def _derive_each(
     self_pattern = pattern_from_spec(spec, provenance="self")
     # every blocking the selected combinations use, built before any of them
     chosen = combos if combination is None else (combos[combination - 1],)
-    table = _blocking_table(spec, analysis, chosen)
+    table = operand_blockings(spec, analysis, chosen)
     results: list[PME | StuckDerivation | None] = []
     for combo in combos:
         if combination is not None and combo.index != combination:

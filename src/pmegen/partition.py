@@ -5,8 +5,9 @@ structured matrix (triangular, symmetric, spd, diagonal) only the
 identity or a 2x2 blocking with a square top-left quadrant; vectors only
 the identity or 2x1; scalars only the identity.  :mod:`binding` enforces
 this table when it enumerates the rules; this module builds the blocking
-a rule asks for, a grid of block expressions together with the
-properties each named block inherits directly.  Blocks are named after
+a rule asks for, a grid of block expressions together with what that
+blocking alone implies: the dimensions of each named block and the facts
+it carries.  Blocks are named after
 :func:`position_names`, the one source of quadrant names (``A_TL``,
 ``x_B``; an unpartitioned operand keeps its own name).  Blocks on the
 diagonal inherit the parent's properties; triangular and diagonal
@@ -15,8 +16,7 @@ parents store the top-right quadrant literally as the transpose of the
 bottom-left one.
 
 Beyond direct inheritance, an spd parent contributes theorem-level facts:
-both Schur complements of its 2x2 blocking are spd as well
-(:func:`spd_facts`).
+both Schur complements of its 2x2 blocking are spd as well.
 """
 
 from __future__ import annotations
@@ -68,28 +68,19 @@ class BlockedOperand(NamedTuple):
     ``cells[i][j]`` is the block expression (a block reference, the zero
     block, or a transposed reference for the mirrored quadrant of a
     symmetric parent) occupying row partition ``i`` and column partition
-    ``j``; its dimensions are ``row_sizes[i] x col_sizes[j]``.
+    ``j``; its dimensions are ``row_sizes[i] x col_sizes[j]``.  ``dims``
+    maps each named block to its dimensions; no cell names any other
+    block.  ``facts`` lists the properties each diagonal block inherits,
+    in grid and property order, then the Schur complements of an spd
+    parent's 2x2 blocking.
     """
 
     operand: str
-    parent_properties: frozenset[Property]
     row_sizes: tuple[str, ...]
     col_sizes: tuple[str, ...]
     cells: tuple[tuple[Expression, ...], ...]
-    props: tuple[tuple[str, frozenset[Property]], ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.row_sizes), len(self.col_sizes))
-
-    def block_dims(self) -> dict[str, Dimension]:
-        """Dimensions of each named block; no cell names any other block."""
-        out: dict[str, Dimension] = {}
-        for i, row in enumerate(self.cells):
-            for j, cell in enumerate(row):
-                if isinstance(cell, OperandRef):
-                    out[cell.name] = Dimension(self.row_sizes[i], self.col_sizes[j])
-        return out
+    dims: dict[str, Dimension]
+    facts: tuple[PropertyFact, ...]
 
 
 def _rest(parent: str, split: str) -> str:
@@ -138,49 +129,30 @@ def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
             # stored literally as a transpose, so it never introduces a
             # separate unknown
             grid[0][1] = trans(grid[1][0])
-    none: frozenset[Property] = frozenset()
+    dims: dict[str, Dimension] = {}
+    facts: list[PropertyFact] = []
+    for i, row in enumerate(grid):
+        for j, cell in enumerate(row):
+            if isinstance(cell, OperandRef):
+                dims[cell.name] = Dimension(row_sizes[i], col_sizes[j])
+                if i == j:
+                    facts += [PropertyFact(cell, p) for p in sorted(props, key=lambda p: p.value)]
+    # an spd parent's diagonal blocks inherit spd above; both Schur
+    # complements of its 2x2 blocking are spd as well (a zero block may
+    # reduce one to a diagonal block, which is then listed already)
+    if Property.SPD in props and not rule.is_identity:
+        (a_tl, _), (a_bl, a_br) = grid
+        for schur in (
+            plus(a_tl, minus(times(trans(a_bl), inv(a_br), a_bl))),
+            plus(a_br, minus(times(a_bl, inv(a_tl), trans(a_bl)))),
+        ):
+            if PropertyFact(schur, Property.SPD) not in facts:
+                facts.append(PropertyFact(schur, Property.SPD))
     return BlockedOperand(
         operand=name,
-        parent_properties=props,
         row_sizes=row_sizes,
         col_sizes=col_sizes,
         cells=tuple(tuple(row) for row in grid),
-        props=tuple(
-            (cell.name, props if i == j else none)
-            for i, row in enumerate(grid)
-            for j, cell in enumerate(row)
-            if isinstance(cell, OperandRef)
-        ),
+        dims=dims,
+        facts=tuple(facts),
     )
-
-
-def spd_facts(blocked: BlockedOperand) -> tuple[PropertyFact, ...]:
-    """SPD facts contributed by an spd parent.
-
-    For a 2x2 blocking these are the two principal quadrants plus both
-    Schur complements; an unpartitioned parent contributes itself only.
-    """
-    if Property.SPD not in blocked.parent_properties:
-        raise ValueError(f"operand {blocked.operand} is not spd")
-    if blocked.shape == (1, 1):
-        return (PropertyFact(OperandRef(blocked.operand), Property.SPD),)
-    a_tl = blocked.cells[0][0]
-    a_bl = blocked.cells[1][0]
-    a_br = blocked.cells[1][1]
-    schur_br = plus(a_br, minus(times(a_bl, inv(a_tl), trans(a_bl))))
-    schur_tl = plus(a_tl, minus(times(trans(a_bl), inv(a_br), a_bl)))
-    return (
-        PropertyFact(a_tl, Property.SPD),
-        PropertyFact(a_br, Property.SPD),
-        PropertyFact(schur_tl, Property.SPD),
-        PropertyFact(schur_br, Property.SPD),
-    )
-
-
-def inheritance_facts(blocked: BlockedOperand) -> tuple[PropertyFact, ...]:
-    """Directly inherited properties of every named block, as facts."""
-    out: list[PropertyFact] = []
-    for name, props in blocked.props:
-        for p in sorted(props, key=lambda p: p.value):
-            out.append(PropertyFact(OperandRef(name), p))
-    return tuple(out)

@@ -16,12 +16,7 @@ from pmegen.opspec import (
     parse_operation,
 )
 from pmegen.oracle import eval_size, sample_value
-from pmegen.partition import (
-    PartitionRule,
-    apply_rule,
-    inheritance_facts,
-    spd_facts,
-)
+from pmegen.partition import PartitionRule, apply_rule
 
 from conftest import min_symmetric_eigenvalue
 
@@ -40,6 +35,19 @@ def offered(operands: str, postcondition: str, operand: str) -> list[PartitionRu
 
 def shapes(rules: list[PartitionRule]) -> set[str]:
     return {r.shape for r in rules}
+
+
+def inherited(b) -> dict[str, frozenset]:
+    """Each named block's directly inherited properties, read off ``b.facts``."""
+    out: dict[str, set] = {name: set() for name in b.dims}
+    for f in b.facts:
+        if isinstance(f.expression, OperandRef):
+            out[f.expression.name].add(f.property)
+    return {name: frozenset(props) for name, props in out.items()}
+
+
+def spd_texts(b) -> list[str]:
+    return [serialize(f.expression) for f in b.facts if f.property is Property.SPD]
 
 
 class TestAdmissibleRules:
@@ -99,17 +107,22 @@ class TestApplyRule:
             (ref("A_TL"), trans(ref("A_BL"))),
             (ref("A_BL"), ref("A_BR")),
         )
-        props = dict(b.props)
+        props = inherited(b)
         assert props["A_TL"] == frozenset({Property.SPD, Property.SYMMETRIC})
         assert props["A_BR"] == frozenset({Property.SPD, Property.SYMMETRIC})
         assert props["A_BL"] == frozenset()
         assert b.row_sizes == ("k1", "m-k1")
+        assert b.dims == {
+            "A_TL": Dimension("k1", "k1"),
+            "A_BL": Dimension("m-k1", "k1"),
+            "A_BR": Dimension("m-k1", "m-k1"),
+        }
 
     def test_lower_triangular_2x2(self):
         d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
         b = apply_rule(d, PartitionRule("L", "k1", "k1"))
         assert b.cells == ((ref("L_TL"), ZERO), (ref("L_BL"), ref("L_BR")))
-        props = dict(b.props)
+        props = inherited(b)
         assert props["L_TL"] == frozenset({Property.LOWER_TRIANGULAR})
         assert props["L_BR"] == frozenset({Property.LOWER_TRIANGULAR})
 
@@ -151,27 +164,35 @@ class TestSpdFacts:
     def test_both_schur_complements(self):
         d = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
         b = apply_rule(d, PartitionRule("A", "k1", "k1"))
-        facts = spd_facts(b)
-        texts = {serialize(f.expression) for f in facts}
-        assert texts == {
-            "A_TL",
-            "A_BR",
-            "(plus (minus (times (trans A_BL) (inv A_BR) A_BL)) A_TL)",
-            "(plus (minus (times A_BL (inv A_TL) (trans A_BL))) A_BR)",
-        }
-        assert all(f.property is Property.SPD for f in facts)
+        # the inherited facts in grid and property order, then the Schur
+        # complements, the principal quadrants being listed already
+        assert [(serialize(f.expression), f.property.value) for f in b.facts] == [
+            ("A_TL", "spd"),
+            ("A_TL", "symmetric"),
+            ("A_BR", "spd"),
+            ("A_BR", "symmetric"),
+            ("(plus (minus (times (trans A_BL) (inv A_BR) A_BL)) A_TL)", "spd"),
+            ("(plus (minus (times A_BL (inv A_TL) (trans A_BL))) A_BR)", "spd"),
+        ]
 
     def test_identity_blocking_single_fact(self):
         d = decl({Property.SPD, Property.SYMMETRIC}, dims=("m", "m"))
         b = apply_rule(d, PartitionRule("A"))
-        (fact,) = spd_facts(b)
-        assert fact.expression == ref("A") and fact.property is Property.SPD
+        assert spd_texts(b) == ["A"]
+        assert b.dims == {"A": Dimension("m", "m")}
 
-    def test_non_spd_parent_rejected(self):
+    def test_non_spd_parent_has_no_spd_fact(self):
         d = decl({Property.SYMMETRIC}, dims=("m", "m"))
         b = apply_rule(d, PartitionRule("A", "k1", "k1"))
-        with pytest.raises(ValueError, match="not spd"):
-            spd_facts(b)
+        assert spd_texts(b) == []
+
+    def test_zero_blocks_reduce_schur_complements(self):
+        # the Schur complements of an spd diagonal parent are its diagonal
+        # blocks, which are listed once
+        d = decl({Property.SPD, Property.SYMMETRIC, Property.DIAGONAL}, dims=("m", "m"))
+        b = apply_rule(d, PartitionRule("A", "k1", "k1"))
+        assert spd_texts(b) == ["A_TL", "A_BR"]
+        assert len(set(b.facts)) == len(b.facts) == 6
 
 
 GOLDEN_PROPS = {
@@ -210,11 +231,11 @@ def test_block_property_golden_tables():
     for props, expected in GOLDEN_PROPS.items():
         d = decl(props, dims=("m", "m"))
         b = apply_rule(d, PartitionRule("A", "k1", "k1"))
-        assert dict(b.props) == expected
+        assert inherited(b) == expected
     # facts mirror the tables
     d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
     b = apply_rule(d, PartitionRule("L", "k1", "k1"))
-    facts = inheritance_facts(b)
+    facts = b.facts
     assert (
         sum(1 for f in facts if f.property is Property.LOWER_TRIANGULAR) == 2
     )
@@ -261,7 +282,7 @@ def test_numeric_reassembly(props, seed):
     edges_c = np.cumsum([0] + [eval_size(s, sizes) for s in b.col_sizes])
     values = {}
     rebuilt = np.zeros_like(full)
-    prop_map = dict(b.props)
+    prop_map = inherited(b)
     for i in range(2):
         for j in range(2):
             cell = b.cells[i][j]
