@@ -1122,10 +1122,8 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
 
 
 def _close_record(
-    kb: KnowledgeBase, record: dict[str, object] | None, slots: list[OperandDecl]
+    kb: KnowledgeBase, record: dict[str, object], slots: list[OperandDecl]
 ) -> KnowledgeBase:
-    if record is None:
-        raise KnowledgeBaseError("'end' without a record")
     try:
         name = str(record["name"])
         template = record["post"]
