@@ -12,7 +12,10 @@ With ``g`` partitionable groups there are ``2**g`` keep/split choices;
 the all-keep choice does not partition anything and is dropped, leaving
 ``2**g - 1`` viable rule combinations.  Combinations are emitted in
 binary counting order with the first-seen group as the most significant
-bit, and group ``i`` splits at the fresh size symbol ``k{i+1}``.
+bit, and group ``i`` splits at the fresh size symbol ``k{i+1}``.  At
+most :data:`MAX_PARTITIONABLE_GROUPS` groups may be partitionable, so a
+spec has at most 255 combinations; a spec with more is rejected with a
+:class:`BindingError` before any combination is built.
 
 This module alone decides the blockings: each combination it emits is
 admissible for every operand and conforms across the equation, and
@@ -36,6 +39,9 @@ from .expr import (
 )
 from .opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec
 from .partition import PartitionRule
+
+
+MAX_PARTITIONABLE_GROUPS = 8
 
 
 class BindingError(ValueError):
@@ -209,7 +215,8 @@ def enumerate_combinations(spec: OperationSpec) -> tuple[RuleCombination, ...]:
     """All viable rule combinations, ``2**g - 1`` of them.
 
     Groups containing a scalar axis, a vector column axis, or an inverted
-    subtree are forced to keep, which reduces the effective ``g``.
+    subtree are forced to keep, which reduces the effective ``g``.  A ``g``
+    over :data:`MAX_PARTITIONABLE_GROUPS` raises :class:`BindingError`.
     """
     return _combinations(spec, analyze(spec))
 
@@ -223,6 +230,12 @@ def _combinations(
     if g == 0:
         raise NoViablePartitioningsError(
             f"operation {spec.name}: no viable partitionings"
+        )
+    if g > MAX_PARTITIONABLE_GROUPS:
+        raise BindingError(
+            f"operation {spec.name}: {2**g - 1} combinations exceed the bound of "
+            f"{2**MAX_PARTITIONABLE_GROUPS - 1} ({g} partitionable dimension groups, "
+            f"at most {MAX_PARTITIONABLE_GROUPS})"
         )
     out: list[RuleCombination] = []
     for mask in range(1, 2**g):
