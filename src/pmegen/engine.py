@@ -13,6 +13,9 @@ equations: structural pattern matching, flagging the matched outputs as
 known, and re-canonicalizing the remaining equations.  The operation's
 own pattern is registered in a working copy of the knowledge base first,
 so sub-problems of the operation's own kind are recognized immediately.
+A derivation starts from what each operand's blocking carries
+(:class:`partition.BlockedOperand`): the dimensions of its named
+blocks and its facts, joined in rule order.
 
 Property guards are discharged in two ways.  Triangularity, symmetry and
 diagonality come from direct block inheritance plus a small structural

@@ -6,11 +6,11 @@ identity or a 2x2 blocking with a square top-left quadrant; vectors only
 the identity or 2x1; scalars only the identity.  :mod:`binding` enforces
 this table when it enumerates the rules; this module builds the blocking
 a rule asks for, a grid of block expressions together with what that
-blocking alone implies: the dimensions of each named block and the facts
-it carries.  Blocks are named after
-:func:`position_names`, the one source of quadrant names (``A_TL``,
-``x_B``; an unpartitioned operand keeps its own name).  Blocks on the
-diagonal inherit the parent's properties; triangular and diagonal
+blocking alone implies: the dimensions of each named block, and the
+facts its blocks carry.  Blocks are named after :func:`position_names`,
+the one source of quadrant names (``A_TL``, ``x_B``; an unpartitioned
+operand keeps its own name).  Blocks on the diagonal inherit the
+parent's properties; triangular and diagonal
 parents put a zero block off the triangle, and symmetric (and spd)
 parents store the top-right quadrant literally as the transpose of the
 bottom-left one.
