@@ -10,10 +10,9 @@ blocking alone implies: the dimensions of each named block, and the
 facts its blocks carry.  Blocks are named after :func:`position_names`,
 the one source of quadrant names (``A_TL``, ``x_B``; an unpartitioned
 operand keeps its own name).  Blocks on the diagonal inherit the
-parent's properties; triangular and diagonal
-parents put a zero block off the triangle, and symmetric (and spd)
-parents store the top-right quadrant literally as the transpose of the
-bottom-left one.
+parent's properties; triangular and diagonal parents put a zero block
+off the triangle, and symmetric (and spd) parents store the top-right
+quadrant literally as the transpose of the bottom-left one.
 
 Beyond direct inheritance, an spd parent contributes theorem-level facts:
 both Schur complements of its 2x2 blocking are spd as well.
