@@ -74,7 +74,6 @@ class BlockedOperand(NamedTuple):
     parent's 2x2 blocking.
     """
 
-    operand: str
     row_sizes: tuple[str, ...]
     col_sizes: tuple[str, ...]
     cells: tuple[tuple[Expression, ...], ...]
@@ -148,7 +147,6 @@ def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
             if PropertyFact(schur, Property.SPD) not in facts:
                 facts.append(PropertyFact(schur, Property.SPD))
     return BlockedOperand(
-        operand=name,
         row_sizes=row_sizes,
         col_sizes=col_sizes,
         cells=tuple(tuple(row) for row in grid),
