@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from pmegen.binding import RuleCombination, enumerate_combinations
+from pmegen.cli import render_pme_text
+from pmegen.engine import derive_all, seed_builtins
 from pmegen.blockarith import (
     STATUS_SOLVED,
     STATUS_STAR,
@@ -188,6 +190,40 @@ class TestNumericFaithfulness:
             pytest.skip("nothing partitionable")
         for rules in combos:
             check_blocking_faithful(spec, rules, rng)
+
+
+class TestInverse:
+    """An inverted operand is kept whole, and its blocked form is its inverse."""
+
+    SPEC = (
+        "operation invmul\n"
+        "  operand A : matrix(m,m) , known\n"
+        "  operand B : matrix(m,n) , known\n"
+        "  operand X : matrix(m,n) , unknown\n"
+        "  postcondition: X = inv(A) * B\n"
+        "  solve: Invmul\n"
+    )
+
+    def test_raw_grid_and_pme(self):
+        spec = parse_operation(self.SPEC)
+        (rules,) = enumerate_combinations(spec)
+        assert dict(rules.rules) == {
+            "A": PartitionRule("A"),
+            "B": PartitionRule("B", split_cols="k2"),
+            "X": PartitionRule("X", split_cols="k2"),
+        }
+        grid = distribute(spec, rules)
+        assert [serialize_equation(q.equation) for q in grid.all_cells()] == [
+            "(eq X_L (times (inv A) B_L))",
+            "(eq X_R (times (inv A) B_R))",
+        ]
+        for seed in range(3):
+            assert check_blocking_faithful(spec, rules, np.random.default_rng(seed)) == 2
+        (pme,) = derive_all(spec, seed_builtins())
+        assert render_pme_text(pme) == [
+            "PME (combination 1):",
+            "  [ X_L = Invmul(A, B_L) | X_R = Invmul(A, B_R) ]",
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -758,6 +759,105 @@ class TestErrorBoundary:
         assert err == f"error: {bad}: {message}\n"
 
 
+# a KB file that load_kb rejects, the line it names, and the message
+KB_ERRORS = [
+    ("pattern a\npattern b\n", 2, "record not closed with 'end'"),
+    ("provenance x\n", 1, "unexpected 'provenance' outside a record"),
+    ("end\n", 1, "unexpected 'end' outside a record"),
+    ("pattern a\nweird x\n", 2, "unknown field 'weird'"),
+    ("pattern a\n", 1, "unterminated pattern record"),
+    ("pattern a\npost (eq X A)\nend\n", 3, "record missing field 'solved'"),
+    (
+        "pattern cholesky\nslot A matrix known m m\nslot A matrix unknown m m\n"
+        "post (eq A A)\nsolved (eq A (solved Gamma A))\nend\n",
+        6,
+        "pattern cholesky: duplicate slot names",
+    ),
+]
+
+# an equation in prefix form that the prefix reader rejects, and the message
+PREFIX_ERRORS = [
+    ("(eq (trans L)", "unexpected end of prefix form"),
+    ("(eq X ))", "unexpected ')' in prefix form"),
+    ("(eq X (foo A))", "unknown prefix head: 'foo'"),
+    ("(eq X (solved (plus A B)))", "solved needs an operator name"),
+    ("(eq X (trans A", "missing ')' in prefix form"),
+    ("(eq X (trans A B))", "trans takes exactly one argument"),
+    ("(eq X A B)", "malformed '(eq ...)' form"),
+]
+
+
+class TestInputErrorsExact:
+    """Each guard on outside input, with its exit code and exact message."""
+
+    @pytest.mark.parametrize("content, line, message", KB_ERRORS)
+    def test_kb_error_message_exact(self, content, line, message, tmp_path, capsys):
+        kb = tmp_path / "bad.kb"
+        kb.write_text(content)
+        code, out, err = run_main(["kb", "list", "--kb", str(kb)], capsys)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {kb}:{line}: {message}\n")
+
+    @pytest.mark.parametrize("text, message", PREFIX_ERRORS)
+    def test_prefix_error_in_kb_post(self, text, message, tmp_path, capsys):
+        kb = tmp_path / "bad.kb"
+        kb.write_text(f"pattern p\npost {text}\n")
+        code, out, err = run_main(["kb", "list", "--kb", str(kb)], capsys)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {kb}:2: {message}\n")
+
+    def _cholesky_doc(self, capsys) -> dict:
+        code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    def _check(self, doc, tmp_path, capsys, *options):
+        pme_file = tmp_path / "doc.json"
+        pme_file.write_text(json.dumps(doc))
+        return run_main(["check", CHOLESKY_OP, str(pme_file), *options], capsys), pme_file
+
+    @pytest.mark.parametrize("text, message", PREFIX_ERRORS)
+    def test_prefix_error_in_check_cell(self, text, message, tmp_path, capsys):
+        doc = self._cholesky_doc(capsys)
+        next(c for c in doc["pmes"][0]["cells"] if c["position"] == "BR")["equation"] = text
+        (code, out, err), path = self._check(doc, tmp_path, capsys)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {path}: {message}\n")
+
+    def test_repeated_cell_rejected(self, tmp_path, capsys):
+        doc = self._cholesky_doc(capsys)
+        cells = doc["pmes"][0]["cells"]
+        cells.append(cells[0])
+        (code, out, err), path = self._check(doc, tmp_path, capsys)
+        message = "cells must hold one cell per position of the grid"
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {path}: {message}\n")
+
+    def test_cell_of_wrong_shape_fails_in_trial(self, tmp_path, capsys):
+        # a product of the wrong shape passes every check before the trials
+        doc = self._cholesky_doc(capsys)
+        cell = next(c for c in doc["pmes"][0]["cells"] if c["position"] == "BR")
+        cell["equation"] = "(eq L_BR (times A_BL A_TL A_TL))"
+        (code, out, err), _ = self._check(doc, tmp_path, capsys)
+        message = "could not broadcast input array from shape (1,4) into shape (1,1)"
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
+
+    def test_kb_show_needs_name(self, capsys):
+        code, out, err = run_main(["kb", "show"], capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: kb show needs a pattern name\n")
+
+    def test_trials_not_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", CHOLESKY_OP, "doc.json", "--trials", "abc"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert err.endswith("\nerror: argument --trials: invalid int value: 'abc'\n")
+
+    def test_stuck_json_derive(self, capsys):
+        lyapunov = os.path.join(os.path.dirname(LU_PROBE), "lyapunov.op")
+        code, out, err = run_main(["derive", lyapunov, "--format", "json"], capsys)
+        assert code == EXIT_STUCK
+        assert json.loads(out) == {"operation": "lyapunov", "pmes": []}
+        assert err.startswith("combination 1: stuck\n  unsolved BL: ")
+        assert "PME" not in err and "{" not in err
+
+
 class TestOneDerivation:
     def test_spec_analyzed_once(self, monkeypatch, capsys):
         calls = []
@@ -945,6 +1045,16 @@ def _prefix_chain(levels: int) -> str:
     return e
 
 
+def _chain_op(k: int) -> str:
+    """``X = A1 * ... * Ak`` over sizes ``m0 .. mk``: k + 1 dimension groups."""
+    operands = "".join(f"  operand A{i} : matrix(m{i - 1},m{i}) , known\n" for i in range(1, k + 1))
+    product = " * ".join(f"A{i}" for i in range(1, k + 1))
+    return (
+        f"operation chain\n{operands}  operand X : matrix(m0,m{k}) , unknown\n"
+        f"  postcondition: X = {product}\n  solve: Chain\n"
+    )
+
+
 class TestBounds:
     """Nesting and size bounds: each reader stops with one error line."""
 
@@ -1052,3 +1162,26 @@ class TestBounds:
         op.write_text(_deep_op(post))
         code, out, _ = run_main(["derive", str(op)], capsys)
         assert code == EXIT_OK and "PME (combination 1)" in out
+
+    def test_chain_at_combination_bound_derives(self, tmp_path, capsys):
+        op = tmp_path / "chain.op"
+        op.write_text(_chain_op(7))
+        code, out, _ = run_main(["derive", str(op)], capsys)
+        assert code == EXIT_OK and "combinations: 255\n" in out
+        assert out.count("PME (combination") == 255
+
+    def test_chain_past_combination_bound(self, tmp_path, capsys):
+        op = tmp_path / "chain.op"
+        op.write_text(_chain_op(8))
+        _, doc, _ = run_main(["derive", TRSM_OP, "--format", "json"], capsys)
+        pme_file = tmp_path / "doc.json"
+        pme_file.write_text(doc)
+        message = (
+            "error: operation chain: 511 combinations exceed the bound of 255 "
+            "(9 partitionable dimension groups, at most 8)\n"
+        )
+        for args in (["derive", str(op)], ["check", str(op), str(pme_file)]):
+            start = time.perf_counter()
+            code, out, err = run_main(args, capsys)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (EXIT_PARSE, "", message)
