@@ -790,14 +790,14 @@ PREFIX_ERRORS = [
 class TestInputErrorsExact:
     """Each guard on outside input, with its exit code and exact message."""
 
-    @pytest.mark.parametrize("content, line, message", KB_ERRORS)
+    @pytest.mark.parametrize("content, line, message", KB_ERRORS, ids=[m for *_, m in KB_ERRORS])
     def test_kb_error_message_exact(self, content, line, message, tmp_path, capsys):
         kb = tmp_path / "bad.kb"
         kb.write_text(content)
         code, out, err = run_main(["kb", "list", "--kb", str(kb)], capsys)
         assert (code, out, err) == (EXIT_PARSE, "", f"error: {kb}:{line}: {message}\n")
 
-    @pytest.mark.parametrize("text, message", PREFIX_ERRORS)
+    @pytest.mark.parametrize("text, message", PREFIX_ERRORS, ids=[m for _, m in PREFIX_ERRORS])
     def test_prefix_error_in_kb_post(self, text, message, tmp_path, capsys):
         kb = tmp_path / "bad.kb"
         kb.write_text(f"pattern p\npost {text}\n")
@@ -814,7 +814,7 @@ class TestInputErrorsExact:
         pme_file.write_text(json.dumps(doc))
         return run_main(["check", CHOLESKY_OP, str(pme_file), *options], capsys), pme_file
 
-    @pytest.mark.parametrize("text, message", PREFIX_ERRORS)
+    @pytest.mark.parametrize("text, message", PREFIX_ERRORS, ids=[m for _, m in PREFIX_ERRORS])
     def test_prefix_error_in_check_cell(self, text, message, tmp_path, capsys):
         doc = self._cholesky_doc(capsys)
         next(c for c in doc["pmes"][0]["cells"] if c["position"] == "BR")["equation"] = text

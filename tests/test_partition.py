@@ -235,9 +235,8 @@ def test_block_property_golden_tables():
     # facts mirror the tables
     d = decl({Property.LOWER_TRIANGULAR}, dims=("m", "m"), name="L")
     b = apply_rule(d, PartitionRule("L", "k1", "k1"))
-    facts = b.facts
     assert (
-        sum(1 for f in facts if f.property is Property.LOWER_TRIANGULAR) == 2
+        sum(1 for f in b.facts if f.property is Property.LOWER_TRIANGULAR) == 2
     )
 
 
