@@ -47,6 +47,34 @@ def run_main(args, capsys):
     return code, captured.out, captured.err
 
 
+# a KB file that load_kb rejects, the line it names, and the message
+KB_ERRORS = [
+    ("pattern a\npattern b\n", 2, "record not closed with 'end'"),
+    ("provenance x\n", 1, "unexpected 'provenance' outside a record"),
+    ("end\n", 1, "unexpected 'end' outside a record"),
+    ("pattern a\nweird x\n", 2, "unknown field 'weird'"),
+    ("pattern a\n", 1, "unterminated pattern record"),
+    ("pattern a\npost (eq X A)\nend\n", 3, "record missing field 'solved'"),
+    (
+        "pattern cholesky\nslot A matrix known m m\nslot A matrix unknown m m\n"
+        "post (eq A A)\nsolved (eq A (solved Gamma A))\nend\n",
+        6,
+        "pattern cholesky: duplicate slot names",
+    ),
+]
+
+# an equation in prefix form that the prefix reader rejects, and the message
+PREFIX_ERRORS = [
+    ("(eq (trans L)", "unexpected end of prefix form"),
+    ("(eq X ))", "unexpected ')' in prefix form"),
+    ("(eq X (foo A))", "unknown prefix head: 'foo'"),
+    ("(eq X (solved (plus A B)))", "solved needs an operator name"),
+    ("(eq X (trans A", "missing ')' in prefix form"),
+    ("(eq X (trans A B))", "trans takes exactly one argument"),
+    ("(eq X A B)", "malformed '(eq ...)' form"),
+]
+
+
 class TestDerive:
     def test_cholesky_text_output(self, capsys):
         code, out, _ = run_main(["derive", CHOLESKY_OP], capsys)
@@ -201,6 +229,15 @@ class TestDerive:
         )
 
 
+    def test_stuck_json_derive(self, capsys):
+        lyapunov = os.path.join(os.path.dirname(LU_PROBE), "lyapunov.op")
+        code, out, err = run_main(["derive", lyapunov, "--format", "json"], capsys)
+        assert code == EXIT_STUCK
+        assert json.loads(out) == {"operation": "lyapunov", "pmes": []}
+        assert err.startswith("combination 1: stuck\n  unsolved BL: ")
+        assert "PME" not in err and "{" not in err
+
+
 class TestLearnAndKb:
     def test_learn_persists_pattern(self, tmp_path, capsys):
         kb = str(tmp_path / "kb.txt")
@@ -277,6 +314,10 @@ class TestLearnAndKb:
     def test_kb_show_unknown(self, capsys):
         code, _, err = run_main(["kb", "show", "nothing"], capsys)
         assert code == EXIT_PARSE and "no pattern" in err
+
+    def test_kb_show_needs_name(self, capsys):
+        code, out, err = run_main(["kb", "show"], capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: kb show needs a pattern name\n")
 
     def test_fresh_kb_lists_builtins_only(self, capsys):
         code, out, _ = run_main(["kb", "list"], capsys)
@@ -386,6 +427,13 @@ class TestCheck:
         assert captured.out == ""
         errors = [l for l in captured.err.splitlines() if l.startswith("error: ")]
         assert len(errors) == 1 and "must not be negative or nan" in errors[0]
+
+    def test_trials_not_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", CHOLESKY_OP, "missing.json", "--trials", "abc"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert err.endswith("\nerror: argument --trials: invalid int value: 'abc'\n")
 
     @pytest.mark.parametrize(
         "content",
@@ -522,6 +570,26 @@ class TestCheck:
         assert err == (
             "error: cell BR applies operator Gamma to 2 arguments, but its solver takes 1\n"
         )
+
+    @pytest.mark.parametrize("text, message", PREFIX_ERRORS, ids=[m for _, m in PREFIX_ERRORS])
+    def test_prefix_error_in_cell(self, text, message, tmp_path, capsys):
+        path = self._cholesky_with_br(text, tmp_path, capsys)
+        code, out, err = run_main(["check", CHOLESKY_OP, path], capsys)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {path}: {message}\n")
+
+    def test_repeated_cell_rejected(self, tmp_path, capsys):
+        doc = self._sylvester_doc(capsys)
+        doc["pmes"][0]["cells"].append(doc["pmes"][0]["cells"][0])
+        err = self._check_rejects(doc, tmp_path, capsys)
+        message = "cells must hold one cell per position of the grid"
+        assert err == f"error: cannot read {tmp_path / 'mutated.json'}: {message}\n"
+
+    def test_cell_of_wrong_shape_fails_in_trial(self, tmp_path, capsys):
+        # a product of the wrong shape passes every check before the trials
+        path = self._cholesky_with_br("(eq L_BR (times A_BL A_TL A_TL))", tmp_path, capsys)
+        code, out, err = run_main(["check", CHOLESKY_OP, path], capsys)
+        message = "could not broadcast input array from shape (1,4) into shape (1,1)"
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
 
     def test_operator_without_solver_passes_zero_trials(self, tmp_path, capsys):
         # only an operator with a base solver has an arity to check
@@ -759,36 +827,8 @@ class TestErrorBoundary:
         assert err == f"error: {bad}: {message}\n"
 
 
-# a KB file that load_kb rejects, the line it names, and the message
-KB_ERRORS = [
-    ("pattern a\npattern b\n", 2, "record not closed with 'end'"),
-    ("provenance x\n", 1, "unexpected 'provenance' outside a record"),
-    ("end\n", 1, "unexpected 'end' outside a record"),
-    ("pattern a\nweird x\n", 2, "unknown field 'weird'"),
-    ("pattern a\n", 1, "unterminated pattern record"),
-    ("pattern a\npost (eq X A)\nend\n", 3, "record missing field 'solved'"),
-    (
-        "pattern cholesky\nslot A matrix known m m\nslot A matrix unknown m m\n"
-        "post (eq A A)\nsolved (eq A (solved Gamma A))\nend\n",
-        6,
-        "pattern cholesky: duplicate slot names",
-    ),
-]
-
-# an equation in prefix form that the prefix reader rejects, and the message
-PREFIX_ERRORS = [
-    ("(eq (trans L)", "unexpected end of prefix form"),
-    ("(eq X ))", "unexpected ')' in prefix form"),
-    ("(eq X (foo A))", "unknown prefix head: 'foo'"),
-    ("(eq X (solved (plus A B)))", "solved needs an operator name"),
-    ("(eq X (trans A", "missing ')' in prefix form"),
-    ("(eq X (trans A B))", "trans takes exactly one argument"),
-    ("(eq X A B)", "malformed '(eq ...)' form"),
-]
-
-
-class TestInputErrorsExact:
-    """Each guard on outside input, with its exit code and exact message."""
+class TestKbErrorsExact:
+    """Each error of a knowledge-base file, with its line and exact message."""
 
     @pytest.mark.parametrize("content, line, message", KB_ERRORS, ids=[m for *_, m in KB_ERRORS])
     def test_kb_error_message_exact(self, content, line, message, tmp_path, capsys):
@@ -803,59 +843,6 @@ class TestInputErrorsExact:
         kb.write_text(f"pattern p\npost {text}\n")
         code, out, err = run_main(["kb", "list", "--kb", str(kb)], capsys)
         assert (code, out, err) == (EXIT_PARSE, "", f"error: {kb}:2: {message}\n")
-
-    def _cholesky_doc(self, capsys) -> dict:
-        code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
-        assert code == EXIT_OK
-        return json.loads(out)
-
-    def _check(self, doc, tmp_path, capsys, *options):
-        pme_file = tmp_path / "doc.json"
-        pme_file.write_text(json.dumps(doc))
-        return run_main(["check", CHOLESKY_OP, str(pme_file), *options], capsys), pme_file
-
-    @pytest.mark.parametrize("text, message", PREFIX_ERRORS, ids=[m for _, m in PREFIX_ERRORS])
-    def test_prefix_error_in_check_cell(self, text, message, tmp_path, capsys):
-        doc = self._cholesky_doc(capsys)
-        next(c for c in doc["pmes"][0]["cells"] if c["position"] == "BR")["equation"] = text
-        (code, out, err), path = self._check(doc, tmp_path, capsys)
-        assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {path}: {message}\n")
-
-    def test_repeated_cell_rejected(self, tmp_path, capsys):
-        doc = self._cholesky_doc(capsys)
-        cells = doc["pmes"][0]["cells"]
-        cells.append(cells[0])
-        (code, out, err), path = self._check(doc, tmp_path, capsys)
-        message = "cells must hold one cell per position of the grid"
-        assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {path}: {message}\n")
-
-    def test_cell_of_wrong_shape_fails_in_trial(self, tmp_path, capsys):
-        # a product of the wrong shape passes every check before the trials
-        doc = self._cholesky_doc(capsys)
-        cell = next(c for c in doc["pmes"][0]["cells"] if c["position"] == "BR")
-        cell["equation"] = "(eq L_BR (times A_BL A_TL A_TL))"
-        (code, out, err), _ = self._check(doc, tmp_path, capsys)
-        message = "could not broadcast input array from shape (1,4) into shape (1,1)"
-        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
-
-    def test_kb_show_needs_name(self, capsys):
-        code, out, err = run_main(["kb", "show"], capsys)
-        assert (code, out, err) == (EXIT_USAGE, "", "error: kb show needs a pattern name\n")
-
-    def test_trials_not_an_int(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", CHOLESKY_OP, "doc.json", "--trials", "abc"])
-        out, err = capsys.readouterr()
-        assert exc.value.code == EXIT_USAGE and out == ""
-        assert err.endswith("\nerror: argument --trials: invalid int value: 'abc'\n")
-
-    def test_stuck_json_derive(self, capsys):
-        lyapunov = os.path.join(os.path.dirname(LU_PROBE), "lyapunov.op")
-        code, out, err = run_main(["derive", lyapunov, "--format", "json"], capsys)
-        assert code == EXIT_STUCK
-        assert json.loads(out) == {"operation": "lyapunov", "pmes": []}
-        assert err.startswith("combination 1: stuck\n  unsolved BL: ")
-        assert "PME" not in err and "{" not in err
 
 
 class TestOneDerivation:
