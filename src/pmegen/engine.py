@@ -41,7 +41,7 @@ from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binding import (
-    NoViablePartitioningsError,
+    BindingError,
     RuleCombination,
     _combinations,
     analyze,
@@ -953,7 +953,8 @@ def _try_nested(
             tried.add(cand.name)
             try:
                 results = _derive_each(cand, kb, ops, depth + 1)
-            except NoViablePartitioningsError:
+            except BindingError:
+                # no viable partitionings, or more than the bound allows
                 continue
             if not any(isinstance(r, PME) for r in results):
                 continue

@@ -16,10 +16,12 @@ residual digits of the checks once; seeds, sizes and verdicts did not.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
+from functools import partial
 from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -121,19 +123,28 @@ BASE_SOLVERS: dict[str, Callable[..., np.ndarray]] = {
 
 def eval_size(size: str, sizes: Mapping[str, int]) -> int:
     """Evaluate a size expression: a symbol, the literal 1, or ``a-b``."""
-    if "-" in size:
-        a, b = size.split("-", 1)
-        value = eval_size(a, sizes) - eval_size(b, sizes)
-    elif size == "1":
-        value = 1
-    else:
+    return _size(size)(sizes)
+
+
+def _size(size: str) -> Callable[[Mapping[str, int]], int]:
+    """``size`` parsed once, into a closure over one trial's symbol values."""
+    symbol, minus, rest = size.partition("-")
+    subtracted = _size(rest) if minus else None
+
+    def run(sizes):
         try:
-            value = int(sizes[size])
+            value = 1 if symbol == "1" else int(sizes[symbol])
         except KeyError:
-            raise UnboundOperandError(f"size symbol {size} is unbound") from None
-    if value <= 0:
-        raise OracleError(f"size {size} evaluated to {value}")
-    return value
+            raise UnboundOperandError(f"size symbol {symbol} is unbound") from None
+        if value <= 0:
+            raise OracleError(f"size {symbol} evaluated to {value}")
+        if subtracted:
+            value -= subtracted(sizes)
+            if value <= 0:
+                raise OracleError(f"size {size} evaluated to {value}")
+        return value
+
+    return run
 
 
 def sample_value(
@@ -148,26 +159,45 @@ def sample_value(
     least one, spd samples are built as ``m.T @ m + n * eye`` so their
     conditioning stays mild at desk scale.
     """
-    m, n = shape
+    return _sampler(kind, properties)(shape, rng)
+
+
+def _sampler(kind: str, properties: Collection[Property]) -> Callable[..., np.ndarray]:
+    """The draw of :func:`sample_value` for one kind and set of properties,
+    chosen once per input so that a trial only draws."""
     if kind == KIND_SCALAR:
-        return rng.uniform(1.0, 2.0, size=(1, 1))
+        return lambda shape, rng: rng.uniform(1.0, 2.0, size=(1, 1))
     if Property.SPD in properties:
-        base = rng.uniform(-1.0, 1.0, size=(m, m))
-        return base.T @ base + m * np.eye(m)
+        return _spd
     if Property.DIAGONAL in properties:
-        return np.diag(rng.uniform(1.0, 2.0, size=m))
-    a = rng.uniform(-1.0, 1.0, size=(m, n))
-    if Property.LOWER_TRIANGULAR in properties:
-        a = np.tril(a)
-        a[np.diag_indices(m)] = rng.uniform(1.0, 2.0, size=m)
-        return a
-    if Property.UPPER_TRIANGULAR in properties:
-        a = np.triu(a)
-        a[np.diag_indices(m)] = rng.uniform(1.0, 2.0, size=m)
-        return a
+        return lambda shape, rng: np.diag(rng.uniform(1.0, 2.0, size=shape[0]))
+    if Property.LOWER_TRIANGULAR in properties or Property.UPPER_TRIANGULAR in properties:
+        return partial(_triangular, Property.LOWER_TRIANGULAR in properties)
     if Property.SYMMETRIC in properties:
-        return (a + a.T) / 2.0
+        return _symmetric
+    return lambda shape, rng: rng.uniform(-1.0, 1.0, size=shape)
+
+
+def _spd(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    m = shape[0]
+    base = rng.uniform(-1.0, 1.0, size=(m, m))
+    out = base.T @ base
+    out.reshape(-1)[:: m + 1] += m
+    return out
+
+
+def _triangular(lower: bool, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    a = rng.uniform(-1.0, 1.0, size=shape)
+    view = a if lower else a.T  # the triangle to zero lies above its diagonal
+    for i in range(shape[0]):
+        view[i, i + 1 :] = 0.0
+    a.reshape(-1)[:: shape[1] + 1] = rng.uniform(1.0, 2.0, size=shape[0])
     return a
+
+
+def _symmetric(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    a = rng.uniform(-1.0, 1.0, size=shape)
+    return (a + a.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +296,10 @@ def _compile(
 
 
 def relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(rhs)), 1e-30)
-    return float(np.linalg.norm(lhs - rhs)) / denom
+    """Frobenius norms as ``np.linalg.norm`` computes them, ``sqrt(v.dot(v))``
+    over the entries in memory order."""
+    diff, ref = (lhs - rhs).ravel("K"), rhs.ravel("K")
+    return math.sqrt(diff.dot(diff)) / max(math.sqrt(ref.dot(ref)), 1e-30)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +342,7 @@ def block_edges(sizes: Sequence[str], size_of: Mapping[str, int]) -> list[int]:
 
     ``size_of`` maps every size expression to its value for one trial.
     """
-    return list(accumulate((size_of[s] for s in sizes), initial=0))
+    return list(accumulate(map(size_of.__getitem__, sizes), initial=0))
 
 
 def check_pme(
@@ -325,9 +357,11 @@ def check_pme(
     of the original equation.
 
     The plan is built once per call: the distinct size expressions, each
-    input's named blocks, each assignment and output block compiled with
-    its block shape, and both sides of the postcondition compiled.  Each
-    trial evaluates every size expression once, and every product,
+    parsed into a closure over the trial's symbol values; each input's
+    sampler, chosen from its kind and properties, and its named blocks;
+    each assignment and output block compiled with its block shape; and
+    both sides of the postcondition compiled.  A trial only draws and
+    computes: it evaluates every size expression once, and every product,
     inverse or solver application that occurs more than once in the plan
     once.
     """
@@ -366,7 +400,8 @@ def _check_pme(
         ]
         if decl.is_input:
             named = [(i, j, cell.name) for i, j, cell, _ in cells if isinstance(cell, OperandRef)]
-            inputs.append((decl, b.row_sizes, b.col_sizes, named))
+            draw = _sampler(decl.kind, decl.properties)
+            inputs.append((decl.name, draw, b.row_sizes, b.col_sizes, named))
         else:
             outputs.append((decl.name, b.row_sizes, b.col_sizes, cells))
     where = {
@@ -391,6 +426,7 @@ def _check_pme(
                 )
         steps.append((equation.lhs.name, equation.rhs, (rows, cols)))
     size_strings = sorted({*block_sizes, *(s for step in steps for s in step[2])})
+    size_runs = [(s, _size(s)) for s in size_strings]
 
     post = spec.postcondition
     roots = [rhs for _, rhs, _ in steps] + [c[2] for *_, cells in outputs for c in cells]
@@ -418,15 +454,14 @@ def _check_pme(
                 sizes[split] = limit - 1
             else:
                 sizes[split] = int(rng.integers(1, limit))
-        size_of = {s: eval_size(s, sizes) for s in size_strings}
+        size_of = {s: run(sizes) for s, run in size_runs}
         edges = {axis: block_edges(axis, size_of) for axis in axes}
 
         # sample full inputs, then slice them into their blocks
         values: dict[str, np.ndarray] = {}
-        for decl, rows, cols, named in inputs:
+        for input_name, draw, rows, cols, named in inputs:
             r, c = edges[rows], edges[cols]
-            full = sample_value(decl.kind, (r[-1], c[-1]), decl.properties, rng)
-            values[decl.name] = full
+            full = values[input_name] = draw((r[-1], c[-1]), rng)
             for i, j, name in named:
                 values[name] = full[r[i] : r[i + 1], c[j] : c[j + 1]]
         for name, run in steps:

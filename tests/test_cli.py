@@ -184,6 +184,47 @@ class TestDerive:
         assert run_main(args, capsys) == expected
         assert expected[0] == EXIT_OK
 
+    def test_ops_dir_skips_operation_past_combination_bound(self, tmp_path, capsys):
+        # fuzz seed 258: combination 30 gets stuck, and need.op is its TL
+        # cell with a fresh size symbol per block dimension, 9 groups in all
+        parent = tmp_path / "randop.op"
+        parent.write_text(
+            "operation randop\n"
+            "  operand A : matrix(n,p) , known\n"
+            "  operand B : matrix(p,p) , known\n"
+            "  operand C : matrix(p,n) , unknown\n"
+            "  operand D : matrix(n,m) , known\n"
+            "  operand E : matrix(n,n) , known\n"
+            "  operand F : matrix(p,m) , known\n"
+            "  operand G : matrix(m,n) , known\n"
+            "  operand H : matrix(n,n) , known , lower_triangular\n"
+            "  postcondition: A * B * C - A * F * G - D * trans(D) * E = H\n"
+            "  solve: Delta\n"
+        )
+        ops_dir = tmp_path / "ops"
+        ops_dir.mkdir()
+        args = ["derive", str(parent), "--combination", "30", "--ops-dir", str(ops_dir)]
+        expected = run_main(args, capsys)
+        blocks = {
+            "A1": "a,b", "A2": "a,c", "B1": "b,d", "B2": "c,d", "F1": "b,e",
+            "F2": "c,e", "F3": "b,f", "F4": "c,f", "G1": "e,a", "G2": "f,a",
+            "D1": "a,g", "D2": "a,h", "D3": "i,g", "D4": "i,h", "E1": "i,a", "E2": "a,a",
+        }
+        (ops_dir / "need.op").write_text(
+            "operation need\n"
+            + "".join(f"  operand {name} : matrix({dims}) , known\n" for name, dims in blocks.items())
+            + "  operand C : matrix(d,a) , unknown\n"
+            "  operand H : matrix(a,a) , known , lower_triangular\n"
+            "  postcondition: (A1 * B1 + A2 * B2) * C = (A1 * F1 + A2 * F2) * G1"
+            " + (A1 * F3 + A2 * F4) * G2 + (D1 * trans(D3) + D2 * trans(D4)) * E1"
+            " + (D1 * trans(D1) + D2 * trans(D2)) * E2 + H\n"
+            "  solve: Need\n"
+        )
+        assert main(["derive", str(ops_dir / "need.op")]) == 1
+        assert "511 combinations exceed the bound of 255" in capsys.readouterr().err
+        assert run_main(args, capsys) == expected
+        assert expected[0] == EXIT_STUCK
+
     @pytest.mark.parametrize("name", ["nosuch", "trs"])
     def test_no_builtin_matching_nothing_is_usage_error(self, name, capsys):
         # "trs" is a prefix of the trsm names, but names no family

@@ -3,6 +3,8 @@ evaluation, and PME checking."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,13 +21,14 @@ from pmegen.expr import (
     trans,
     walk,
 )
-from pmegen.opspec import KIND_MATRIX, Property, equation_to_text
+from pmegen.opspec import KIND_MATRIX, KIND_SCALAR, Property, equation_to_text
 from pmegen.oracle import (
     OracleError,
     SingularMatrixError,
     UnboundOperandError,
     check_pme,
     cholesky,
+    eval_size,
     evaluate,
     inverse,
     relative_residual,
@@ -222,6 +225,106 @@ class TestSampling:
         diag = sample_value(KIND_MATRIX, (4, 4), {Property.DIAGONAL}, rng)
         assert np.array_equal(diag, np.diag(np.diag(diag)))
 
+    # structure: (kind, properties, the (m, n) shapes it takes); specs give
+    # structured operands square shapes, the samplers take these too
+    STRUCTURES = {
+        "general": (KIND_MATRIX, set(), lambda m, n: True),
+        "lower": (KIND_MATRIX, {Property.LOWER_TRIANGULAR}, lambda m, n: m <= n),
+        "upper": (KIND_MATRIX, {Property.UPPER_TRIANGULAR}, lambda m, n: m <= n),
+        "symmetric": (KIND_MATRIX, {Property.SYMMETRIC}, lambda m, n: m == n),
+        "spd": (KIND_MATRIX, {Property.SPD, Property.SYMMETRIC}, lambda m, n: True),
+        "diagonal": (KIND_MATRIX, {Property.DIAGONAL}, lambda m, n: True),
+        "scalar": (KIND_SCALAR, set(), lambda m, n: m == n == 1),
+    }
+
+    @staticmethod
+    def reference_sample(structure, m, n, rng):
+        """The sampling formulas as they stood before each input's sampler
+        was chosen once per check."""
+        if structure == "scalar":
+            return rng.uniform(1.0, 2.0, size=(1, 1))
+        if structure == "spd":
+            base = rng.uniform(-1.0, 1.0, size=(m, m))
+            return base.T @ base + m * np.eye(m)
+        if structure == "diagonal":
+            return np.diag(rng.uniform(1.0, 2.0, size=m))
+        a = rng.uniform(-1.0, 1.0, size=(m, n))
+        if structure in ("lower", "upper"):
+            a = np.tril(a) if structure == "lower" else np.triu(a)
+            a[np.diag_indices(m)] = rng.uniform(1.0, 2.0, size=m)
+        elif structure == "symmetric":
+            a = (a + a.T) / 2.0
+        return a
+
+    @pytest.mark.parametrize("structure", list(STRUCTURES))
+    def test_samples_bit_identical(self, structure):
+        kind, props, takes = self.STRUCTURES[structure]
+        shapes = [(m, n) for m in range(1, 9) for n in range(1, 9) if takes(m, n)]
+        for seed in range(4):
+            for m, n in shapes:
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_value(kind, (m, n), props, rng)
+                want = self.reference_sample(structure, m, n, ref_rng)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relative_residual_exact(seed):
+    rng = np.random.default_rng(seed)
+    for m, n in [(1, 1), (1, 6), (3, 5), (7, 2), (8, 8)]:
+        lhs, rhs = rng.uniform(-1.0, 1.0, (2, m, n))
+        full = rng.uniform(-1.0, 1.0, (m + 2, n + 3))
+        # fresh, transposed, Fortran-ordered and sliced operands, and a zero
+        # right side
+        pairs = [
+            (lhs, rhs),
+            (lhs, np.zeros((m, n))),
+            (np.zeros((m, n)), np.zeros((m, n))),
+            (lhs.T, rhs.T),
+            (np.asfortranarray(lhs), rhs),
+            (lhs, full[1 : m + 1, 2 : n + 2]),
+            (full[2:, 3:], rhs.T.T),
+        ]
+        for l, r in pairs:
+            want = np.linalg.norm(l - r) / max(np.linalg.norm(r), 1e-30)
+            assert relative_residual(l, r) == want
+
+
+# size expression, symbol values, and the value or the error it evaluates to
+SIZE_CASES = [
+    ("m", {"m": 5}, 5),
+    ("m", {"m": np.int64(5)}, 5),
+    ("1", {}, 1),
+    ("m-k1", {"m": 5, "k1": 2}, 3),
+    ("m-1", {"m": 5}, 4),
+    ("a-b-c", {"a": 5, "b": 4, "c": 2}, 3),
+    ("q", {"m": 5}, (UnboundOperandError, "size symbol q is unbound")),
+    ("", {}, (UnboundOperandError, "size symbol  is unbound")),
+    ("m-", {"m": 5}, (UnboundOperandError, "size symbol  is unbound")),
+    ("m", {"m": 0}, (OracleError, "size m evaluated to 0")),
+    ("m-k1", {"m": 2, "k1": 2}, (OracleError, "size m-k1 evaluated to 0")),
+    ("k1-m", {"m": 7, "k1": 1}, (OracleError, "size k1-m evaluated to -6")),
+    # terms are checked left to right, then differences right to left
+    ("m-q", {"m": -1}, (OracleError, "size m evaluated to -1")),
+    ("q-r", {}, (UnboundOperandError, "size symbol q is unbound")),
+    ("a-b-c", {"a": 5, "b": 2, "c": 2}, (OracleError, "size b-c evaluated to 0")),
+    ("a-b-c", {"a": 1, "b": 4, "c": 2}, (OracleError, "size a-b-c evaluated to -1")),
+    ("a-b-c", {"a": 5, "b": -4}, (OracleError, "size b evaluated to -4")),
+]
+
+
+@pytest.mark.parametrize("size,sizes,expected", SIZE_CASES)
+def test_eval_size(size, sizes, expected):
+    if isinstance(expected, int):
+        value = eval_size(size, sizes)
+        assert value == expected and type(value) is int
+    else:
+        error, message = expected
+        with pytest.raises(error) as exc:
+            eval_size(size, sizes)
+        assert type(exc.value) is error and str(exc.value) == message
+
 
 class TestEvaluate:
     def test_scalar_factor_solver(self):
@@ -329,6 +432,42 @@ class TestCheckPme:
         monkeypatch.setattr(oracle, "inverse", counted)
         report = check_pme(pme, spec, trials=3, seed=0)
         assert report.ok and len(calls) == 2 * 3
+
+    def test_plan_built_once_per_call(self, monkeypatch, sylvester_spec):
+        pme = derive_all(sylvester_spec, seed_builtins())[1]
+        counts = Counter()
+        for name in ("_sampler", "_size"):
+            built = getattr(oracle, name)
+
+            def counted(*args, name=name, built=built):
+                counts[name] += 1
+                return built(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        counted_by_trials = {}
+        for trials in (1, 20):
+            counts.clear()
+            check_pme(pme, sylvester_spec, trials=trials, seed=0)
+            counted_by_trials[trials] = dict(counts)
+        assert counted_by_trials[1] == counted_by_trials[20]
+        assert counted_by_trials[1]["_sampler"] == len(sylvester_spec.inputs())
+        assert counted_by_trials[1]["_size"] > 0
+
+    @pytest.mark.parametrize(
+        "rows,error,message",
+        [
+            (("k1", "q"), UnboundOperandError, "size symbol q is unbound"),
+            (("k1", "k1-m"), OracleError, "size k1-m evaluated to -6"),
+        ],
+    )
+    def test_bad_cell_size_raises_in_first_trial(self, cholesky_spec, rows, error, message):
+        (pme,) = derive_all(cholesky_spec, seed_builtins())
+        bad = pme._replace(row_sizes=rows)
+        with pytest.raises(error) as exc:
+            check_pme(bad, cholesky_spec, trials=2, seed=0)
+        assert str(exc.value) == message
+        # sizes are evaluated by the trials, so no trial, no error
+        assert check_pme(bad, cholesky_spec, trials=0).trials == ()
 
     def test_report_renders_deterministically(self, cholesky_spec):
         (pme,) = derive_all(cholesky_spec, seed_builtins())
