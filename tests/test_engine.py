@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import replace
 from typing import Sequence
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from pmegen import binding, blockarith, engine
 from pmegen.binding import NoViablePartitioningsError, enumerate_combinations
 from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, QuadrantEquation
+from pmegen.cli import render_pme_text
 from pmegen.engine import (
     AllCombinationsStuck,
     KnowledgeBaseError,
@@ -1036,6 +1038,34 @@ class TestDeriveAll:
             outcome = "derived" if pmes else "stuck" if results else "no-viable"
             observed = {"result": outcome, "pmes": worker.pme_digests(pmes)}
             assert worker.derive_problem(golden[key], observed) is None, key
+
+    def test_corpus_outcomes_pinned(self, corpus_run):
+        """One digest over every corpus derivation: each PME's text, and
+        each stuck combination's notes, unsolved positions and equations.
+        The bench golden pins only PME digests, so this is what holds the
+        stuck notes, guard-failure messages and their order in place."""
+        h = hashlib.sha256()
+        notes = 0
+        for spec, ops_dir, results in corpus_run["derived"]:
+            h.update(f"== {render_spec(spec)} {ops_dir is not None}\n".encode())
+            if results is None:
+                h.update(b"no viable partitionings\n")
+                continue
+            for r in results:
+                if isinstance(r, StuckDerivation):
+                    notes += len(r.notes)
+                    lines = [
+                        f"stuck {r.combination.index}",
+                        *r.notes,
+                        *(f"{q.position} {serialize_equation(q.equation)}" for q in r.unsolved),
+                    ]
+                else:
+                    lines = render_pme_text(r)
+                h.update(("\n".join(lines) + "\n").encode())
+        assert notes == 15001
+        assert h.hexdigest() == (
+            "f1f05c7b9176887c461eb3c9ff20e3c1b7597547d1a5d25c22b7179d13dd7c63"
+        )
 
     def test_ops_dir_parsed_once(self, monkeypatch):
         # each of the three combinations tries a nested derivation from
