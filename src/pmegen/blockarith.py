@@ -27,7 +27,7 @@ from .expr import (
     Plus,
     Times,
     Transpose,
-    is_tautology_candidate,
+    known_only,
     minus,
     operand_names,
     plus,
@@ -162,10 +162,8 @@ def _eval_blocked(
             grid = _mul(grid, other)
         return grid
     if isinstance(e, Plus):
-        for other in rest:
-            cells = tuple(tuple(map(plus, ra, rb)) for ra, rb in zip(grid.cells, other.cells))
-            grid = _Grid(cells, rows, cols)
-        return grid
+        summands = [grid.cells, *(other.cells for other in rest)]
+        return _Grid(tuple(tuple(map(plus, *row)) for row in zip(*summands)), rows, cols)
     if isinstance(e, Minus):
         return _Grid(tuple(tuple(map(minus, row)) for row in grid.cells), rows, cols)
     if isinstance(e, Transpose):
@@ -223,7 +221,8 @@ def _blocked_grid(
         for q in row:
             eq = to_canonical_equation(q.equation, known)
             status = STATUS_UNSOLVED
-            if is_tautology_candidate(eq, known) and eq.lhs == eq.rhs:
+            # a canonical right side is known, so a known left side is enough
+            if known_only(eq.lhs, known) and eq.lhs == eq.rhs:
                 status = STATUS_SOLVED
             out_row.append(QuadrantEquation(q.position, eq, status))
         rows.append(tuple(out_row))
@@ -241,8 +240,9 @@ def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
     operands are compared.  Cell equations must be normalized.
     """
     nr, nc = grid.shape
+    if nr == nc == 1:
+        return grid
     flat = [(i, j, grid.cells[i][j]) for i in range(nr) for j in range(nc)]
-    keys = [serialize_equation(q.equation) for _, _, q in flat]
     names = [operand_names(q.equation.lhs) | operand_names(q.equation.rhs) for _, _, q in flat]
     out = grid
     starred: set[str] = {
@@ -258,7 +258,7 @@ def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
                 continue
             if names[bi] != names[ai]:
                 continue
-            if serialize_equation(transpose_equation(b.equation)) != keys[ai]:
+            if serialize_equation(transpose_equation(b.equation)) != serialize_equation(a.equation):
                 continue
             # the strictly-upper cell of the pair carries the star; for
             # pairs without one, the later cell in reading order yields

@@ -68,7 +68,6 @@ from .expr import (
     Transpose,
     Zero,
     additive_terms,
-    is_tautology_candidate,
     known_only,
     normalize_equation,
     operand_names,
@@ -274,11 +273,10 @@ def _match_expr(tpl: Expression, sub: Expression, binds: dict[str, Expression]) 
         return _match_terms(list(tpl_kids), list(sub_kids), binds)
     if isinstance(tpl, SolvedBy) and tpl.operator_name != sub.operator_name:
         return False
-    snapshot = dict(binds)
+    # a failure leaves partial binds: _match_terms restores its own, and
+    # _match_equation_shape drops them
     for t, s in zip(tpl_kids, sub_kids):
         if not _match_expr(t, s, binds):
-            binds.clear()
-            binds.update(snapshot)
             return False
     return True
 
@@ -446,17 +444,21 @@ class GuardFailure(Exception):
 
 
 def _unify_slot_dims(
-    pattern: Pattern, sizes: dict[str, Optional[Dimension]]
-) -> None:
-    """Bind the pattern's size symbols against the bound slots' ``sizes``.
+    pattern: Pattern, binds: dict[str, Expression], dims: dict[str, Dimension]
+) -> dict[str, Optional[Dimension]]:
+    """Size the bound slots in order up to the first conflict, binding the
+    pattern's size symbols, and return the sizes.
 
     A slot whose bound expression has no determinable dimensions (a bare
     zero block, say) contributes no constraints; everything else must be
     explainable by one consistent assignment of pattern symbols.
     """
     assignment: dict[str, str] = {}
+    sizes: dict[str, Optional[Dimension]] = {}
     for slot in pattern.slots:
-        actual = sizes.get(slot.name)
+        if slot.name not in binds:
+            continue
+        actual = sizes[slot.name] = _dims_of(binds[slot.name], dims)
         if slot.dims is None or actual is None:
             continue
         for symbol, size in ((slot.dims.rows, actual.rows), (slot.dims.cols, actual.cols)):
@@ -471,14 +473,14 @@ def _unify_slot_dims(
                     f"slot {slot.name}: size {symbol} would need to be both "
                     f"{assignment[symbol]} and {size}"
                 )
+    return sizes
 
 
 def _check_guards(
     pattern: Pattern, binds: dict[str, Expression], state: DerivationState
 ) -> None:
     outputs_seen: set[str] = set()
-    sizes = {name: _dims_of(bound, state.dims) for name, bound in binds.items()}
-    _unify_slot_dims(pattern, sizes)
+    sizes = _unify_slot_dims(pattern, binds, state.dims)
     for slot in pattern.slots:
         bound = binds.get(slot.name)
         if bound is None:
@@ -529,10 +531,15 @@ def match_equation(
     """First of ``patterns`` that matches the equation and passes all guards.
 
     Guard failures of patterns that matched structurally are appended to
-    ``notes`` when given.
+    ``notes`` when given.  A template side whose root is neither a slot
+    nor of the equation side's type cannot match, so it is not tried.
     """
+    lhs, rhs = type(eq.equation.lhs), type(eq.equation.rhs)
     for pattern in patterns:
-        binds = _match_equation_shape(pattern.template, eq.equation)
+        tpl = pattern.template
+        if type(tpl.lhs) not in (OperandRef, lhs) or type(tpl.rhs) not in (OperandRef, rhs):
+            continue
+        binds = _match_equation_shape(tpl, eq.equation)
         if binds is None:
             continue
         try:
@@ -866,7 +873,8 @@ def _derive_pme(
         notes: list[str] = []
         for pos in unsolved:
             q = cells[pos]
-            if is_tautology_candidate(q.equation, state.known):
+            # the cell is canonical, so its right side is known
+            if known_only(q.equation.lhs, state.known):
                 notes.append(
                     f"{pos}: no unknowns left but sides differ "
                     f"({serialize_equation(q.equation)})"

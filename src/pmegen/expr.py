@@ -237,10 +237,9 @@ def ref(name: str) -> OperandRef:
 
 def serialize(e: Expression) -> str:
     """Parenthesized prefix form; unique on normalized expressions."""
-    try:
-        return e._key
-    except AttributeError:
-        pass
+    key = getattr(e, "_key", None)
+    if key is not None:
+        return key
     if isinstance(e, OperandRef):
         key = e.name
     elif isinstance(e, Zero):
@@ -474,29 +473,28 @@ def known_only(e: Expression, known: frozenset[str] | set[str]) -> bool:
     return not has_unknown(e, known)
 
 
-def is_tautology_candidate(eq: Equation, known: frozenset[str] | set[str]) -> bool:
-    """True when no side of the equation mentions an unknown operand."""
-    return known_only(eq.lhs, known) and known_only(eq.rhs, known)
-
-
 def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equation:
     """Move terms across ``=`` so unknowns sit left and knowns right.
 
     Terms only change side with a sign flip, so the solution set is
     preserved.  An equation without any unknown operand is returned
-    unchanged (a tautology candidate, see :func:`is_tautology_candidate`);
-    a single term mixing unknown and known factors legally stays on the
-    left.  When every left-hand term ends up negated, both sides are
-    negated once more so the leading side reads positively.  Both sides
-    must already be normalized, as every smart constructor leaves them.
+    unchanged (a tautology candidate); a single term mixing unknown and
+    known factors legally stays on the left.  When every left-hand term
+    ends up negated, both sides are negated once more so the leading side
+    reads positively; otherwise, when no term changes side, ``eq`` is
+    returned as it is.  The right side of the result is always known.
+    Both sides must already be normalized, as every smart constructor
+    leaves them.
     """
     new_l: list[Expression] = []
     new_r: list[Expression] = []
-    for t in additive_terms(eq.lhs):
+    lhs_terms = additive_terms(eq.lhs)
+    for t in lhs_terms:
         if has_unknown(t, known):
             new_l.append(t)
         else:
             new_r.append(minus(t))
+    stayed = len(new_l)
     for t in additive_terms(eq.rhs):
         if has_unknown(t, known):
             new_l.append(minus(t))
@@ -507,6 +505,8 @@ def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equ
     if all(isinstance(t, Minus) for t in new_l):
         new_l = [minus(t) for t in new_l]
         new_r = [minus(t) for t in new_r]
+    elif len(new_l) == stayed == len(lhs_terms):
+        return eq
     return Equation(plus(*new_l), plus(*new_r))
 
 

@@ -345,6 +345,7 @@ def corpus_run() -> dict[str, list]:
     - ``"derived"``: (spec, ops_dir, ``derive_each`` results), with None as
       the results of a spec without viable partitionings;
     - ``"states"``: each ``_initial_state`` state, as its derivation left it;
+    - ``"state_specs"``: the spec of each of those states;
     - ``"grids"``: each grid of ``raw_blocked_equations``;
     - ``"prove_spd"``: each distinct SPD query, with a snapshot of its state;
     - ``"plus"``: each distinct argument tuple of ``expr.plus``;
@@ -352,6 +353,7 @@ def corpus_run() -> dict[str, list]:
       known names.
     """
     states: list[engine.DerivationState] = []
+    state_specs: list[OperationSpec] = []
     grids: list[blockarith.BlockedEquationGrid] = []
     queries: dict[tuple[str, ...], tuple[Expression, engine.DerivationState]] = {}
     sums: dict[tuple[str, ...], tuple[Expression, ...]] = {}
@@ -359,8 +361,9 @@ def corpus_run() -> dict[str, list]:
     real_state, real_raw = engine._initial_state, blockarith.raw_blocked_equations
     real_prove, real_plus, real_has_unknown = engine.prove_spd, expr.plus, expr.has_unknown
 
-    def initial_state(*args):
-        states.append(real_state(*args))
+    def initial_state(spec, *args):
+        states.append(real_state(spec, *args))
+        state_specs.append(spec)
         return states[-1]
 
     def raw_blocked_equations(*args):
@@ -408,6 +411,7 @@ def corpus_run() -> dict[str, list]:
     return {
         "derived": derived,
         "states": states,
+        "state_specs": state_specs,
         "grids": grids,
         "prove_spd": list(queries.values()),
         "plus": list(sums.values()),

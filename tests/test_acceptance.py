@@ -39,6 +39,7 @@ from pmegen.expr import (
     times,
     trans,
 )
+from pmegen.cli import main
 from pmegen.oracle import (
     check_pme,
     evaluate,
@@ -79,6 +80,13 @@ def run_cli(args, env_extra=None):
         capture_output=True,
         env=env,
     )
+
+
+def run_main(args, capsysbinary):
+    """``run_cli`` in this process: ``cli.main``, with its output as bytes."""
+    code = main(args)
+    out, err = capsysbinary.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 def test_criterion_1_cholesky_end_to_end():
@@ -242,22 +250,24 @@ def test_criterion_7_spd_prover():
                 assert min_symmetric_eigenvalue(evaluate(e, values)) > 0
 
 
-def test_criterion_8_pattern_learning(tmp_path):
+def test_criterion_8_pattern_learning(tmp_path, capsysbinary, monkeypatch):
+    # a fresh process is not what this criterion tests, so cli.main runs here
+    monkeypatch.delenv("PME_KB", raising=False)
     with criterion(8, "bootstrap, stuck without trsm, restored after learning it"):
         kb = str(tmp_path / "kb.txt")
-        r = run_cli(["derive", CHOLESKY_OP, "--kb", kb, "--learn"])
+        r = run_main(["derive", CHOLESKY_OP, "--kb", kb, "--learn"], capsysbinary)
         assert r.returncode == 0
-        listing = run_cli(["kb", "list", "--kb", kb])
+        listing = run_main(["kb", "list", "--kb", kb], capsysbinary)
         assert b"cholesky (learned)" in listing.stdout
 
-        r = run_cli(["derive", CHOLESKY_OP, "--no-builtin", "trsm"])
+        r = run_main(["derive", CHOLESKY_OP, "--no-builtin", "trsm"], capsysbinary)
         assert r.returncode == 3
         assert b"unsolved BL: L_BL * trans(L_TL) = A_BL" in r.stdout
 
         kb2 = str(tmp_path / "kb2.txt")
-        r = run_cli(["derive", TRSM_OP, "--kb", kb2, "--learn"])
+        r = run_main(["derive", TRSM_OP, "--kb", kb2, "--learn"], capsysbinary)
         assert r.returncode == 0
-        r = run_cli(["derive", CHOLESKY_OP, "--kb", kb2, "--no-builtin", "trsm"])
+        r = run_main(["derive", CHOLESKY_OP, "--kb", kb2, "--no-builtin", "trsm"], capsysbinary)
         assert r.returncode == 0
         assert b"L_BL = Trsm(L_TL, A_BL)" in r.stdout
 

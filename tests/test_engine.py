@@ -376,6 +376,16 @@ class TestMatchEquation:
         kb = seed_builtins()
         assert match_equation(eq, [pattern] + list(kb.match_order()), cholesky_state) is None
 
+    def test_sum_match_backtracks_over_term_order(self, sylvester_spec):
+        # the cell's first term fits L * X, which binds L and X, but then
+        # X * U fails on the second; that attempt must leave no binds behind
+        template = pattern_from_spec(sylvester_spec, provenance="self").template
+        P, B, Q = ref("P"), ref("B"), ref("Q")
+        eq = Equation(plus(times(P, B), times(B, Q)), C)
+        assert serialize(eq.lhs) == "(plus (times B Q) (times P B))"
+        binds = engine._match_equation_shape(template, eq)
+        assert binds == {"L": P, "X": B, "U": Q, "C": C}
+
     def test_learned_pattern_matches_embedded_equation(self, sylvester_spec):
         kb = learn(sylvester_spec, seed_builtins())
         (rules,) = enumerate_combinations(load_op("cholesky"))[:1]
@@ -425,6 +435,32 @@ class TestMatchEquation:
         square = {"N": Dimension("m", "m"), "X": Dimension("m", "m"), "B": Dimension("m", "m")}
         result = match_equation(eq, [pattern], replace(state, dims=square))
         assert result is not None and result.outputs == ("X",)
+
+
+def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
+    """``match_equation`` tries the shape of a pattern only when the root
+    types of its template sides fit the cell's.  Over every cell of every
+    corpus state, each builtin and the spec's own pattern that it skips is
+    one whose shape does not match."""
+    real_shape, tried = engine._match_equation_shape, []
+    monkeypatch.setattr(engine, "_match_equation_shape", lambda tpl, eq: tried.append(tpl))
+    builtins = seed_builtins().builtins
+    self_patterns = {}
+    skipped = matched = 0
+    for spec, state in zip(corpus_run["state_specs"], corpus_run["states"]):
+        if id(spec) not in self_patterns:
+            self_patterns[id(spec)] = pattern_from_spec(spec, provenance="self")
+        patterns = [self_patterns[id(spec)], *builtins]
+        for q in state.grid.all_cells():
+            tried.clear()
+            assert match_equation(q, patterns, state) is None
+            for p in patterns:
+                if any(t is p.template for t in tried):
+                    matched += real_shape(p.template, q.equation) is not None
+                else:
+                    skipped += 1
+                    assert real_shape(p.template, q.equation) is None, (p.name, q)
+    assert skipped > 40000 and matched > 10000
 
 
 class TestEstablished:

@@ -24,9 +24,10 @@ from pmegen.expr import (
     ZERO,
     Zero,
     StructuralError,
+    additive_terms,
     has_unknown,
     inv,
-    is_tautology_candidate,
+    known_only,
     minus,
     normalize,
     operand_names,
@@ -296,13 +297,54 @@ class TestCanonicalEquation:
     def test_no_unknowns_reported_as_tautology_candidate(self):
         eq = Equation(times(A, B), C)
         known = {"A", "B", "C"}
-        assert to_canonical_equation(eq, known) == eq
-        assert is_tautology_candidate(eq, known)
+        assert to_canonical_equation(eq, known) is eq
+        assert _tautology_candidate(eq, known) and known_only(eq.lhs, known)
 
     def test_all_negative_side_flips(self):
         eq = Equation(minus(X), B)
         out = to_canonical_equation(eq, {"B"})
         assert out == Equation(X, minus(B))
+
+    def test_unknown_right_term_moves_left(self):
+        # no left term moves, but a right one does
+        eq = Equation(X, plus(ref("Y"), B))
+        assert to_canonical_equation(eq, {"B"}) == Equation(plus(X, minus(ref("Y"))), B)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_expressions, _expressions, st.frozensets(_names))
+    def test_matches_rebuild(self, lhs, rhs, known):
+        eq = Equation(normalize(lhs), normalize(rhs))
+        out = to_canonical_equation(eq, known)
+        assert out == _rebuilt_canonical(eq, known)
+        assert known_only(out.lhs, known) == _tautology_candidate(out, known)
+
+    def test_matches_rebuild_on_corpus(self, corpus_run):
+        """Every raw grid cell of the corpus, canonicalized again under the
+        known names of its derivation at the start and after each solve,
+        equals a full rebuild, and its left side alone decides whether no
+        side names an unknown."""
+        grids, states = corpus_run["grids"], corpus_run["states"]
+        assert len(grids) == len(states) > 2000
+        calls = unchanged = candidates = 0
+        for raw, state in zip(grids, states):
+            outputs = [step.outputs for step in state.trace]
+            stages = [frozenset(state.known.difference(*outputs))]
+            for solved in outputs:
+                stages.append(stages[-1].union(solved))
+            for q, start in zip(raw.all_cells(), state.grid.all_cells()):
+                eq = q.equation
+                for known in stages:
+                    out = to_canonical_equation(eq, known)
+                    assert out == _rebuilt_canonical(eq, known), serialize_equation(eq)
+                    assert known_only(out.lhs, known) == _tautology_candidate(out, known)
+                    calls += 1
+                    unchanged += out is eq
+                    candidates += known_only(out.lhs, known)
+                    if known is stages[0]:
+                        assert out == start.equation
+                    eq = out
+        # the shortcuts and the full rebuild both run; both outcomes occur
+        assert 4000 < unchanged < calls - 4000 and 2000 < candidates < calls - 2000
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_solution_set_preserved_numerically(self, seed):
@@ -320,6 +362,27 @@ class TestCanonicalEquation:
             np.linalg.norm(before - after), np.linalg.norm(before + after)
         )
         assert flipped <= 1e-12 * max(np.linalg.norm(before), 1.0)
+
+
+def _tautology_candidate(eq: Equation, known: frozenset[str]) -> bool:
+    """The reference for the one-sided test on a canonical equation: no
+    side mentions an unknown operand."""
+    return not has_unknown(eq.lhs, known) and not has_unknown(eq.rhs, known)
+
+
+def _rebuilt_canonical(eq: Equation, known: frozenset[str]) -> Equation:
+    """The reference for ``to_canonical_equation``: both sides rebuilt
+    from their sorted terms, whether or not a term changed side."""
+    lhs, rhs = additive_terms(eq.lhs), additive_terms(eq.rhs)
+    new_l = [t for t in lhs if has_unknown(t, known)]
+    new_l += [minus(t) for t in rhs if has_unknown(t, known)]
+    new_r = [minus(t) for t in lhs if not has_unknown(t, known)]
+    new_r += [t for t in rhs if not has_unknown(t, known)]
+    if not new_l:
+        return eq
+    if all(isinstance(t, Minus) for t in new_l):
+        new_l, new_r = [minus(t) for t in new_l], [minus(t) for t in new_r]
+    return Equation(plus(*new_l), plus(*new_r))
 
 
 def _grouped_plus(*terms: Expression) -> Expression:
