@@ -310,7 +310,7 @@ class TestCanonicalEquation:
         eq = Equation(X, plus(ref("Y"), B))
         assert to_canonical_equation(eq, {"B"}) == Equation(plus(X, minus(ref("Y"))), B)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(_expressions, _expressions, st.frozensets(_names))
     def test_matches_rebuild(self, lhs, rhs, known):
         eq = Equation(normalize(lhs), normalize(rhs))
