@@ -19,12 +19,16 @@ spec has at most 255 combinations; a spec with more is rejected with a
 
 This module alone decides the blockings: each combination it emits is
 admissible for every operand and conforms across the equation, and
-:mod:`partition` and :mod:`blockarith` build it without checking again.
+:mod:`blockarith` builds it without checking again.  A general matrix
+admits the identity, 1x2, 2x1 and 2x2 blockings; a structured matrix
+(triangular, symmetric, spd, diagonal) only the identity or a 2x2
+blocking with a square top-left quadrant; vectors only the identity or
+2x1; scalars only the identity.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .expr import (
     Expression,
@@ -38,10 +42,27 @@ from .expr import (
     Zero,
 )
 from .opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec
-from .partition import PartitionRule
 
 
 MAX_PARTITIONABLE_GROUPS = 8
+
+
+class PartitionRule(NamedTuple):
+    """A blocking choice for one operand: the fresh size symbol each split
+    axis is cut at, or None for an axis kept whole."""
+
+    operand: str
+    split_rows: Optional[str] = None
+    split_cols: Optional[str] = None
+
+    @property
+    def shape(self) -> str:
+        """``"RxC"``: 2 blocks along each split axis, 1 along a kept one."""
+        return f"{1 + (self.split_rows is not None)}x{1 + (self.split_cols is not None)}"
+
+    @property
+    def is_identity(self) -> bool:
+        return self.split_rows is None and self.split_cols is None
 
 
 class BindingError(ValueError):

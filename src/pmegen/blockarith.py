@@ -1,13 +1,26 @@
 """Blocked arithmetic: distribute an equation over operand partitionings.
 
+Each operand is blocked as its rule asks, into a grid of block
+expressions that carries what the blocking alone implies: the
+dimensions of each named block, and the facts its blocks carry.  Blocks
+are named after :func:`position_names`, the one source of quadrant names
+(``A_TL``, ``x_B``; an unpartitioned operand keeps its own name).
+Blocks on the diagonal inherit the parent's properties; triangular and
+diagonal parents put a zero block off the triangle, and symmetric (and
+spd) parents store the top-right quadrant literally as the transpose of
+the bottom-left one.  Beyond direct inheritance, an spd parent
+contributes theorem-level facts: both Schur complements of its 2x2
+blocking are spd as well.
+
 Substituting each operand's blocking into the postcondition and carrying
 out symbolic block products and sums turns one matrix equation into a
 grid of per-quadrant equations.  Each cell is put into canonical form
-immediately (unknown-containing terms left, known-only terms right), and
-cells whose equation is the transpose of another cell's are marked
-redundant with a star, pointing at their partner.  The blockings come
-from :mod:`binding`, which makes them conform, so the block arithmetic
-here checks nothing again.
+immediately (unknown-containing terms left, known-only terms right).
+The top-right cell of a 2x2 grid, the quadrant a symmetric parent
+mirrors, is marked redundant with a star when its equation is the
+transpose of the bottom-left cell's, pointing at that partner.  The
+blockings come from :mod:`binding`, which makes them admissible and
+conform, so nothing here checks them again.
 
 Grids are at most 2x2 because individual operands are never blocked
 finer than 2x2.
@@ -17,8 +30,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .binding import BindingAnalysis, RuleCombination, analyze
+from .binding import BindingAnalysis, PartitionRule, RuleCombination, analyze
 from .expr import (
+    ZERO,
     Dimension,
     Equation,
     Expression,
@@ -38,8 +52,108 @@ from .expr import (
     transpose_equation,
     inv,
 )
-from .opspec import OperandDecl, OperationSpec
-from .partition import BlockedOperand, PartitionRule, apply_rule, position_names
+from .opspec import OperandDecl, OperationSpec, Property
+
+
+class PropertyFact(NamedTuple):
+    """A property asserted for a (normalized) expression."""
+
+    expression: Expression
+    property: Property
+
+
+class BlockedOperand(NamedTuple):
+    """An operand rewritten as a grid of block expressions.
+
+    ``cells[i][j]`` is the block expression (a block reference, the zero
+    block, or a transposed reference for the mirrored quadrant of a
+    symmetric parent) occupying row partition ``i`` and column partition
+    ``j``; its dimensions are ``row_sizes[i] x col_sizes[j]``.  ``dims``
+    maps each named block to its dimensions; no cell names any other
+    block.  ``facts`` lists the properties each diagonal block inherits,
+    in grid and property order, then the Schur complements of an spd
+    parent's 2x2 blocking.
+    """
+
+    row_sizes: tuple[str, ...]
+    col_sizes: tuple[str, ...]
+    cells: tuple[tuple[Expression, ...], ...]
+    dims: dict[str, Dimension]
+    facts: tuple[PropertyFact, ...]
+
+
+def _rest(parent: str, split: str) -> str:
+    return f"{parent}-{split}"
+
+
+def position_names(nrows: int, ncols: int) -> tuple[tuple[str, ...], ...]:
+    """Quadrant names of an ``nrows x ncols`` grid, the one naming scheme."""
+    if (nrows, ncols) == (2, 2):
+        return (("TL", "TR"), ("BL", "BR"))
+    if (nrows, ncols) == (2, 1):
+        return (("T",), ("B",))
+    if (nrows, ncols) == (1, 2):
+        return (("L", "R"),)
+    if (nrows, ncols) == (1, 1):
+        return (("whole",),)
+    raise ValueError(f"unsupported grid shape {nrows}x{ncols}")
+
+
+def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
+    """Block one operand; each block is named ``<operand>_<position>``.
+
+    ``rule`` must be ``decl``'s rule in one of ``enumerate_combinations(spec)``,
+    which admits it under binding's table; it is built as given.
+    """
+    name = decl.name
+    props = decl.properties
+    kr, kc = rule.split_rows, rule.split_cols
+    row_sizes = (decl.dims.rows,) if kr is None else (kr, _rest(decl.dims.rows, kr))
+    col_sizes = (decl.dims.cols,) if kc is None else (kc, _rest(decl.dims.cols, kc))
+    if rule.is_identity:
+        grid = [[OperandRef(name)]]
+    else:
+        names = position_names(len(row_sizes), len(col_sizes))
+        grid = [[OperandRef(f"{name}_{pos}") for pos in row] for row in names]
+    # off the diagonal, a structured parent has a zero block or, when
+    # symmetric, the mirror of the other off-diagonal quadrant
+    if rule.shape == "2x2":
+        if Property.LOWER_TRIANGULAR in props:
+            grid[0][1] = ZERO
+        elif Property.UPPER_TRIANGULAR in props:
+            grid[1][0] = ZERO
+        elif Property.DIAGONAL in props:
+            grid[0][1] = grid[1][0] = ZERO
+        elif Property.SYMMETRIC in props:
+            # stored literally as a transpose, so it never introduces a
+            # separate unknown
+            grid[0][1] = trans(grid[1][0])
+    dims: dict[str, Dimension] = {}
+    facts: list[PropertyFact] = []
+    for i, row in enumerate(grid):
+        for j, cell in enumerate(row):
+            if isinstance(cell, OperandRef):
+                dims[cell.name] = Dimension(row_sizes[i], col_sizes[j])
+                if i == j:
+                    facts += [PropertyFact(cell, p) for p in sorted(props, key=lambda p: p.value)]
+    # an spd parent's diagonal blocks inherit spd above; both Schur
+    # complements of its 2x2 blocking are spd as well (a zero block may
+    # reduce one to a diagonal block, which is then listed already)
+    if Property.SPD in props and not rule.is_identity:
+        (a_tl, _), (a_bl, a_br) = grid
+        for schur in (
+            plus(a_tl, minus(times(trans(a_bl), inv(a_br), a_bl))),
+            plus(a_br, minus(times(a_bl, inv(a_tl), trans(a_bl)))),
+        ):
+            if PropertyFact(schur, Property.SPD) not in facts:
+                facts.append(PropertyFact(schur, Property.SPD))
+    return BlockedOperand(
+        row_sizes=row_sizes,
+        col_sizes=col_sizes,
+        cells=tuple(tuple(row) for row in grid),
+        dims=dims,
+        facts=tuple(facts),
+    )
 
 
 STATUS_UNSOLVED = "unsolved"
@@ -98,13 +212,6 @@ class BlockedEquationGrid(_Grid, QuadrantCells):
         nr, nc = self.shape
         names = position_names(nr, nc)
         return tuple(names[i][j] for j in range(nc) for i in range(nr))
-
-    def with_cell(self, q: QuadrantEquation) -> "BlockedEquationGrid":
-        rows = tuple(
-            tuple(q if c.position == q.position else c for c in row)
-            for row in self.cells
-        )
-        return self._replace(cells=rows)
 
 
 def blocked_operands(
@@ -231,49 +338,24 @@ def _blocked_grid(
 
 
 def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
-    """Mark cells whose equation is the transpose of a partner's.
+    """Star the top-right cell of a 2x2 grid when its equation is the
+    transpose of the bottom-left cell's, with that cell as its partner.
 
-    Only one cell of each pair is marked; for the mirrored quadrants of a
-    2x2 grid the strictly-upper cell yields to the lower one.  Already
-    marked or solved cells are left alone, so the marking is idempotent.
-    Transposition keeps operand names, so only cells naming the same
-    operands are compared.  Cell equations must be normalized.
+    These are the quadrants a symmetric parent stores as one block and
+    its transpose; no other pair is compared.  A starred or solved cell
+    is left alone, so the marking is idempotent.  Transposition keeps
+    operand names, so the cells are compared only when they name the
+    same operands.  Cell equations must be normalized.
     """
-    nr, nc = grid.shape
-    if nr == nc == 1:
+    if grid.shape != (2, 2):
         return grid
-    flat = [(i, j, grid.cells[i][j]) for i in range(nr) for j in range(nc)]
-    names = [operand_names(q.equation.lhs) | operand_names(q.equation.rhs) for _, _, q in flat]
-    out = grid
-    starred: set[str] = {
-        q.position for _, _, q in flat if q.status == STATUS_STAR
-    }
-    for ai in range(len(flat)):
-        i, j, a = flat[ai]
-        if a.status != STATUS_UNSOLVED or a.position in starred:
-            continue
-        for bi in range(ai + 1, len(flat)):
-            bi_i, bi_j, b = flat[bi]
-            if b.status != STATUS_UNSOLVED or b.position in starred:
-                continue
-            if names[bi] != names[ai]:
-                continue
-            if serialize_equation(transpose_equation(b.equation)) != serialize_equation(a.equation):
-                continue
-            # the strictly-upper cell of the pair carries the star; for
-            # pairs without one, the later cell in reading order yields
-            if j > i and not bi_j > bi_i:
-                star_cell, keep_cell = a, b
-            else:
-                star_cell, keep_cell = b, a
-            out = out.with_cell(
-                QuadrantEquation(
-                    star_cell.position,
-                    star_cell.equation,
-                    STATUS_STAR,
-                    partner=keep_cell.position,
-                )
-            )
-            starred.add(star_cell.position)
-            break
-    return out
+    (tl, tr), (bl, br) = grid.cells
+    if tr.status != STATUS_UNSOLVED or bl.status != STATUS_UNSOLVED:
+        return grid
+    names = [operand_names(q.equation.lhs) | operand_names(q.equation.rhs) for q in (tr, bl)]
+    if names[0] != names[1]:
+        return grid
+    if serialize_equation(transpose_equation(bl.equation)) != serialize_equation(tr.equation):
+        return grid
+    star = QuadrantEquation(tr.position, tr.equation, STATUS_STAR, partner=bl.position)
+    return grid._replace(cells=((tl, star), (bl, br)))

@@ -26,6 +26,7 @@ from . import engine
 from .binding import (
     BindingError,
     NoViablePartitioningsError,
+    PartitionRule,
     RuleCombination,
     _combinations,
     analyze,
@@ -33,8 +34,10 @@ from .binding import (
 from .blockarith import (
     STATUS_SOLVED,
     STATUS_STAR,
+    BlockedOperand,
     QuadrantEquation,
     operand_blockings,
+    position_names,
     raw_blocked_equations,
 )
 from .engine import (
@@ -52,7 +55,6 @@ from .opspec import (
     expr_to_latex,
     parse_operation,
 )
-from .partition import BlockedOperand, PartitionRule, position_names
 
 
 EXIT_OK = 0

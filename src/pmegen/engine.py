@@ -14,7 +14,7 @@ known, and re-canonicalizing the remaining equations.  The operation's
 own pattern is registered in a working copy of the knowledge base first,
 so sub-problems of the operation's own kind are recognized immediately.
 A derivation starts from what each operand's blocking carries
-(:class:`partition.BlockedOperand`): the dimensions of its named
+(:class:`blockarith.BlockedOperand`): the dimensions of its named
 blocks and its facts, joined in rule order.
 
 Property guards are discharged in two ways.  Triangularity, symmetry and
@@ -42,6 +42,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binding import (
     BindingError,
+    PartitionRule,
     RuleCombination,
     _combinations,
     analyze,
@@ -50,6 +51,8 @@ from .blockarith import (
     STATUS_SOLVED,
     STATUS_UNSOLVED,
     BlockedEquationGrid,
+    BlockedOperand,
+    PropertyFact,
     QuadrantCells,
     QuadrantEquation,
     _blocked_grid,
@@ -94,7 +97,6 @@ from .opspec import (
     parse_equation,
     parse_operation,
 )
-from .partition import BlockedOperand, PartitionRule, PropertyFact
 
 
 SPD_SEARCH_DEPTH = 8

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pmegen import blockarith, engine, expr, opspec, partition
+from pmegen import blockarith, engine, expr, opspec
 from pmegen.binding import NoViablePartitioningsError, RuleCombination
 from pmegen.blockarith import blocked_operands, raw_blocked_equations
 from pmegen.expr import (
@@ -399,7 +399,7 @@ def corpus_run() -> dict[str, list]:
         mp.setattr(blockarith, "raw_blocked_equations", raw_blocked_equations)
         mp.setattr(engine, "prove_spd", prove_spd)
         # every module that imports ``plus`` by name, and expr for its own callers
-        for module in (expr, blockarith, opspec, partition):
+        for module in (expr, blockarith, opspec):
             mp.setattr(module, "plus", plus_)
         mp.setattr(expr, "has_unknown", has_unknown)
         for spec, ops_dir in runs:

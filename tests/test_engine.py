@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from pmegen import binding, blockarith, engine
 from pmegen.binding import NoViablePartitioningsError, enumerate_combinations
-from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, QuadrantEquation
+from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, PropertyFact, QuadrantEquation
 from pmegen.cli import render_pme_text
 from pmegen.engine import (
+    PME,
+    SPD_SEARCH_NODES,
     AllCombinationsStuck,
     KnowledgeBaseError,
     PatternConflictError,
@@ -53,7 +55,6 @@ from pmegen.expr import (
     trans,
 )
 from pmegen.opspec import Property, parse_operation, render_spec
-from pmegen.partition import PropertyFact
 
 from conftest import (
     OPS_DIR,
@@ -392,7 +393,6 @@ class TestMatchEquation:
         state = initial_state(load_op("cholesky"), rules)
         state.known |= {"L2", "U2", "F", "G"}
         from pmegen.opspec import Property
-        from pmegen.partition import PropertyFact
 
         state.facts.append(PropertyFact(ref("L2"), Property.LOWER_TRIANGULAR))
         state.facts.append(PropertyFact(ref("U2"), Property.UPPER_TRIANGULAR))
@@ -517,6 +517,13 @@ class TestProveSpd:
         cholesky_state.tautologies = list(CHOLESKY_TAUTOLOGIES)
         e = plus(A_BR, minus(times(L_BL, trans(L_BL))))
         assert prove_spd(e, cholesky_state)
+
+    def test_expansion_stops_at_node_bound(self):
+        rules = [Equation(ref("P"), ref("Q"))]
+        assert engine._expand([ref("P")], rules, set()) == [ref("Q")]
+        seen = {str(i) for i in range(SPD_SEARCH_NODES)}
+        assert engine._expand([ref("P")], rules, seen) == []
+        assert len(seen) == SPD_SEARCH_NODES
 
     def test_declared_quadrant_fact(self, cholesky_state):
         assert prove_spd(A_TL, cholesky_state)
@@ -808,6 +815,16 @@ EXPECTED_SYLVESTER_COL = {
 }
 
 
+TRSM_OP_TEXT = (
+    "operation trsm\n"
+    "  operand L : matrix(n,n) , known , lower_triangular\n"
+    "  operand B : matrix(m,n) , known\n"
+    "  operand X : matrix(m,n) , unknown\n"
+    "  postcondition: X * trans(L) = B\n"
+    "  solve: Trsm\n"
+)
+
+
 class TestDerivePme:
     def test_cholesky_bootstraps_from_builtins_only(self, cholesky_spec):
         (rules,) = enumerate_combinations(cholesky_spec)
@@ -867,14 +884,9 @@ class TestDerivePme:
     def test_nested_acquisition_from_ops_dir(self, cholesky_spec, tmp_path):
         ops_dir = tmp_path / "ops"
         ops_dir.mkdir()
-        (ops_dir / "Trsm.op").write_text(
-            "operation trsm\n"
-            "  operand L : matrix(n,n) , known , lower_triangular\n"
-            "  operand B : matrix(m,n) , known\n"
-            "  operand X : matrix(m,n) , unknown\n"
-            "  postcondition: X * trans(L) = B\n"
-            "  solve: Trsm\n"
-        )
+        (ops_dir / "Trsm.op").write_text(TRSM_OP_TEXT)
+        # only ``.op`` files are read as operations
+        (ops_dir / "notes.txt").write_text("not an operation\n")
         kb = seed_builtins().without_builtins(["trsm"])
         (rules,) = enumerate_combinations(cholesky_spec)
         pme = derive_pme(cholesky_spec, rules, kb, ops_dir=str(ops_dir))
@@ -887,6 +899,51 @@ class TestDerivePme:
         (rules,) = enumerate_combinations(cholesky_spec)
         with pytest.raises(StuckDerivation):
             derive_pme(cholesky_spec, rules, kb, ops_dir=str(tmp_path))
+
+    def test_ops_dir_that_is_a_file_offers_nothing(self, cholesky_spec, tmp_path):
+        # the CLI rejects such a directory; a library caller gets no candidates
+        path = tmp_path / "Trsm.op"
+        path.write_text(TRSM_OP_TEXT)
+        kb = seed_builtins().without_builtins(["trsm"])
+        (rules,) = enumerate_combinations(cholesky_spec)
+        with pytest.raises(StuckDerivation):
+            derive_pme(cholesky_spec, rules, kb, ops_dir=str(path))
+
+    def test_nested_candidate_without_pme_is_skipped(self, tmp_path, monkeypatch):
+        # the L cell of combination 1, written as an operation: its
+        # pattern matches the cell, but it derives no PME of its own
+        parent = parse_operation(
+            "operation abc\n"
+            "  operand A : matrix(p,m) , known\n"
+            "  operand B : matrix(m,n) , unknown\n"
+            "  operand C : matrix(n,n) , known\n"
+            "  operand D : matrix(p,n) , known\n"
+            "  postcondition: A * B * C = D\n"
+            "  solve: Delta\n"
+        )
+        need = (
+            "operation need\n"
+            "  operand A : matrix(p,m) , known\n"
+            "  operand B : matrix(m,n) , unknown\n"
+            "  operand C : matrix(n,k) , known\n"
+            "  operand D : matrix(p,k) , known\n"
+            "  postcondition: A * B * C = D\n"
+            "  solve: Need\n"
+        )
+        (tmp_path / "need.op").write_text(need)
+        assert not any(isinstance(r, PME) for r in derive_each(parse_operation(need), seed_builtins()))
+        nested: list[str] = []
+        real = engine._derive_each
+
+        def counted(spec, *args):
+            nested.append(spec.name)
+            return real(spec, *args)
+
+        monkeypatch.setattr(engine, "_derive_each", counted)
+        stuck = derive_each(parent, seed_builtins(), ops_dir=str(tmp_path), combination=1)[0]
+        assert "need" in nested
+        assert isinstance(stuck, StuckDerivation)
+        assert [q.position for q in stuck.unsolved] == ["L", "R"]
 
 
 class TestDeriveAll:
@@ -1169,6 +1226,15 @@ class TestKnowledgeBaseFile:
         # byte-stable on rewrite
         save_kb(loaded, path + ".2")
         assert open(path).read() == open(path + ".2").read()
+
+    def test_failed_write_leaves_no_temporary_file(self, cholesky_spec, tmp_path, monkeypatch):
+        def no_replace(src, dst):
+            raise OSError(28, "No space left on device", dst)
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(OSError, match="No space left"):
+            save_kb(learn(cholesky_spec, seed_builtins()), str(tmp_path / "patterns.kb"))
+        assert os.listdir(tmp_path) == []
 
     def test_load_missing_is_builtins(self, tmp_path):
         kb = load_kb(str(tmp_path / "absent.kb"))

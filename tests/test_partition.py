@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pmegen.binding import enumerate_combinations
+from pmegen.binding import PartitionRule, enumerate_combinations
+from pmegen.blockarith import apply_rule
 from pmegen.expr import Dimension, OperandRef, ZERO, ref, serialize, trans
 from pmegen.opspec import (
     KIND_MATRIX,
@@ -16,7 +17,6 @@ from pmegen.opspec import (
     parse_operation,
 )
 from pmegen.oracle import eval_size, sample_value
-from pmegen.partition import PartitionRule, apply_rule
 
 from conftest import min_symmetric_eigenvalue
 
