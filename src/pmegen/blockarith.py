@@ -218,31 +218,32 @@ def blocked_operands(
     spec: OperationSpec, rules: RuleCombination
 ) -> dict[str, BlockedOperand]:
     """Apply each operand's rule, with sizes canonicalized per dimension group."""
-    table = operand_blockings(spec, analyze(spec), (rules,))
-    return {decl.name: table[rules.rule_for(decl.name)] for decl in spec.operands}
+    return operand_blockings(spec, analyze(spec), (rules,))[rules]
 
 
 def operand_blockings(
     spec: OperationSpec,
     analysis: BindingAnalysis,
     combos: Sequence[RuleCombination],
-) -> dict[PartitionRule, BlockedOperand]:
-    """Each operand's blocking under each distinct rule that ``combos`` use.
+) -> dict[RuleCombination, dict[str, BlockedOperand]]:
+    """Each of ``combos`` with its operands' blockings, by operand name.
 
     Sizes are canonicalized per dimension group, under an analysis of
-    ``spec`` already made.  A rule names its operand, so it alone keys the
-    blocking, and combinations that share a rule share its blocking.
+    ``spec`` already made.  A rule names its operand, so each operand is
+    blocked once per distinct rule, and combinations that share a rule
+    share its blocking.
     """
-    out: dict[PartitionRule, BlockedOperand] = {}
-    for decl in spec.operands:
-        rows, cols = analysis.canonical_dims(decl.name)
-        canonical = OperandDecl(
-            decl.name, decl.kind, Dimension(rows, cols), decl.io_role, decl.properties
-        )
-        for combo in combos:
-            rule = combo.rule_for(decl.name)
-            if rule not in out:
-                out[rule] = apply_rule(canonical, rule)
+    decls = {decl.name: decl for decl in spec.operands}
+    built: dict[PartitionRule, BlockedOperand] = {}
+    out: dict[RuleCombination, dict[str, BlockedOperand]] = {}
+    for combo in combos:
+        blocks = out[combo] = {}
+        for name, rule in combo.rules:
+            if rule not in built:
+                decl = decls[name]
+                dims = Dimension(*analysis.canonical_dims(name))
+                built[rule] = apply_rule(decl._replace(dims=dims), rule)
+            blocks[name] = built[rule]
     return out
 
 

@@ -154,13 +154,11 @@ def render_pme_text(pme: PME) -> list[str]:
 
 
 def render_pme_latex(pme: PME) -> list[str]:
-    nr, nc = pme.shape
-    spec = "|".join("c" * 1 for _ in range(nc))
+    _, nc = pme.shape
+    spec = "|".join("c" * nc)
     lines = [rf"\left( \begin{{array}}{{{spec}}}"]
-    body_rows = []
-    for row in pme.cells:
-        body_rows.append(" & ".join(_cell_latex(q) for q in row))
-    lines.append((" \\\\ \\hline\n".join(body_rows)))
+    body_rows = [" & ".join(_cell_latex(q) for q in row) for row in pme.cells]
+    lines.append(" \\\\ \\hline\n".join(body_rows))
     lines.append(r"\end{array} \right)")
     return lines
 
@@ -246,23 +244,23 @@ def pme_from_json_dict(doc: dict) -> PME:
 
 
 def _resolve_pme(
-    pme: PME, spec: OperationSpec, combo: Optional[RuleCombination], table: dict
-) -> tuple[PME, dict[str, BlockedOperand]]:
-    """``pme`` over ``combo``, the spec's combination equal to its own, with
-    its blocks from ``table``, once its layout is that blocking's.
+    pme: PME, spec: OperationSpec, blocks: Optional[dict[str, BlockedOperand]]
+) -> dict[str, BlockedOperand]:
+    """``blocks``, the blocked operands of the spec's combination equal to
+    ``pme``'s by name, once the PME's layout is that blocking's.
 
-    The PME must be one of ``spec``'s, ``combo`` must exist, the block
-    sizes be those of its grid, every cell may name only blocks of its
-    blocking, and ``order`` must list distinct solved positions.
+    The PME must be one of ``spec``'s, its combination must exist, the
+    block sizes be those of its grid, every cell may name only blocks of
+    its blocking, and ``order`` must list distinct solved positions.
     """
     if pme.operation != spec.name:
         raise ValueError(f"PME of operation {pme.operation} given for operation {spec.name}")
-    if combo is None:
+    combo = pme.combination
+    if blocks is None:
         raise ValueError(
-            f"PME combination {pme.combination.index} is not one that "
+            f"PME combination {combo.index} is not one that "
             f"operation {spec.name} enumerates"
         )
-    blocks = {d.name: table[combo.rule_for(d.name)] for d in spec.operands}
     grid = raw_blocked_equations(spec, blocks)
     sizes = (list(pme.row_sizes), list(pme.col_sizes))
     if sizes != (list(grid.row_sizes), list(grid.col_sizes)):
@@ -284,7 +282,7 @@ def _resolve_pme(
             f"PME combination {combo.index}: order {list(pme.order)} "
             f"must list distinct solved positions"
         )
-    return pme._replace(combination=combo), blocks
+    return blocks
 
 
 def document_to_json(operation: str, pmes: Sequence[PME]) -> str:
@@ -389,9 +387,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     analysis = analyze(spec) if pmes else None
     combos = _combinations(spec, analysis) if analysis else ()
     own = [next((c for c in combos if c == p.combination), None) for p in pmes]
-    table = operand_blockings(spec, analysis, [c for c in own if c is not None]) if analysis else {}
+    blockings = operand_blockings(spec, analysis, [c for c in own if c]) if analysis else {}
     try:
-        checks = [_resolve_pme(p, spec, c, table) for p, c in zip(pmes, own)]
+        checks = [(p, _resolve_pme(p, spec, blockings.get(c))) for p, c in zip(pmes, own)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -42,7 +42,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .binding import (
     BindingError,
-    PartitionRule,
     RuleCombination,
     _combinations,
     analyze,
@@ -56,6 +55,7 @@ from .blockarith import (
     QuadrantCells,
     QuadrantEquation,
     _blocked_grid,
+    blocked_operands,
     operand_blockings,
 )
 from .expr import (
@@ -319,7 +319,6 @@ def _match_equation_shape(
 
 
 class TraceStep(NamedTuple):
-    step: int
     position: str
     pattern: str
     outputs: tuple[str, ...]
@@ -328,9 +327,14 @@ class TraceStep(NamedTuple):
 
 @dataclass
 class DerivationState:
-    """Mutable working state of one PME derivation."""
+    """Mutable working state of one PME derivation.
+
+    ``cells`` maps each position of the initial ``grid``, in scan order,
+    to its current quadrant equation.
+    """
 
     grid: BlockedEquationGrid
+    cells: dict[str, QuadrantEquation]
     known: set[str]
     facts: list[PropertyFact]
     tautologies: list[Equation]
@@ -345,22 +349,22 @@ class DerivationState:
 
 
 def initial_state(spec: OperationSpec, rules: RuleCombination) -> DerivationState:
-    return _initial_state(spec, rules, operand_blockings(spec, analyze(spec), (rules,)))
+    return _initial_state(spec, blocked_operands(spec, rules))
 
 
-def _initial_state(
-    spec: OperationSpec, rules: RuleCombination, table: dict[PartitionRule, BlockedOperand]
-) -> DerivationState:
+def _initial_state(spec: OperationSpec, blocks: dict[str, BlockedOperand]) -> DerivationState:
     """The state of one combination, joined from its operands' blockings in
     rule order."""
-    blocked = {name: table[rule] for name, rule in rules.rules}
-    known = {n for d in spec.inputs() for n in blocked[d.name].dims}
+    known = {n for d in spec.inputs() for n in blocks[d.name].dims}
+    grid = _blocked_grid(spec, blocks, known)
+    cells = {q.position: q for q in grid.all_cells()}
     return DerivationState(
-        grid=_blocked_grid(spec, blocked, known),
+        grid=grid,
+        cells={p: cells[p] for p in grid.scan_positions()},
         known=known,
-        facts=[f for b in blocked.values() for f in b.facts],
+        facts=[f for b in blocks.values() for f in b.facts],
         tautologies=[],
-        dims={n: d for b in blocked.values() for n, d in b.dims.items()},
+        dims={n: d for b in blocks.values() for n, d in b.dims.items()},
     )
 
 
@@ -748,7 +752,11 @@ def _expand(
 
 
 class StuckDerivation(Exception):
-    """No unsolved quadrant matched anything in a full sweep."""
+    """No unsolved quadrant matched anything in a full sweep.
+
+    The derivation core returns it as a combination's result; only
+    :func:`derive_pme` raises it.
+    """
 
     def __init__(
         self,
@@ -834,7 +842,8 @@ def derive_pme(
     kb: KnowledgeBase,
     ops_dir: Optional[str] = None,
 ) -> PME:
-    """Derive the PME for one rule combination.
+    """Derive the PME for one rule combination, or raise
+    :class:`StuckDerivation`.
 
     The operation's own pattern is registered first in a working copy of
     the knowledge base, so the derivation can bootstrap sub-problems of
@@ -843,49 +852,42 @@ def derive_pme(
     derivations; a pattern acquired that way is used immediately.
     """
     self_pattern = pattern_from_spec(spec, provenance="self")
-    table = operand_blockings(spec, analyze(spec), (rules,))
-    return _derive_pme(spec, rules, kb, _OpsDir(ops_dir), 0, table, self_pattern)
+    blocks = blocked_operands(spec, rules)
+    result = _derive_pme(spec, rules, blocks, kb, _OpsDir(ops_dir), 0, self_pattern)
+    if isinstance(result, StuckDerivation):
+        raise result
+    return result
 
 
 def _derive_pme(
     spec: OperationSpec,
     rules: RuleCombination,
+    blocks: dict[str, BlockedOperand],
     kb: KnowledgeBase,
     ops: _OpsDir,
     depth: int,
-    table: dict[PartitionRule, BlockedOperand],
     self_pattern: Pattern,
-) -> PME:
-    """:func:`derive_pme` at nesting ``depth``, over a blocking table of
-    ``spec`` that holds ``rules`` and with the operation's own pattern
-    already built."""
-    state = _initial_state(spec, rules, table)
+) -> PME | StuckDerivation:
+    """:func:`derive_pme` at nesting ``depth``, over ``blocks``, the blocked
+    operands of ``rules`` by name, with the operation's own pattern already
+    built; a stuck combination is returned, not raised."""
+    state = _initial_state(spec, blocks)
     patterns = [self_pattern, *kb.match_order()]
-    cells: dict[str, QuadrantEquation] = {
-        q.position: q for q in state.grid.all_cells()
-    }
-    scan = state.grid.scan_positions()
     tried_nested: set[str] = set()
-
-    while True:
-        unsolved = [p for p in scan if cells[p].status == STATUS_UNSOLVED]
-        if not unsolved:
-            break
-        progressed = False
+    while unsolved := [q for q in state.cells.values() if q.status == STATUS_UNSOLVED]:
         notes: list[str] = []
-        for pos in unsolved:
-            q = cells[pos]
+        for q in unsolved:
             # the cell is canonical, so its right side is known
             if known_only(q.equation.lhs, state.known):
                 notes.append(
-                    f"{pos}: no unknowns left but sides differ "
+                    f"{q.position}: no unknowns left but sides differ "
                     f"({serialize_equation(q.equation)})"
                 )
                 continue
             result = match_equation(q, patterns, state, notes)
             if result is None:
                 continue
-            cells[pos] = QuadrantEquation(pos, result.solved, STATUS_SOLVED)
+            state.cells[q.position] = QuadrantEquation(q.position, result.solved, STATUS_SOLVED)
             state.known.update(result.outputs)
             # both the identity the quadrant now encodes and its solved
             # form feed later rewriting
@@ -893,42 +895,23 @@ def _derive_pme(
                 if taut not in state.tautologies:
                     state.tautologies.append(taut)
             state.trace.append(
-                TraceStep(
-                    step=len(state.trace) + 1,
-                    position=pos,
-                    pattern=result.pattern.name,
-                    outputs=result.outputs,
-                    known_count=len(state.known),
-                )
+                TraceStep(q.position, result.pattern.name, result.outputs, len(state.known))
             )
-            for other in scan:
-                oq = cells[other]
-                if oq.status == STATUS_UNSOLVED:
-                    cells[other] = oq._replace(
-                        equation=to_canonical_equation(oq.equation, state.known)
+            for pos, other in state.cells.items():
+                if other.status == STATUS_UNSOLVED:
+                    state.cells[pos] = other._replace(
+                        equation=to_canonical_equation(other.equation, state.known)
                     )
-            progressed = True
             break
-        if progressed:
-            continue
-        acquired = _try_nested(
-            spec, kb, ops, depth, cells, scan, state, patterns, tried_nested
-        )
-        if acquired:
-            continue
-        raise StuckDerivation(
-            spec.name,
-            rules,
-            [cells[p] for p in scan if cells[p].status == STATUS_UNSOLVED],
-            notes,
-        )
-
+        else:
+            if not _try_nested(spec, kb, ops, depth, state, patterns, tried_nested):
+                return StuckDerivation(spec.name, rules, unsolved, notes)
     return PME(
         operation=spec.name,
         combination=rules,
         row_sizes=state.grid.row_sizes,
         col_sizes=state.grid.col_sizes,
-        cells=tuple(tuple(cells[q.position] for q in row) for row in state.grid.cells),
+        cells=tuple(tuple(state.cells[q.position] for q in row) for row in state.grid.cells),
         order=tuple(t.position for t in state.trace),
         trace=tuple(state.trace),
     )
@@ -939,8 +922,6 @@ def _try_nested(
     kb: KnowledgeBase,
     ops: _OpsDir,
     depth: int,
-    cells: dict[str, QuadrantEquation],
-    scan: Sequence[str],
     state: DerivationState,
     patterns: list[Pattern],
     tried: set[str],
@@ -953,8 +934,7 @@ def _try_nested(
         for cand, pattern in ops.candidates
         if cand.name != spec.name and cand.name not in tried and kb.get(cand.name) is None
     ]
-    for pos in scan:
-        q = cells[pos]
+    for q in state.cells.values():
         if q.status != STATUS_UNSOLVED:
             continue
         for cand, pattern in candidates:
@@ -1009,19 +989,13 @@ def _derive_each(
     self_pattern = pattern_from_spec(spec, provenance="self")
     # every blocking the selected combinations use, built before any of them
     chosen = combos if combination is None else (combos[combination - 1],)
-    table = operand_blockings(spec, analysis, chosen)
-    results: list[PME | StuckDerivation | None] = []
-    for combo in combos:
-        if combination is not None and combo.index != combination:
-            results.append(None)
-            continue
-        try:
-            results.append(_derive_pme(spec, combo, kb, ops, depth, table, self_pattern))
-        except StuckDerivation as exc:
-            # its traceback reaches this frame, whose list holds the
-            # exception: a cycle that keeps the stuck state until gc runs
-            results.append(exc.with_traceback(None))
-    return results
+    blockings = operand_blockings(spec, analysis, chosen)
+    return [
+        _derive_pme(spec, combo, blockings[combo], kb, ops, depth, self_pattern)
+        if combo in blockings
+        else None
+        for combo in combos
+    ]
 
 
 def derive_all(

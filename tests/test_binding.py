@@ -1,4 +1,5 @@
-"""Dimension binding groups and combination enumeration."""
+"""Dimension binding groups, combination enumeration, and the rules binding
+admits for each operand."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pmegen.binding import (
     DimensionConflictError,
     DimensionVar,
     NoViablePartitioningsError,
+    PartitionRule,
     analyze,
     enumerate_combinations,
 )
@@ -31,6 +33,18 @@ from conftest import (
 
 def V(operand: str, axis: str) -> DimensionVar:
     return DimensionVar(operand, axis)
+
+
+def offered(operands: str, postcondition: str, operand: str) -> list[PartitionRule]:
+    """The rules binding offers ``operand`` across a spec's combinations."""
+    spec = parse_operation(
+        f"operation op\n{operands}  postcondition: {postcondition}\n  solve: S\n"
+    )
+    return [c.rule_for(operand) for c in enumerate_combinations(spec)]
+
+
+def shapes(rules: list[PartitionRule]) -> set[str]:
+    return {r.shape for r in rules}
 
 
 class TestBindDimensions:
@@ -242,3 +256,52 @@ def test_binding_output_is_admissible():
     assert combos > 2000
     # trsv brings vectors; no spec that binds has a scalar yet
     assert KIND_VECTOR in kinds
+
+
+class TestAdmissibleRules:
+    """The table of the module docstring, as binding enforces it."""
+
+    def test_general_matrix_all_four(self):
+        operands = (
+            "  operand A : matrix(m,n) , known\n"
+            "  operand X : matrix(n,p) , unknown\n"
+            "  operand B : matrix(m,p) , known\n"
+        )
+        assert shapes(offered(operands, "A * X = B", "A")) == {"1x1", "1x2", "2x1", "2x2"}
+
+    @staticmethod
+    def structured(prop: str) -> list[PartitionRule]:
+        operands = (
+            f"  operand A : matrix(m,m) , known , {prop}\n"
+            "  operand X : matrix(m,n) , unknown\n"
+            "  operand B : matrix(m,n) , known\n"
+        )
+        return offered(operands, "A * X = B", "A")
+
+    def test_spd_identity_or_square_2x2(self):
+        rules = self.structured("spd")
+        assert shapes(rules) == {"1x1", "2x2"}
+        assert all(r.split_rows == r.split_cols for r in rules)
+
+    def test_triangular_and_diagonal(self):
+        for prop in ("lower_triangular", "upper_triangular", "diagonal"):
+            rules = self.structured(prop)
+            assert shapes(rules) == {"1x1", "2x2"}
+            assert all(r.split_rows == r.split_cols for r in rules)
+
+    def test_scalar_identity_only(self):
+        operands = (
+            "  operand x : vector(m) , known\n"
+            "  operand a : scalar , known\n"
+            "  operand y : vector(m) , unknown\n"
+        )
+        assert shapes(offered(operands, "x * a = y", "a")) == {"1x1"}
+
+    def test_vector_identity_or_rows(self):
+        operands = (
+            "  operand A : matrix(m,n) , known\n"
+            "  operand x : vector(n) , known\n"
+            "  operand b : vector(m) , unknown\n"
+        )
+        for name in ("x", "b"):
+            assert shapes(offered(operands, "A * x = b", name)) == {"1x1", "2x1"}

@@ -1030,6 +1030,18 @@ class TestImports:
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
         assert unused == []
 
+    def test_every_test_module_names_a_source_module(self):
+        # a test module is named for the module it exercises, so a module
+        # folded into others leaves no test file named after it
+        source = pathlib.Path(pmegen.__file__).parent
+        orphans = [
+            path.name
+            for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
+            if path.name != "test_acceptance.py"
+            and not (source / f"{path.stem[len('test_'):]}.py").is_file()
+        ]
+        assert orphans == []
+
 
 def _deep_op(post: str) -> str:
     return (

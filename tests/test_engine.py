@@ -946,6 +946,29 @@ class TestDerivePme:
         assert [q.position for q in stuck.unsolved] == ["L", "R"]
 
 
+    def test_raised_stuck_equals_returned_entry(self, corpus_run):
+        """Each stuck combination of the spd family with ``ops/``:
+        ``derive_pme`` raises what ``derive_each`` returned for it, so the
+        raise and the returned value come from one path."""
+        family = [parse_operation(text) for _, text in bench_corpus().spd_family()]
+        stuck = [
+            (spec, r)
+            for spec, ops_dir, results in corpus_run["derived"]
+            if ops_dir == OPS_DIR and spec in family
+            for r in results or ()
+            if isinstance(r, StuckDerivation)
+        ]
+        assert len(stuck) == 33
+        for spec, entry in stuck:
+            with pytest.raises(StuckDerivation) as err:
+                derive_pme(spec, entry.combination, seed_builtins(), ops_dir=OPS_DIR)
+            raised = err.value
+            assert raised.operation == entry.operation
+            assert raised.combination == entry.combination
+            assert raised.unsolved == entry.unsolved
+            assert raised.notes == entry.notes
+
+
 class TestDeriveAll:
     def test_vector_forward_substitution(self):
         spec = parse_operation(
