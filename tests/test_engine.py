@@ -945,7 +945,6 @@ class TestDerivePme:
         assert isinstance(stuck, StuckDerivation)
         assert [q.position for q in stuck.unsolved] == ["L", "R"]
 
-
     def test_raised_stuck_equals_returned_entry(self, corpus_run):
         """Each stuck combination of the spd family with ``ops/``:
         ``derive_pme`` raises what ``derive_each`` returned for it, so the
