@@ -91,12 +91,6 @@ class RuleCombination(NamedTuple):
     rules: tuple[tuple[str, PartitionRule], ...]
     group_choices: tuple[tuple[int, str], ...]
 
-    def rule_for(self, operand: str) -> PartitionRule:
-        for name, rule in self.rules:
-            if name == operand:
-                return rule
-        raise KeyError(operand)
-
 
 class _DSU:
     def __init__(self) -> None:
@@ -126,7 +120,6 @@ class BindingAnalysis(NamedTuple):
     partitionable: tuple[bool, ...]
     var_group: dict[DimensionVar, int]
     canonical_sizes: dict[DimensionVar, str]
-    split_symbols: tuple[str, ...]
 
     def canonical_dims(self, operand: str) -> tuple[str, str]:
         return (
@@ -228,7 +221,6 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
         partitionable=tuple(partitionable),
         var_group=var_group,
         canonical_sizes=canonical,
-        split_symbols=tuple(f"k{i + 1}" for i in range(len(groups))),
     )
 
 
@@ -267,8 +259,8 @@ def _combinations(
         for decl in spec.operands:
             rg = analysis.var_group[DimensionVar(decl.name, "r")]
             cg = analysis.var_group[DimensionVar(decl.name, "c")]
-            srows = analysis.split_symbols[rg] if rg in split_groups else None
-            scols = analysis.split_symbols[cg] if cg in split_groups else None
+            srows = f"k{rg + 1}" if rg in split_groups else None
+            scols = f"k{cg + 1}" if cg in split_groups else None
             rules.append((decl.name, PartitionRule(decl.name, srows, scols)))
         choices = tuple(
             (i, "split" if i in split_groups else "keep")

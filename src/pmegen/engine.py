@@ -445,87 +445,70 @@ class MatchResult(NamedTuple):
     outputs: tuple[str, ...]
 
 
-class GuardFailure(Exception):
-    """Internal: records why a structurally matching pattern was rejected."""
+def _check_guards(
+    pattern: Pattern, binds: dict[str, Expression], state: DerivationState
+) -> Optional[str]:
+    """Why a structurally matching pattern is rejected, or None.
 
-
-def _unify_slot_dims(
-    pattern: Pattern, binds: dict[str, Expression], dims: dict[str, Dimension]
-) -> dict[str, Optional[Dimension]]:
-    """Size the bound slots in order up to the first conflict, binding the
-    pattern's size symbols, and return the sizes.
-
-    A slot whose bound expression has no determinable dimensions (a bare
-    zero block, say) contributes no constraints; everything else must be
-    explainable by one consistent assignment of pattern symbols.
+    The bound slots are sized first, in order up to the first conflict,
+    binding the pattern's size symbols.  A slot whose bound expression has
+    no determinable dimensions (a bare zero block, say) contributes no
+    constraints; everything else must be explainable by one consistent
+    assignment of pattern symbols.
     """
     assignment: dict[str, str] = {}
     sizes: dict[str, Optional[Dimension]] = {}
     for slot in pattern.slots:
         if slot.name not in binds:
             continue
-        actual = sizes[slot.name] = _dims_of(binds[slot.name], dims)
+        actual = sizes[slot.name] = _dims_of(binds[slot.name], state.dims)
         if slot.dims is None or actual is None:
             continue
         for symbol, size in ((slot.dims.rows, actual.rows), (slot.dims.cols, actual.cols)):
             if symbol == "1":
                 if size != "1":
-                    raise GuardFailure(
-                        f"slot {slot.name} must have a fixed size-1 axis, got {size}"
-                    )
+                    return f"slot {slot.name} must have a fixed size-1 axis, got {size}"
                 continue
             if assignment.setdefault(symbol, size) != size:
-                raise GuardFailure(
+                return (
                     f"slot {slot.name}: size {symbol} would need to be both "
                     f"{assignment[symbol]} and {size}"
                 )
-    return sizes
-
-
-def _check_guards(
-    pattern: Pattern, binds: dict[str, Expression], state: DerivationState
-) -> None:
     outputs_seen: set[str] = set()
-    sizes = _unify_slot_dims(pattern, binds, state.dims)
     for slot in pattern.slots:
         bound = binds.get(slot.name)
         if bound is None:
-            raise GuardFailure(f"slot {slot.name} unbound")
+            return f"slot {slot.name} unbound"
         if slot.io_role == ROLE_UNKNOWN:
             if not isinstance(bound, OperandRef):
-                raise GuardFailure(
-                    f"slot {slot.name} must bind a single unknown block"
-                )
+                return f"slot {slot.name} must bind a single unknown block"
             if bound.name in state.known:
-                raise GuardFailure(f"{bound.name} is already known")
+                return f"{bound.name} is already known"
             if bound.name in outputs_seen:
-                raise GuardFailure(f"{bound.name} bound to two output slots")
+                return f"{bound.name} bound to two output slots"
             outputs_seen.add(bound.name)
         else:
             if not known_only(bound, state.known):
-                raise GuardFailure(
+                return (
                     f"slot {slot.name} binds unknown quantities "
                     f"({serialize(bound)})"
                 )
         d = sizes[slot.name]
         if slot.kind == KIND_SCALAR and (d is None or d != Dimension("1", "1")):
-            raise GuardFailure(f"slot {slot.name} must bind a scalar")
+            return f"slot {slot.name} must bind a scalar"
         for prop in sorted(slot.properties, key=lambda p: p.value):
             if prop is Property.GENERAL:
                 if not _is_plain_general(bound, state):
-                    raise GuardFailure(
+                    return (
                         f"slot {slot.name} needs an unstructured block, "
                         f"got {serialize(bound)}"
                     )
             elif prop is Property.SPD:
                 if not prove_spd(bound, state):
-                    raise GuardFailure(
-                        f"could not establish spd({serialize(bound)})"
-                    )
+                    return f"could not establish spd({serialize(bound)})"
             elif not _established(bound, prop, state):
-                raise GuardFailure(
-                    f"could not establish {prop.value}({serialize(bound)})"
-                )
+                return f"could not establish {prop.value}({serialize(bound)})"
+    return None
 
 
 def match_equation(
@@ -548,11 +531,10 @@ def match_equation(
         binds = _match_equation_shape(tpl, eq.equation)
         if binds is None:
             continue
-        try:
-            _check_guards(pattern, binds, state)
-        except GuardFailure as g:
+        failure = _check_guards(pattern, binds, state)
+        if failure is not None:
             if notes is not None:
-                notes.append(f"{eq.position}: pattern {pattern.name}: {g}")
+                notes.append(f"{eq.position}: pattern {pattern.name}: {failure}")
             continue
         solved = Equation(
             _substitute(pattern.solved.lhs, binds),

@@ -564,9 +564,7 @@ def _local_variants(e: Expression) -> list[Expression]:
                 out.append(times(*fs[:i], merged, *fs[i + 2 :]))
             if inv(a) == b:
                 rest = fs[:i] + fs[i + 2 :]
-                if len(rest) == 1:
-                    out.append(rest[0])
-                elif rest:
+                if rest:
                     out.append(times(*rest))
     if isinstance(e, Inverse) and isinstance(e.operand, Times):
         out.append(times(*(inv(f) for f in reversed(e.operand.factors))))

@@ -121,13 +121,9 @@ BASE_SOLVERS: dict[str, Callable[..., np.ndarray]] = {
 # sampling
 
 
-def eval_size(size: str, sizes: Mapping[str, int]) -> int:
-    """Evaluate a size expression: a symbol, the literal 1, or ``a-b``."""
-    return _size(size)(sizes)
-
-
 def _size(size: str) -> Callable[[Mapping[str, int]], int]:
-    """``size`` parsed once, into a closure over one trial's symbol values."""
+    """``size`` (a symbol, the literal 1, or ``a-b``) parsed once, into a
+    closure over one trial's symbol values."""
     symbol, minus, rest = size.partition("-")
     subtracted = _size(rest) if minus else None
 
@@ -147,24 +143,14 @@ def _size(size: str) -> Callable[[Mapping[str, int]], int]:
     return run
 
 
-def sample_value(
-    kind: str,
-    shape: tuple[int, int],
-    properties: frozenset[Property] | set[Property],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Random matrix honoring the declared structure exactly.
+def _sampler(kind: str, properties: Collection[Property]) -> Callable[..., np.ndarray]:
+    """Random matrix draw honoring the declared structure exactly, chosen
+    once per input from its kind and properties so that a trial only draws.
 
     Triangular and diagonal samples get diagonal entries of magnitude at
     least one, spd samples are built as ``m.T @ m + n * eye`` so their
     conditioning stays mild at desk scale.
     """
-    return _sampler(kind, properties)(shape, rng)
-
-
-def _sampler(kind: str, properties: Collection[Property]) -> Callable[..., np.ndarray]:
-    """The draw of :func:`sample_value` for one kind and set of properties,
-    chosen once per input so that a trial only draws."""
     if kind == KIND_SCALAR:
         return lambda shape, rng: rng.uniform(1.0, 2.0, size=(1, 1))
     if Property.SPD in properties:

@@ -42,10 +42,10 @@ from pmegen.oracle import (
     CONDITION_LIMIT,
     OracleError,
     SingularMatrixError,
+    _sampler,
+    _size,
     block_edges,
-    eval_size,
     evaluate,
-    sample_value,
 )
 
 OPS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "ops")
@@ -467,15 +467,13 @@ def check_blocking_faithful(
     sizes = _sizes_for(blocks, rng)
     axes = [grid.row_sizes, grid.col_sizes]
     axes += [axis for b in blocks.values() for axis in (b.row_sizes, b.col_sizes)]
-    size_of = {s: eval_size(s, sizes) for axis in axes for s in axis}
+    size_of = {s: _size(s)(sizes) for axis in axes for s in axis}
     values: dict[str, np.ndarray] = {}
     for decl in spec.operands:
         b = blocks[decl.name]
         row_edges = block_edges(b.row_sizes, size_of)
         col_edges = block_edges(b.col_sizes, size_of)
-        full = sample_value(
-            decl.kind, (row_edges[-1], col_edges[-1]), decl.properties, rng
-        )
+        full = _sampler(decl.kind, decl.properties)((row_edges[-1], col_edges[-1]), rng)
         values[decl.name] = full
         for i, row in enumerate(b.cells):
             for j, cell in enumerate(row):

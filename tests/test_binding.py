@@ -40,7 +40,7 @@ def offered(operands: str, postcondition: str, operand: str) -> list[PartitionRu
     spec = parse_operation(
         f"operation op\n{operands}  postcondition: {postcondition}\n  solve: S\n"
     )
-    return [c.rule_for(operand) for c in enumerate_combinations(spec)]
+    return [dict(c.rules)[operand] for c in enumerate_combinations(spec)]
 
 
 def shapes(rules: list[PartitionRule]) -> set[str]:
@@ -126,7 +126,7 @@ class TestBindDimensions:
         # the column group is still free, so exactly one combination remains
         combos = enumerate_combinations(spec)
         assert len(combos) == 1
-        assert combos[0].rule_for("A").shape == "1x1"
+        assert dict(combos[0].rules)["A"].shape == "1x1"
 
 
     @pytest.mark.parametrize(
@@ -155,12 +155,12 @@ class TestEnumerate:
         assert shapes(combos[1]) == {"L": "2x2", "U": "1x1", "C": "2x1", "X": "2x1"}
         assert shapes(combos[2]) == {"L": "2x2", "U": "2x2", "C": "2x2", "X": "2x2"}
         # split symbols are per group: k1 for the row group, k2 for the column group
-        assert combos[0].rule_for("U").split_rows == "k2"
-        assert combos[0].rule_for("X").split_cols == "k2"
-        assert combos[1].rule_for("L").split_rows == "k1"
-        assert combos[1].rule_for("C").split_rows == "k1"
-        assert combos[2].rule_for("C").split_rows == "k1"
-        assert combos[2].rule_for("C").split_cols == "k2"
+        assert dict(combos[0].rules)["U"].split_rows == "k2"
+        assert dict(combos[0].rules)["X"].split_cols == "k2"
+        assert dict(combos[1].rules)["L"].split_rows == "k1"
+        assert dict(combos[1].rules)["C"].split_rows == "k1"
+        assert dict(combos[2].rules)["C"].split_rows == "k1"
+        assert dict(combos[2].rules)["C"].split_cols == "k2"
         assert [c.index for c in combos] == [1, 2, 3]
 
     def test_cholesky_single_combination(self, cholesky_spec):
@@ -170,8 +170,8 @@ class TestEnumerate:
             "L": "2x2",
             "A": "2x2",
         }
-        assert combos[0].rule_for("L").split_rows == "k1"
-        assert combos[0].rule_for("A").split_rows == "k1"
+        assert dict(combos[0].rules)["L"].split_rows == "k1"
+        assert dict(combos[0].rules)["A"].split_rows == "k1"
 
     def test_scalar_equation_has_no_partitionings(self):
         spec = parse_operation(
@@ -200,8 +200,8 @@ class TestEnumerate:
         }
         # columns of the vectors never split
         for c in combos:
-            assert c.rule_for("x").shape in ("1x1", "2x1")
-            assert c.rule_for("b").shape in ("1x1", "2x1")
+            assert dict(c.rules)["x"].shape in ("1x1", "2x1")
+            assert dict(c.rules)["b"].shape in ("1x1", "2x1")
         assert len(combos) == 3
         assert len(shapes_seen) == 3
 
@@ -244,7 +244,7 @@ def test_binding_output_is_admissible():
             assert not all(rule.is_identity for _, rule in combo.rules), combo
             for decl in spec.operands:
                 kinds.add(decl.kind)
-                rule = combo.rule_for(decl.name)
+                rule = dict(combo.rules)[decl.name]
                 if decl.kind == KIND_SCALAR:
                     assert rule.shape == "1x1", rule
                 elif decl.kind == KIND_VECTOR:

@@ -40,7 +40,7 @@ from pmegen.opspec import (
     ROLE_KNOWN,
     parse_operation,
 )
-from pmegen.oracle import eval_size, sample_value
+from pmegen.oracle import _sampler, _size
 
 from conftest import check_blocking_faithful, min_symmetric_eigenvalue, random_spec
 
@@ -490,10 +490,10 @@ def test_numeric_reassembly(props, seed):
     m = int(rng.integers(3, 8))
     k = int(rng.integers(1, m))
     sizes = {"m": m, "k1": k}
-    full = sample_value(KIND_MATRIX, (m, m), props, rng)
+    full = _sampler(KIND_MATRIX, props)((m, m), rng)
     assert _structure_holds(full, props)
-    edges_r = np.cumsum([0] + [eval_size(s, sizes) for s in b.row_sizes])
-    edges_c = np.cumsum([0] + [eval_size(s, sizes) for s in b.col_sizes])
+    edges_r = np.cumsum([0] + [_size(s)(sizes) for s in b.row_sizes])
+    edges_c = np.cumsum([0] + [_size(s)(sizes) for s in b.col_sizes])
     values = {}
     rebuilt = np.zeros_like(full)
     prop_map = inherited(b)

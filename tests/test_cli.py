@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -1029,6 +1030,45 @@ class TestImports:
             used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
         assert unused == []
+
+    def test_every_public_name_has_a_production_caller(self):
+        # code that only tests call is removed, so each public function, and
+        # each public method of a public class, is named somewhere in the
+        # package or the benchmark outside its own definition
+        exempt = {
+            # it hides ``_compile``'s reuse and zero-shape protocol, and the
+            # tests use it as the numeric evaluator
+            "oracle.evaluate",
+        }
+        source = pathlib.Path(pmegen.__file__).parent
+        bench = pathlib.Path(__file__).parent.parent / "bench"
+        paths = sorted(source.glob("*.py")) + sorted(bench.glob("*.py"))
+        trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+        def names(tree):
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Name):
+                    yield n.id
+                elif isinstance(n, ast.Attribute):
+                    yield n.attr
+                elif isinstance(n, ast.alias):
+                    yield n.name.split(".")[-1]
+
+        referenced = Counter(name for tree in trees.values() for name in names(tree))
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        uncalled = []
+        for path in sorted(source.glob("*.py")):
+            for node in trees[path].body:
+                defs = [(node.name, node)] if isinstance(node, functions) else []
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    methods = [f for f in node.body if isinstance(f, functions)]
+                    defs = [(f"{node.name}.{f.name}", f) for f in methods]
+                for qualname, fn in defs:
+                    public = not fn.name.startswith("_")
+                    outside = referenced[fn.name] - sum(n == fn.name for n in names(fn))
+                    if public and outside == 0 and f"{path.stem}.{qualname}" not in exempt:
+                        uncalled.append(f"{path.stem}.{qualname}")
+        assert uncalled == []
 
     def test_every_test_module_names_a_source_module(self):
         # a test module is named for the module it exercises, so a module

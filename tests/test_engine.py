@@ -54,7 +54,14 @@ from pmegen.expr import (
     times,
     trans,
 )
-from pmegen.opspec import Property, parse_operation, render_spec
+from pmegen.opspec import (
+    KIND_MATRIX,
+    KIND_SCALAR,
+    OperandDecl,
+    Property,
+    parse_operation,
+    render_spec,
+)
 
 from conftest import (
     OPS_DIR,
@@ -435,6 +442,61 @@ class TestMatchEquation:
         square = {"N": Dimension("m", "m"), "X": Dimension("m", "m"), "B": Dimension("m", "m")}
         result = match_equation(eq, [pattern], replace(state, dims=square))
         assert result is not None and result.outputs == ("X",)
+
+    @pytest.mark.parametrize(
+        "op,combination,position,slots,template,failure",
+        [
+            # the template never names slot Z, so nothing binds it
+            (
+                "trsm", 1, "L", "X m n unknown, L n n known, B m n known, Z p p known",
+                Equation(times(ref("X"), ref("L")), ref("B")), "slot Z unbound",
+            ),
+            # the unknown slot comes first and binds the known L_TL
+            (
+                "operand L : matrix(m,m) , known , lower_triangular\n"
+                "operand B : matrix(m,n) , known\n"
+                "operand X : matrix(m,n) , unknown\n"
+                "postcondition: L * X = B",
+                2, "T", "X m k unknown, A k n known, B m n known",
+                Equation(times(ref("X"), ref("A")), ref("B")), "L_TL is already known",
+            ),
+            # both unknown slots bind L_TL
+            (
+                "cholesky", 1, "TL", "X m m unknown, Y m m unknown, B m m known",
+                Equation(times(ref("X"), trans(ref("Y"))), ref("B")),
+                "L_TL bound to two output slots",
+            ),
+            # a scalar slot with no dims passes the sizing, then fails its kind
+            (
+                "trsm", 2, "T", "X m n unknown, A - - known, B m n known",
+                Equation(times(ref("X"), ref("A")), ref("B")), "slot A must bind a scalar",
+            ),
+        ],
+        ids=["unbound", "known", "two-outputs", "scalar"],
+    )
+    def test_guard_failure_note(self, op, combination, position, slots, template, failure):
+        """A pattern that matches a cell's shape but fails one guard leaves
+        that guard's note.  ``op`` names a shipped operation or holds a
+        spec's operand and postcondition lines; a slot is ``name rows cols
+        role``, and ``- -`` a scalar slot without dims."""
+        if "\n" in op:
+            spec = parse_operation(f"operation op\n{op}\nsolve: S\n")
+        else:
+            spec = load_op(op)
+        state = initial_state(spec, enumerate_combinations(spec)[combination - 1])
+        decls = []
+        for text in slots.split(", "):
+            name, rows, cols, role = text.split()
+            if rows == "-":
+                decls.append(OperandDecl(name, KIND_SCALAR, None, role, frozenset()))
+            else:
+                dims = Dimension(rows, cols)
+                decls.append(OperandDecl(name, KIND_MATRIX, dims, role, frozenset()))
+        solved = Equation(ref(decls[0].name), solved_by("S", [ref("B")]))
+        pattern = engine.Pattern("extra", "S", tuple(decls), template, solved, "test")
+        notes: list[str] = []
+        assert match_equation(state.cells[position], [pattern], state, notes) is None
+        assert notes == [f"{position}: pattern extra: {failure}"]
 
 
 def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
@@ -1344,7 +1406,7 @@ class TestKnowledgeBaseFile:
 def test_records_stay_immutable(cholesky_spec):
     (pme,) = derive_all(cholesky_spec, seed_builtins())
     records = [
-        (pme.combination.rule_for("L"), "split_rows"),
+        (dict(pme.combination.rules)["L"], "split_rows"),
         (pme.cell("TL"), "status"),
         (seed_builtins().builtins[0], "template"),
         (cholesky_spec.operands[0], "properties"),

@@ -27,12 +27,12 @@ from pmegen.oracle import (
     SingularMatrixError,
     UnboundOperandError,
     check_pme,
+    _sampler,
+    _size,
     cholesky,
-    eval_size,
     evaluate,
     inverse,
     relative_residual,
-    sample_value,
     sylvester,
     trsm,
 )
@@ -216,13 +216,13 @@ class TestKernels:
 class TestSampling:
     def test_structures_exact(self):
         rng = np.random.default_rng(0)
-        lo = sample_value(KIND_MATRIX, (5, 5), {Property.LOWER_TRIANGULAR}, rng)
+        lo = _sampler(KIND_MATRIX, {Property.LOWER_TRIANGULAR})((5, 5), rng)
         assert np.array_equal(lo, np.tril(lo)) and np.all(np.abs(np.diag(lo)) >= 1)
-        sym = sample_value(KIND_MATRIX, (5, 5), {Property.SYMMETRIC}, rng)
+        sym = _sampler(KIND_MATRIX, {Property.SYMMETRIC})((5, 5), rng)
         assert np.array_equal(sym, sym.T)
-        spd = sample_value(KIND_MATRIX, (5, 5), {Property.SPD, Property.SYMMETRIC}, rng)
+        spd = _sampler(KIND_MATRIX, {Property.SPD, Property.SYMMETRIC})((5, 5), rng)
         assert min_symmetric_eigenvalue(spd) > 0
-        diag = sample_value(KIND_MATRIX, (4, 4), {Property.DIAGONAL}, rng)
+        diag = _sampler(KIND_MATRIX, {Property.DIAGONAL})((4, 4), rng)
         assert np.array_equal(diag, np.diag(np.diag(diag)))
 
     # structure: (kind, properties, the (m, n) shapes it takes); specs give
@@ -263,7 +263,7 @@ class TestSampling:
         for seed in range(4):
             for m, n in shapes:
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = sample_value(kind, (m, n), props, rng)
+                got = _sampler(kind, props)((m, n), rng)
                 want = self.reference_sample(structure, m, n, ref_rng)
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -317,12 +317,12 @@ SIZE_CASES = [
 @pytest.mark.parametrize("size,sizes,expected", SIZE_CASES)
 def test_eval_size(size, sizes, expected):
     if isinstance(expected, int):
-        value = eval_size(size, sizes)
+        value = _size(size)(sizes)
         assert value == expected and type(value) is int
     else:
         error, message = expected
         with pytest.raises(error) as exc:
-            eval_size(size, sizes)
+            _size(size)(sizes)
         assert type(exc.value) is error and str(exc.value) == message
 
 
