@@ -1040,9 +1040,9 @@ class TestImports:
             # tests use it as the numeric evaluator
             "oracle.evaluate",
         }
-        source = pathlib.Path(pmegen.__file__).parent
+        sources = sorted(pathlib.Path(pmegen.__file__).parent.glob("*.py"))
         bench = pathlib.Path(__file__).parent.parent / "bench"
-        paths = sorted(source.glob("*.py")) + sorted(bench.glob("*.py"))
+        paths = sources + sorted(bench.glob("*.py"))
         trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
         def names(tree):
@@ -1057,7 +1057,7 @@ class TestImports:
         referenced = Counter(name for tree in trees.values() for name in names(tree))
         functions = (ast.FunctionDef, ast.AsyncFunctionDef)
         uncalled = []
-        for path in sorted(source.glob("*.py")):
+        for path in sources:
             for node in trees[path].body:
                 defs = [(node.name, node)] if isinstance(node, functions) else []
                 if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
