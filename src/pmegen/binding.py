@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .expr import (
+    Equation,
     Expression,
     Inverse,
     Minus,
@@ -41,7 +42,7 @@ from .expr import (
     Transpose,
     Zero,
 )
-from .opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec
+from .opspec import OperationSpec
 
 
 MAX_PARTITIONABLE_GROUPS = 8
@@ -133,17 +134,8 @@ def _declared_size(spec: OperationSpec, v: DimensionVar) -> str:
     return d.rows if v.axis == "r" else d.cols
 
 
-def _axis_partitionable(spec: OperationSpec, v: DimensionVar) -> bool:
-    decl = spec.operand(v.operand)
-    if decl.kind == KIND_SCALAR:
-        return False
-    if decl.kind == KIND_VECTOR and v.axis == "c":
-        return False
-    return True
-
-
 def _visit(
-    e: Expression,
+    e: Expression | Equation,
     spec: OperationSpec,
     dsu: _DSU,
     forced_keep: set[DimensionVar],
@@ -160,7 +152,7 @@ def _visit(
         raise BindingError("solution operators may not appear in postconditions")
     if isinstance(e, Zero):
         raise BindingError("the zero block may not appear in postconditions")
-    if not isinstance(e, (Minus, Transpose, Inverse, Times, Plus)):
+    if not isinstance(e, (Minus, Transpose, Inverse, Times, Plus, Equation)):
         raise BindingError(f"unsupported node {type(e).__name__}")
     (r, c), *rest = [_visit(x, spec, dsu, forced_keep) for x in e.children()]
     if isinstance(e, Transpose):
@@ -174,7 +166,7 @@ def _visit(
         if isinstance(e, Times):
             dsu.union(c, xr)
             c = xc
-        else:  # Plus
+        else:  # Plus, or an Equation, which ties its sides as a sum its terms
             dsu.union(r, xr)
             dsu.union(c, xc)
     return (r, c)
@@ -184,10 +176,7 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
     """Post-order traversal of the postcondition, returning merged groups."""
     dsu = _DSU()
     forced_keep: set[DimensionVar] = set()
-    lr, lc = _visit(spec.postcondition.lhs, spec, dsu, forced_keep)
-    rr, rc = _visit(spec.postcondition.rhs, spec, dsu, forced_keep)
-    dsu.union(lr, rr)
-    dsu.union(lc, rc)
+    _visit(spec.postcondition, spec, dsu, forced_keep)
     # ``add`` is the only insertion into the DSU, so its keys come in the
     # order the walk first met them: groups are ordered by their first
     # member, and each group lists that member first
@@ -209,10 +198,9 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
                 f"size symbol(s) {', '.join(symbolic)} forced to the fixed size 1"
             )
         canon = _declared_size(spec, members[0])
-        ok = all(_axis_partitionable(spec, v) for v in members) and not (
-            fs & forced_keep
-        )
-        partitionable.append(ok)
+        # size 1 marks the scalar axes and vector columns: matrix sizes and
+        # vector rows are identifiers, and a group never mixes 1 with one
+        partitionable.append(canon != "1" and not (fs & forced_keep))
         for v in members:
             var_group[v] = idx
             canonical[v] = canon
@@ -227,7 +215,7 @@ def analyze(spec: OperationSpec) -> BindingAnalysis:
 def enumerate_combinations(spec: OperationSpec) -> tuple[RuleCombination, ...]:
     """All viable rule combinations, ``2**g - 1`` of them.
 
-    Groups containing a scalar axis, a vector column axis, or an inverted
+    Groups of size 1 (scalar axes, vector columns) or of an inverted
     subtree are forced to keep, which reduces the effective ``g``.  A ``g``
     over :data:`MAX_PARTITIONABLE_GROUPS` raises :class:`BindingError`.
     """

@@ -45,11 +45,10 @@ from .expr import (
     minus,
     operand_names,
     plus,
-    serialize_equation,
+    serialize,
     times,
     to_canonical_equation,
     trans,
-    transpose_equation,
     inv,
 )
 from .opspec import OperandDecl, OperationSpec, Property
@@ -182,13 +181,6 @@ class QuadrantCells:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_sizes), len(self.col_sizes))
-
-    def cell(self, position: str) -> QuadrantEquation:
-        for row in self.cells:
-            for q in row:
-                if q.position == position:
-                    return q
-        raise KeyError(position)
 
     def all_cells(self) -> tuple[QuadrantEquation, ...]:
         return tuple(q for row in self.cells for q in row)
@@ -353,10 +345,10 @@ def detect_star(grid: BlockedEquationGrid) -> BlockedEquationGrid:
     (tl, tr), (bl, br) = grid.cells
     if tr.status != STATUS_UNSOLVED or bl.status != STATUS_UNSOLVED:
         return grid
-    names = [operand_names(q.equation.lhs) | operand_names(q.equation.rhs) for q in (tr, bl)]
-    if names[0] != names[1]:
+    if operand_names(tr.equation) != operand_names(bl.equation):
         return grid
-    if serialize_equation(transpose_equation(bl.equation)) != serialize_equation(tr.equation):
+    mirrored = Equation(trans(bl.equation.lhs), trans(bl.equation.rhs))
+    if serialize(mirrored) != serialize(tr.equation):
         return grid
     star = QuadrantEquation(tr.position, tr.equation, STATUS_STAR, partner=bl.position)
     return grid._replace(cells=((tl, star), (bl, br)))

@@ -47,7 +47,7 @@ from .engine import (
     PatternConflictError,
     StuckDerivation,
 )
-from .expr import operand_names, parse_prefix_equation, serialize_equation
+from .expr import operand_names, parse_prefix_equation, serialize
 from .opspec import (
     OperationSpec,
     SpecError,
@@ -186,7 +186,7 @@ def pme_to_json_dict(pme: PME) -> dict:
                 "position": q.position,
                 "status": q.status,
                 "partner": q.partner,
-                "equation": serialize_equation(q.equation),
+                "equation": serialize(q.equation),
             }
             for row in pme.cells
             for q in row
@@ -270,7 +270,7 @@ def _resolve_pme(
         )
     names = {n for b in blocks.values() for n in b.dims}
     for q in pme.all_cells():
-        for name in sorted(operand_names(q.equation.lhs) | operand_names(q.equation.rhs)):
+        for name in sorted(operand_names(q.equation)):
             if name not in names:
                 raise ValueError(
                     f"PME combination {combo.index}: cell {q.position} names {name}, "

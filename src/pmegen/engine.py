@@ -72,13 +72,12 @@ from .expr import (
     Zero,
     additive_terms,
     known_only,
-    normalize_equation,
+    normalize,
     operand_names,
     parse_prefix_equation,
     trans,
     rewrite_candidates,
     serialize,
-    serialize_equation,
     solved_by,
     to_canonical_equation,
     walk,
@@ -276,7 +275,7 @@ def _match_expr(tpl: Expression, sub: Expression, binds: dict[str, Expression]) 
     if isinstance(tpl, SolvedBy) and tpl.operator_name != sub.operator_name:
         return False
     # a failure leaves partial binds: _match_terms restores its own, and
-    # _match_equation_shape drops them
+    # match_equation drops them
     for t, s in zip(tpl_kids, sub_kids):
         if not _match_expr(t, s, binds):
             return False
@@ -301,17 +300,6 @@ def _match_terms(
         binds.clear()
         binds.update(snapshot)
     return False
-
-
-def _match_equation_shape(
-    template: Equation, subject: Equation
-) -> Optional[dict[str, Expression]]:
-    binds: dict[str, Expression] = {}
-    if _match_expr(template.lhs, subject.lhs, binds) and _match_expr(
-        template.rhs, subject.rhs, binds
-    ):
-        return binds
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -523,23 +511,23 @@ def match_equation(
     ``notes`` when given.  A template side whose root is neither a slot
     nor of the equation side's type cannot match, so it is not tried.
     """
-    lhs, rhs = type(eq.equation.lhs), type(eq.equation.rhs)
+    subject = eq.equation
+    lhs, rhs = type(subject.lhs), type(subject.rhs)
     for pattern in patterns:
         tpl = pattern.template
         if type(tpl.lhs) not in (OperandRef, lhs) or type(tpl.rhs) not in (OperandRef, rhs):
             continue
-        binds = _match_equation_shape(tpl, eq.equation)
-        if binds is None:
+        binds: dict[str, Expression] = {}
+        if not (
+            _match_expr(tpl.lhs, subject.lhs, binds) and _match_expr(tpl.rhs, subject.rhs, binds)
+        ):
             continue
         failure = _check_guards(pattern, binds, state)
         if failure is not None:
             if notes is not None:
                 notes.append(f"{eq.position}: pattern {pattern.name}: {failure}")
             continue
-        solved = Equation(
-            _substitute(pattern.solved.lhs, binds),
-            _substitute(pattern.solved.rhs, binds),
-        )
+        solved = _substitute(pattern.solved, binds)
         outputs = tuple(
             sorted(
                 binds[s.name].name  # type: ignore[union-attr]
@@ -551,7 +539,7 @@ def match_equation(
     return None
 
 
-def _substitute(e: Expression, binds: dict[str, Expression]) -> Expression:
+def _substitute(e: Expression | Equation, binds: dict[str, Expression]) -> Expression | Equation:
     if isinstance(e, OperandRef):
         return binds.get(e.name, e)
     return e.rebuild([_substitute(c, binds) for c in e.children()])
@@ -658,7 +646,7 @@ def _counter_model_refutes(
         for i, r in enumerate(rules)
         if isinstance(r.lhs, OperandRef) and r.lhs.name not in operand_names(r.rhs)
     ]
-    exprs = [start, *targets, *(side for r in rules for side in (r.lhs, r.rhs))]
+    exprs = [start, *targets, *rules]
     free = sorted(set().union(*map(operand_names, exprs)) - {x for _, x, _ in solved})
     p = _FIELD_PRIME
     for state in range(_MODEL_SEEDS):
@@ -863,7 +851,7 @@ def _derive_pme(
             if known_only(q.equation.lhs, state.known):
                 notes.append(
                     f"{q.position}: no unknowns left but sides differ "
-                    f"({serialize_equation(q.equation)})"
+                    f"({serialize(q.equation)})"
                 )
                 continue
             result = match_equation(q, patterns, state, notes)
@@ -1011,8 +999,8 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
             props = " ".join(sorted(q.value for q in s.properties))
             suffix = f" {props}" if props else ""
             lines.append(f"slot {s.name} {s.kind} {s.io_role} {dims}{suffix}")
-        lines.append(f"post {serialize_equation(p.template)}")
-        lines.append(f"solved {serialize_equation(p.solved)}")
+        lines.append(f"post {serialize(p.template)}")
+        lines.append(f"solved {serialize(p.solved)}")
         lines.append("end")
     text = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -1101,14 +1089,14 @@ def _close_record(
     except KeyError as exc:
         raise KnowledgeBaseError(f"record missing field {exc}") from exc
     assert isinstance(template, Equation) and isinstance(solved, Equation)
-    if normalize_equation(template) != template:
+    if normalize(template) != template:
         raise KnowledgeBaseError(f"pattern {name}: template is not normalized")
     if kb.get(name) is not None:
         raise KnowledgeBaseError(f"pattern {name} defined twice")
     slot_names = {s.name for s in slots}
     if len(slot_names) != len(slots):
         raise KnowledgeBaseError(f"pattern {name}: duplicate slot names")
-    used = operand_names(template.lhs) | operand_names(template.rhs)
+    used = operand_names(template)
     if not used <= slot_names:
         raise KnowledgeBaseError(f"pattern {name}: template uses undeclared slots")
     pattern = Pattern(
@@ -1116,7 +1104,7 @@ def _close_record(
         solution_operator=record.get("solve"),  # type: ignore[arg-type]
         slots=tuple(slots),
         template=template,
-        solved=normalize_equation(solved),
+        solved=normalize(solved),
         provenance=str(record.get("provenance", "learned-from:unknown")),
     )
     return kb.with_learned(pattern)

@@ -57,8 +57,8 @@ class StructuralError(ValueError):
     """A node was built with the wrong arity or a malformed child."""
 
 
-class Expression:
-    """Base class for expression nodes; all instances are immutable.
+class _Node:
+    """Base class of expression nodes and equations; all are immutable.
 
     Every node exposes its subexpressions through :meth:`children` and
     builds its normalized counterpart over new children through
@@ -73,9 +73,15 @@ class Expression:
     def children(self) -> tuple[Expression, ...]:
         return ()
 
-    def rebuild(self, children: Sequence[Expression]) -> Expression:
+    def rebuild(self, children: Sequence[Expression]) -> _Node:
         """The same node over ``children``, through the smart constructors."""
         return self
+
+
+class Expression(_Node):
+    """Base class for expression nodes, the only nodes that may be children."""
+
+    __slots__ = ()
 
 
 def _check_child(e: object) -> None:
@@ -211,13 +217,22 @@ class SolvedBy(Expression):
 
 
 @dataclass(frozen=True, slots=True)
-class Equation:
+class Equation(_Node):
+    """``lhs = rhs``; a node only at the root, never a child."""
+
+    head = "eq"
     lhs: Expression
     rhs: Expression
 
     def __post_init__(self) -> None:
         _check_child(self.lhs)
         _check_child(self.rhs)
+
+    def children(self) -> tuple[Expression, ...]:
+        return (self.lhs, self.rhs)
+
+    def rebuild(self, children: Sequence[Expression]) -> Equation:
+        return Equation(*children)
 
 
 class Dimension(NamedTuple):
@@ -235,7 +250,7 @@ def ref(name: str) -> OperandRef:
 # serialization
 
 
-def serialize(e: Expression) -> str:
+def serialize(e: _Node) -> str:
     """Parenthesized prefix form; unique on normalized expressions."""
     key = getattr(e, "_key", None)
     if key is not None:
@@ -251,15 +266,7 @@ def serialize(e: Expression) -> str:
     return key
 
 
-def serialize_equation(eq: Equation) -> str:
-    return f"(eq {serialize(eq.lhs)} {serialize(eq.rhs)})"
-
-
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-
-def _tokens(text: str) -> list[str]:
-    return _TOKEN.findall(text)
 
 
 _PREFIX_NODES = {cls.head: cls for cls in (Plus, Times, Minus, Transpose, Inverse, SolvedBy)}
@@ -305,7 +312,7 @@ def _read(toks: list[str], i: int, depth: int) -> tuple[Expression, int]:
 
 
 def parse_prefix_equation(text: str) -> Equation:
-    toks = _tokens(text)
+    toks = _TOKEN.findall(text)
     if len(toks) < 4 or toks[0] != "(" or toks[1] != "eq":
         raise StructuralError("expected '(eq lhs rhs)'")
     lhs, i = _read(toks, 2, 0)
@@ -414,16 +421,12 @@ def solved_by(operator_name: str, arguments: Sequence[Expression]) -> SolvedBy:
     return SolvedBy(operator_name, tuple(arguments))
 
 
-def normalize(e: Expression) -> Expression:
+def normalize(e: _Node) -> _Node:
     """Rewrite ``e`` bottom-up to the canonical form (idempotent)."""
     kids = e.children()
     if not kids:
         return e
     return e.rebuild([normalize(c) for c in kids])
-
-
-def normalize_equation(eq: Equation) -> Equation:
-    return Equation(normalize(eq.lhs), normalize(eq.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +442,7 @@ def walk(e: Expression) -> Iterator[Expression]:
         stack.extend(reversed(node.children()))
 
 
-def _leaf_names(e: Expression) -> Iterator[str]:
+def _leaf_names(e: _Node) -> Iterator[str]:
     """Names of the operand references in ``e``, repeats included."""
     stack = [e]
     while stack:
@@ -450,7 +453,7 @@ def _leaf_names(e: Expression) -> Iterator[str]:
             stack.extend(node.children())
 
 
-def operand_names(e: Expression) -> frozenset[str]:
+def operand_names(e: _Node) -> frozenset[str]:
     """All operand/block names referenced anywhere in ``e``."""
     return frozenset(_leaf_names(e))
 
@@ -508,14 +511,6 @@ def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equ
     elif len(new_l) == stayed == len(lhs_terms):
         return eq
     return Equation(plus(*new_l), plus(*new_r))
-
-
-def transpose_equation(eq: Equation) -> Equation:
-    """Transpose both sides (used for redundancy detection).
-
-    Both sides must already be normalized.
-    """
-    return Equation(trans(eq.lhs), trans(eq.rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .expr import (
     Zero,
     _leaf_names,
     minus,
-    normalize_equation,
+    normalize,
     plus,
     times,
     trans,
@@ -188,10 +188,10 @@ def build_spec(
 ) -> OperationSpec:
     """Validate and assemble a spec from already-built pieces."""
     decls = tuple(_validate_decl(d) for d in operands)
-    return _assemble(name, decls, normalize_equation(postcondition), solution_operator)
+    return _assemble(name, decls, normalize(postcondition), solution_operator)
 
 
-def _weight(e: Expression) -> int:
+def _weight(e: Expression | Equation) -> int:
     """A product's weight sums its factors'; another node's is its heaviest child's."""
     if isinstance(e, OperandRef):
         return 1
@@ -218,7 +218,7 @@ def _assemble(
         raise SpecValidationError("an operation needs at least one unknown operand")
     if not _IDENT.match(solution_operator):
         raise SpecValidationError(f"invalid solution operator {solution_operator!r}")
-    occurrences = [*_leaf_names(post.lhs), *_leaf_names(post.rhs)]
+    occurrences = list(_leaf_names(post))
     used = frozenset(occurrences)
     for n in sorted(used):
         if n not in seen:
@@ -227,7 +227,7 @@ def _assemble(
         if d.name not in used:
             raise SpecValidationError(f"operand {d.name} declared but unused")
     for what, size, bound in (
-        ("product weight", max(_weight(post.lhs), _weight(post.rhs)), MAX_WEIGHT),
+        ("product weight", _weight(post), MAX_WEIGHT),
         ("operand occurrences", len(occurrences), MAX_OCCURRENCES),
     ):
         if size > bound:

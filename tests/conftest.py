@@ -24,7 +24,6 @@ from pmegen.expr import (
     plus,
     ref,
     serialize,
-    serialize_equation,
     times,
     trans,
 )
@@ -375,7 +374,7 @@ def corpus_run() -> dict[str, list]:
             serialize(e),
             *(f"{f.property.value} {serialize(f.expression)}" for f in state.facts),
             "|",
-            *(serialize_equation(t) for t in state.tautologies),
+            *(serialize(t) for t in state.tautologies),
         )
         snapshot = replace(state, facts=list(state.facts), tautologies=list(state.tautologies))
         queries.setdefault(key, (e, snapshot))

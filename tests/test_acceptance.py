@@ -35,7 +35,7 @@ from pmegen.expr import (
     minus,
     plus,
     ref,
-    serialize_equation,
+    serialize,
     times,
     trans,
 )
@@ -97,16 +97,17 @@ def test_criterion_1_cholesky_end_to_end():
         assert len(combos) == 1
         pme = derive_pme(spec, combos[0], seed_builtins())
         elapsed = time.perf_counter() - start
-        assert serialize_equation(pme.cell("TL").equation) == (
+        cells = {q.position: q for q in pme.all_cells()}
+        assert serialize(cells["TL"].equation) == (
             "(eq L_TL (solved Gamma A_TL))"
         )
-        assert serialize_equation(pme.cell("BL").equation) == (
+        assert serialize(cells["BL"].equation) == (
             "(eq L_BL (times A_BL (trans (inv L_TL))))"
         )
-        assert serialize_equation(pme.cell("BR").equation) == (
+        assert serialize(cells["BR"].equation) == (
             "(eq L_BR (solved Gamma (plus (minus (times L_BL (trans L_BL))) A_BR)))"
         )
-        tr = pme.cell("TR")
+        tr = cells["TR"]
         assert tr.status == STATUS_STAR and tr.partner == "BL"
         assert elapsed < 1.0
 
@@ -142,10 +143,11 @@ def test_criterion_3_sylvester_pme():
         spec = load_op("sylvester")
         combos = enumerate_combinations(spec)
         pme = derive_pme(spec, combos[1], seed_builtins())
-        assert serialize_equation(pme.cell("T").equation) == (
+        cells = {q.position: q for q in pme.all_cells()}
+        assert serialize(cells["T"].equation) == (
             "(eq X_T (solved Omega L_TL U C_T))"
         )
-        assert serialize_equation(pme.cell("B").equation) == (
+        assert serialize(cells["B"].equation) == (
             "(eq X_B (solved Omega L_BR U (plus (minus (times L_BL X_T)) C_B)))"
         )
 
@@ -226,7 +228,7 @@ def test_criterion_7_spd_prover():
             plus(A_BR, minus(times(A_BL, inv(A_TL), trans(A_BL)))),
         ]
         for e in accepted:
-            assert prove_spd(e, state), serialize_equation(Equation(e, e))
+            assert prove_spd(e, state), serialize(Equation(e, e))
         empty = initial_state(spec, rules)
         empty.facts = []
         empty.tautologies = []

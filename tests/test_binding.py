@@ -18,8 +18,17 @@ from pmegen.binding import (
     analyze,
     enumerate_combinations,
 )
-from pmegen.expr import Equation, SolvedBy, ref
-from pmegen.opspec import KIND_SCALAR, KIND_VECTOR, OperationSpec, parse_operation
+from pmegen.expr import ZERO, Dimension, Equation, SolvedBy, ref
+from pmegen.opspec import (
+    KIND_MATRIX,
+    KIND_SCALAR,
+    KIND_VECTOR,
+    ROLE_UNKNOWN,
+    OperandDecl,
+    OperationSpec,
+    build_spec,
+    parse_operation,
+)
 
 from conftest import (
     OPS_DIR,
@@ -95,6 +104,13 @@ class TestBindDimensions:
         )
         with pytest.raises(BindingError):
             analyze(bad)
+
+    def test_zero_block_rejected(self):
+        decl = OperandDecl("X", KIND_MATRIX, Dimension("m", "m"), ROLE_UNKNOWN, frozenset())
+        spec = build_spec("z", [decl], Equation(ref("X"), ZERO), "S")
+        with pytest.raises(BindingError) as err:
+            enumerate_combinations(spec)
+        assert str(err.value) == "the zero block may not appear in postconditions"
 
     def test_dimension_conflict_with_fixed_size(self):
         spec = parse_operation(

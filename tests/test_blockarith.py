@@ -25,12 +25,9 @@ from pmegen.expr import (
     Equation,
     OperandRef,
     normalize,
-    normalize_equation,
     ref,
     serialize,
-    serialize_equation,
     trans,
-    transpose_equation,
 )
 from pmegen.opspec import (
     KIND_MATRIX,
@@ -96,13 +93,13 @@ class TestBlockedPostcondition:
         (rules,) = enumerate_combinations(cholesky_spec)
         grid = blocked_postcondition(cholesky_spec, rules)
         cells = grid_by_position(grid)
-        assert serialize_equation(cells["TL"].equation) == (
+        assert serialize(cells["TL"].equation) == (
             "(eq (times L_TL (trans L_TL)) A_TL)"
         )
-        assert serialize_equation(cells["BL"].equation) == (
+        assert serialize(cells["BL"].equation) == (
             "(eq (times L_BL (trans L_TL)) A_BL)"
         )
-        assert serialize_equation(cells["BR"].equation) == (
+        assert serialize(cells["BR"].equation) == (
             "(eq (plus (times L_BL (trans L_BL)) (times L_BR (trans L_BR))) A_BR)"
         )
         assert cells["TR"].status == STATUS_STAR
@@ -117,10 +114,10 @@ class TestBlockedPostcondition:
         grid = blocked_postcondition(sylvester_spec, combos[1])
         cells = grid_by_position(grid)
         assert set(cells) == {"T", "B"}
-        assert serialize_equation(cells["T"].equation) == (
+        assert serialize(cells["T"].equation) == (
             "(eq (plus (times L_TL X_T) (times X_T U)) C_T)"
         )
-        assert serialize_equation(cells["B"].equation) == (
+        assert serialize(cells["B"].equation) == (
             "(eq (plus (times L_BL X_T) (times L_BR X_B) (times X_B U)) C_B)"
         )
         assert all(q.status == STATUS_UNSOLVED for q in cells.values())
@@ -131,10 +128,10 @@ class TestBlockedPostcondition:
         grid = blocked_postcondition(sylvester_spec, combos[0])
         cells = grid_by_position(grid)
         assert set(cells) == {"L", "R"}
-        assert serialize_equation(cells["L"].equation) == (
+        assert serialize(cells["L"].equation) == (
             "(eq (plus (times L X_L) (times X_L U_TL)) C_L)"
         )
-        assert serialize_equation(cells["R"].equation) == (
+        assert serialize(cells["R"].equation) == (
             "(eq (plus (times L X_R) (times X_L U_TR) (times X_R U_BR)) C_R)"
         )
 
@@ -154,7 +151,7 @@ class TestBlockedPostcondition:
         assert cells["BL"].status == STATUS_SOLVED
         assert cells["TL"].status == STATUS_UNSOLVED
         # canonical form already isolates the unknown block
-        assert serialize_equation(cells["TL"].equation) == (
+        assert serialize(cells["TL"].equation) == (
             "(eq X_TL (plus (minus D_TL) A_TL))"
         )
 
@@ -163,7 +160,7 @@ class TestDetectStar:
     def test_cholesky_upper_cell_yields(self, cholesky_spec):
         (rules,) = enumerate_combinations(cholesky_spec)
         grid = blocked_postcondition(cholesky_spec, rules)
-        tr = grid.cell("TR")
+        tr = grid_by_position(grid)["TR"]
         assert tr.status == STATUS_STAR and tr.partner == "BL"
         # marking again changes nothing
         again = detect_star(grid)
@@ -192,10 +189,11 @@ class TestDetectStar:
     def test_star_keeps_information(self, cholesky_spec):
         (rules,) = enumerate_combinations(cholesky_spec)
         grid = blocked_postcondition(cholesky_spec, rules)
-        tr = grid.cell("TR")
-        bl = grid.cell(tr.partner)
-        mirrored = transpose_equation(bl.equation)
-        assert serialize_equation(mirrored) == serialize_equation(tr.equation)
+        cells = grid_by_position(grid)
+        tr = cells["TR"]
+        bl = cells[tr.partner]
+        mirrored = Equation(trans(bl.equation.lhs), trans(bl.equation.rhs))
+        assert serialize(mirrored) == serialize(tr.equation)
 
 
 class TestNumericFaithfulness:
@@ -244,7 +242,7 @@ class TestInverse:
             "X": PartitionRule("X", split_cols="k2"),
         }
         grid = distribute(spec, rules)
-        assert [serialize_equation(q.equation) for q in grid.all_cells()] == [
+        assert [serialize(q.equation) for q in grid.all_cells()] == [
             "(eq X_L (times (inv A) B_L))",
             "(eq X_R (times (inv A) B_R))",
         ]
@@ -268,7 +266,7 @@ def test_grid_sides_are_normal(corpus_run):
     for grid in raw + blocked:
         for q in grid.all_cells():
             for side in (q.equation.lhs, q.equation.rhs):
-                assert normalize(side) == side, serialize_equation(q.equation)
+                assert normalize(side) == side, serialize(q.equation)
 
 
 def with_cell(grid, q):
@@ -289,10 +287,10 @@ def reference_star(grid):
         for bi_i, bi_j, b in flat[ai + 1 :]:
             if b.status != STATUS_UNSOLVED or b.position in starred:
                 continue
-            eq = normalize_equation(b.equation)
+            eq = normalize(b.equation)
             mirrored = Equation(trans(eq.lhs), trans(eq.rhs))
-            if serialize_equation(mirrored) != serialize_equation(
-                normalize_equation(a.equation)
+            if serialize(mirrored) != serialize(
+                normalize(a.equation)
             ):
                 continue
             star, keep = (a, b) if j > i and not bi_j > bi_i else (b, a)

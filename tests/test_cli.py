@@ -75,6 +75,12 @@ PREFIX_ERRORS = [
     ("(eq X (trans A", "missing ')' in prefix form"),
     ("(eq X (trans A B))", "trans takes exactly one argument"),
     ("(eq X A B)", "malformed '(eq ...)' form"),
+    ("(eq X (plus (plus A B) C))", "Plus may not contain a direct Plus child"),
+    ("(eq X (times (times A B) C))", "Times may not contain a direct Times child"),
+    ("(eq X (solved 9F A))", "invalid operator name: '9F'"),
+    ("(eq X (solved F))", "SolvedBy needs at least one argument"),
+    # only the root may be an equation
+    ("(eq X (eq A B))", "unknown prefix head: 'eq'"),
 ]
 
 
@@ -254,6 +260,16 @@ class TestDerive:
         assert r"L_{TL}^{-T}" in out
         assert r"\star" in out
         assert r"\begin{array}" in out
+
+    def test_latex_of_unpartitioned_operand(self, capsys):
+        # combination 2 keeps L whole, so its plain name is printed
+        code, out, _ = run_main(["derive", TRSM_OP, "--format", "latex"], capsys)
+        assert code == EXIT_OK
+        rows = out.split("PME (combination 2):\n")[1].split("\n\n")[0].splitlines()
+        assert rows[1:3] == [
+            r"X_{T} = \mathrm{Trsm}(L, B_{T}) \\ \hline",
+            r"X_{B} = \mathrm{Trsm}(L, B_{B})",
+        ]
 
     def test_multiple_unknowns_exit_without_traceback(self, tmp_path):
         op = tmp_path / "lu.op"
@@ -595,6 +611,16 @@ class TestCheck:
         pme_file = tmp_path / "edited.json"
         pme_file.write_text(json.dumps(doc))
         return str(pme_file)
+
+    def test_cell_not_assigning_a_block_rejected(self, tmp_path, capsys):
+        code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
+        doc = json.loads(out)
+        cell = next(c for c in doc["pmes"][0]["cells"] if c["position"] == "TL")
+        cell["equation"] = "(eq (trans L_TL) (solved Gamma A_TL))"
+        pme_file = tmp_path / "edited.json"
+        pme_file.write_text(json.dumps(doc))
+        code, out, err = run_main(["check", CHOLESKY_OP, str(pme_file)], capsys)
+        assert (code, err) == (EXIT_CHECK_FAILED, "error: cell TL does not assign a single block\n")
 
     @pytest.mark.parametrize("trials", ["2", "0"])
     def test_cell_naming_no_block_rejected(self, trials, tmp_path, capsys):
@@ -1045,17 +1071,35 @@ class TestImports:
         paths = sources + sorted(bench.glob("*.py"))
         trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
-        def names(tree):
-            for n in ast.walk(tree):
-                if isinstance(n, ast.Name):
-                    yield n.id
-                elif isinstance(n, ast.Attribute):
-                    yield n.attr
-                elif isinstance(n, ast.alias):
-                    yield n.name.split(".")[-1]
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+        def local_names(fn):
+            # parameters, and every name the body assigns: assignment, loop,
+            # ``with`` and comprehension targets, and ``except ... as`` names
+            found = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    found.add(n.id)
+                elif isinstance(n, ast.ExceptHandler) and n.name:
+                    found.add(n.name)
+            return found
+
+        def names(node, bound=frozenset()):
+            # a bare name counts only where no enclosing function binds it,
+            # so a local variable does not look like a call of a method
+            if isinstance(node, functions):
+                bound = bound | local_names(node)
+            if isinstance(node, ast.Name):
+                if node.id not in bound:
+                    yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.split(".")[-1]
+            for child in ast.iter_child_nodes(node):
+                yield from names(child, bound)
 
         referenced = Counter(name for tree in trees.values() for name in names(tree))
-        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
         uncalled = []
         for path in sources:
             for node in trees[path].body:

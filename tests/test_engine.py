@@ -44,12 +44,10 @@ from pmegen.expr import (
     inv,
     minus,
     normalize,
-    normalize_equation,
     plus,
     ref,
     rewrite_candidates,
     serialize,
-    serialize_equation,
     solved_by,
     times,
     trans,
@@ -308,8 +306,8 @@ class TestBuiltins:
                     )
                     for s in p.slots
                 ],
-                serialize_equation(p.template),
-                serialize_equation(p.solved),
+                serialize(p.template),
+                serialize(p.solved),
             )
             for p in builtins
         ] == PINNED_BUILTINS
@@ -391,7 +389,9 @@ class TestMatchEquation:
         P, B, Q = ref("P"), ref("B"), ref("Q")
         eq = Equation(plus(times(P, B), times(B, Q)), C)
         assert serialize(eq.lhs) == "(plus (times B Q) (times P B))"
-        binds = engine._match_equation_shape(template, eq)
+        binds = {}
+        assert engine._match_expr(template.lhs, eq.lhs, binds)
+        assert engine._match_expr(template.rhs, eq.rhs, binds)
         assert binds == {"L": P, "X": B, "U": Q, "C": C}
 
     def test_learned_pattern_matches_embedded_equation(self, sylvester_spec):
@@ -504,8 +504,14 @@ def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
     types of its template sides fit the cell's.  Over every cell of every
     corpus state, each builtin and the spec's own pattern that it skips is
     one whose shape does not match."""
-    real_shape, tried = engine._match_equation_shape, []
-    monkeypatch.setattr(engine, "_match_equation_shape", lambda tpl, eq: tried.append(tpl))
+    tried = []
+
+    def real_shape(template, eq):
+        binds = {}
+        return engine._match_expr(template.lhs, eq.lhs, binds) and engine._match_expr(
+            template.rhs, eq.rhs, binds
+        )
+
     builtins = seed_builtins().builtins
     self_patterns = {}
     skipped = matched = 0
@@ -515,13 +521,16 @@ def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
         patterns = [self_patterns[id(spec)], *builtins]
         for q in state.grid.all_cells():
             tried.clear()
-            assert match_equation(q, patterns, state) is None
+            # the first side's match records the template side it was given
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_match_expr", lambda tpl, sub, binds: tried.append(tpl))
+                assert match_equation(q, patterns, state) is None
             for p in patterns:
-                if any(t is p.template for t in tried):
-                    matched += real_shape(p.template, q.equation) is not None
+                if any(t is p.template.lhs for t in tried):
+                    matched += real_shape(p.template, q.equation)
                 else:
                     skipped += 1
-                    assert real_shape(p.template, q.equation) is None, (p.name, q)
+                    assert not real_shape(p.template, q.equation), (p.name, q)
     assert skipped > 40000 and matched > 10000
 
 
@@ -644,7 +653,7 @@ class TestProveSpd:
         expanded: dict[tuple[str, ...], tuple[Expression, list[Equation]]] = {}
 
         def recorded(e, rules):
-            key = (serialize(e), *(serialize_equation(r) for r in rules))
+            key = (serialize(e), *(serialize(r) for r in rules))
             expanded.setdefault(key, (e, list(rules)))
             return rewrite_candidates(e, rules)
 
@@ -891,26 +900,29 @@ class TestDerivePme:
     def test_cholesky_bootstraps_from_builtins_only(self, cholesky_spec):
         (rules,) = enumerate_combinations(cholesky_spec)
         pme = derive_pme(cholesky_spec, rules, seed_builtins())
+        cells = {q.position: q for q in pme.all_cells()}
         for pos, expected in EXPECTED_CHOLESKY.items():
-            cell = pme.cell(pos)
+            cell = cells[pos]
             assert cell.status == STATUS_SOLVED
-            assert serialize_equation(cell.equation) == expected
-        tr = pme.cell("TR")
+            assert serialize(cell.equation) == expected
+        tr = cells["TR"]
         assert tr.status == STATUS_STAR and tr.partner == "BL"
         assert pme.order == ("TL", "BL", "BR")
 
     def test_sylvester_row_split(self, sylvester_spec):
         combos = enumerate_combinations(sylvester_spec)
         pme = derive_pme(sylvester_spec, combos[1], seed_builtins())
+        cells = {q.position: q for q in pme.all_cells()}
         for pos, expected in EXPECTED_SYLVESTER_ROW.items():
-            assert serialize_equation(pme.cell(pos).equation) == expected
+            assert serialize(cells[pos].equation) == expected
         assert pme.order == ("T", "B")
 
     def test_sylvester_column_split(self, sylvester_spec):
         combos = enumerate_combinations(sylvester_spec)
         pme = derive_pme(sylvester_spec, combos[0], seed_builtins())
+        cells = {q.position: q for q in pme.all_cells()}
         for pos, expected in EXPECTED_SYLVESTER_COL.items():
-            assert serialize_equation(pme.cell(pos).equation) == expected
+            assert serialize(cells[pos].equation) == expected
 
     def test_trace_is_monotone(self, sylvester_spec):
         combos = enumerate_combinations(sylvester_spec)
@@ -938,10 +950,11 @@ class TestDerivePme:
         kb = learn(trsm_spec, kb)
         (rules,) = enumerate_combinations(cholesky_spec)
         pme = derive_pme(cholesky_spec, rules, kb)
-        assert serialize_equation(pme.cell("BL").equation) == (
+        cells = {q.position: q for q in pme.all_cells()}
+        assert serialize(cells["BL"].equation) == (
             "(eq L_BL (solved Trsm L_TL A_BL))"
         )
-        assert pme.cell("BR").status == STATUS_SOLVED
+        assert cells["BR"].status == STATUS_SOLVED
 
     def test_nested_acquisition_from_ops_dir(self, cholesky_spec, tmp_path):
         ops_dir = tmp_path / "ops"
@@ -952,7 +965,8 @@ class TestDerivePme:
         kb = seed_builtins().without_builtins(["trsm"])
         (rules,) = enumerate_combinations(cholesky_spec)
         pme = derive_pme(cholesky_spec, rules, kb, ops_dir=str(ops_dir))
-        assert serialize_equation(pme.cell("BL").equation) == (
+        cells = {q.position: q for q in pme.all_cells()}
+        assert serialize(cells["BL"].equation) == (
             "(eq L_BL (solved Trsm L_TL A_BL))"
         )
 
@@ -1043,12 +1057,13 @@ class TestDeriveAll:
         pmes = derive_all(spec, seed_builtins())
         assert len(pmes) == 1
         pme = pmes[0]
+        cells = {q.position: q for q in pme.all_cells()}
         # the operation's own pattern is registered first, so the diagonal
         # sub-systems come back through its solution operator
-        assert serialize_equation(pme.cell("T").equation) == (
+        assert serialize(cells["T"].equation) == (
             "(eq x_T (solved Solve L_TL b_T))"
         )
-        assert serialize_equation(pme.cell("B").equation) == (
+        assert serialize(cells["B"].equation) == (
             "(eq x_B (solved Solve L_BR (plus (minus (times L_BL x_T)) b_B)))"
         )
 
@@ -1060,8 +1075,9 @@ class TestDeriveAll:
         for pme in derive_all(spec, seed_builtins()):
             state = initial_state(spec, pme.combination)
             known = set(state.known)
+            cells = {q.position: q for q in pme.all_cells()}
             for pos in pme.order:
-                cell = pme.cell(pos)
+                cell = cells[pos]
                 assert known_only(cell.equation.rhs, known)
                 known |= operand_names(cell.equation.lhs)
 
@@ -1074,15 +1090,15 @@ class TestDeriveAll:
     def test_trsm_variants(self, trsm_spec):
         pmes = derive_all(trsm_spec, seed_builtins())
         by_index = {p.combination.index: p for p in pmes}
-        rows = by_index[2]
-        assert serialize_equation(rows.cell("T").equation) == (
+        rows = {q.position: q for q in by_index[2].all_cells()}
+        assert serialize(rows["T"].equation) == (
             "(eq X_T (solved Trsm L B_T))"
         )
-        assert serialize_equation(rows.cell("B").equation) == (
+        assert serialize(rows["B"].equation) == (
             "(eq X_B (solved Trsm L B_B))"
         )
-        cols = by_index[1]
-        assert serialize_equation(cols.cell("R").equation) == (
+        cols = {q.position: q for q in by_index[1].all_cells()}
+        assert serialize(cols["R"].equation) == (
             "(eq X_R (solved Trsm L_BR (plus (minus (times X_L (trans L_BL))) B_R)))"
         )
 
@@ -1179,7 +1195,7 @@ class TestDeriveAll:
         assert solved_cells > 800 and len(tautologies) > 1500
         assert sum(f.property is Property.SPD for f in facts) > 1000
         for eq in equations:
-            assert normalize_equation(eq) == eq, serialize_equation(eq)
+            assert normalize(eq) == eq, serialize(eq)
         for f in facts:
             assert normalize(f.expression) == f.expression, serialize(f.expression)
 
@@ -1234,7 +1250,7 @@ class TestDeriveAll:
                     lines = [
                         f"stuck {r.combination.index}",
                         *r.notes,
-                        *(f"{q.position} {serialize_equation(q.equation)}" for q in r.unsolved),
+                        *(f"{q.position} {serialize(q.equation)}" for q in r.unsolved),
                     ]
                 else:
                     lines = render_pme_text(r)
@@ -1319,6 +1335,13 @@ class TestKnowledgeBaseFile:
         with pytest.raises(OSError, match="No space left"):
             save_kb(learn(cholesky_spec, seed_builtins()), str(tmp_path / "patterns.kb"))
         assert os.listdir(tmp_path) == []
+
+    def test_write_into_missing_directory_names_kb_path(self, cholesky_spec, tmp_path):
+        # the error names the KB file, not the temporary file beside it
+        path = str(tmp_path / "missing" / "patterns.kb")
+        with pytest.raises(OSError) as err:
+            save_kb(learn(cholesky_spec, seed_builtins()), path)
+        assert err.value.filename == path
 
     def test_load_missing_is_builtins(self, tmp_path):
         kb = load_kb(str(tmp_path / "absent.kb"))
@@ -1407,7 +1430,7 @@ def test_records_stay_immutable(cholesky_spec):
     (pme,) = derive_all(cholesky_spec, seed_builtins())
     records = [
         (dict(pme.combination.rules)["L"], "split_rows"),
-        (pme.cell("TL"), "status"),
+        ({q.position: q for q in pme.all_cells()}["TL"], "status"),
         (seed_builtins().builtins[0], "template"),
         (cholesky_spec.operands[0], "properties"),
         (pme, "order"),

@@ -36,7 +36,6 @@ from pmegen.expr import (
     ref,
     rewrite_candidates,
     serialize,
-    serialize_equation,
     solved_by,
     times,
     to_canonical_equation,
@@ -250,7 +249,7 @@ def test_dataclass_fields_are_children_on_corpus(corpus_run):
 
 def test_serialization_golden():
     eq = Equation(times(ref("L"), trans(ref("L"))), ref("A"))
-    assert serialize_equation(eq) == "(eq (times L (trans L)) A)"
+    assert serialize(eq) == "(eq (times L (trans L)) A)"
     assert serialize(plus(A, minus(times(B, C)))) == "(plus (minus (times B C)) A)"
     assert parse_prefix_equation("(eq (times L (trans L)) A)") == eq
 
@@ -262,7 +261,7 @@ def test_prefix_nesting_bound(side):
         return f"(eq {deep} X)" if side == "lhs" else f"(eq X {deep})"
 
     eq = parse_prefix_equation(nested(4 * MAX_DEPTH))
-    assert serialize_equation(eq) == nested(4 * MAX_DEPTH)
+    assert serialize(eq) == nested(4 * MAX_DEPTH)
     for levels in (4 * MAX_DEPTH + 1, 3000):
         with pytest.raises(StructuralError, match="^prefix form nested deeper than 256 levels$"):
             parse_prefix_equation(nested(levels))
@@ -335,7 +334,7 @@ class TestCanonicalEquation:
                 eq = q.equation
                 for known in stages:
                     out = to_canonical_equation(eq, known)
-                    assert out == _rebuilt_canonical(eq, known), serialize_equation(eq)
+                    assert out == _rebuilt_canonical(eq, known), serialize(eq)
                     assert known_only(out.lhs, known) == _tautology_candidate(out, known)
                     calls += 1
                     unchanged += out is eq

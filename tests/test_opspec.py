@@ -14,22 +14,24 @@ from pmegen.expr import (
     Minus,
     OperandRef,
     Plus,
+    SolvedBy,
     Times,
     Transpose,
     Zero,
     normalize,
     minus,
-    normalize_equation,
     operand_names,
     plus,
     ref,
-    serialize_equation,
+    serialize,
     times,
     trans,
     walk,
 )
 from pmegen.opspec import (
     KIND_MATRIX,
+    KIND_SCALAR,
+    KIND_VECTOR,
     MAX_OCCURRENCES,
     MAX_WEIGHT,
     OperandDecl,
@@ -60,7 +62,7 @@ class TestParse:
         assert A.properties == frozenset({Property.SPD, Property.SYMMETRIC})
         assert A.dims == Dimension("m", "m")
         assert (
-            serialize_equation(cholesky_spec.postcondition)
+            serialize(cholesky_spec.postcondition)
             == "(eq (times L (trans L)) A)"
         )
         assert cholesky_spec.solution_operator == "Gamma"
@@ -73,7 +75,7 @@ class TestParse:
         )
         assert sylvester_spec.operand("X").is_output
         assert (
-            serialize_equation(sylvester_spec.postcondition)
+            serialize(sylvester_spec.postcondition)
             == "(eq (plus (times L X) (times X U)) C)"
         )
         assert sylvester_spec.solution_operator == "Omega"
@@ -81,7 +83,7 @@ class TestParse:
     def test_trsm(self, trsm_spec):
         assert trsm_spec.operand("X").is_output
         assert (
-            serialize_equation(trsm_spec.postcondition)
+            serialize(trsm_spec.postcondition)
             == "(eq (times X (trans L)) B)"
         )
         assert trsm_spec.solution_operator == "Trsm"
@@ -535,7 +537,7 @@ def test_parsed_postcondition_is_normal(e1, e2, normal_first):
         f"  operand {n} : matrix(m,m) , {'unknown' if n == 'X' else 'known'}\n" for n in names
     ) + f"  postcondition: {text}\n  solve: S\n"
     parsed = parse_operation(spec_text).postcondition
-    assert serialize_equation(normalize_equation(parsed)) == serialize_equation(parsed)
+    assert serialize(normalize(parsed)) == serialize(parsed)
 
 
 class TestSizeBounds:
@@ -577,3 +579,38 @@ class TestSizeBounds:
         assert str(err.value) == (
             "line 5, column 1: postcondition too large: product weight 13, at most 12"
         )
+
+
+class TestBuildSpecGuards:
+    """What ``build_spec`` rejects that the parser never builds."""
+
+    def _decl(self, name, kind, rows, cols, role=ROLE_KNOWN):
+        return OperandDecl(name, kind, Dimension(rows, cols), role, frozenset())
+
+    def test_vector_with_two_columns(self):
+        decls = [
+            self._decl("x", KIND_VECTOR, "m", "n", ROLE_UNKNOWN),
+            self._decl("b", KIND_VECTOR, "m", "1"),
+        ]
+        with pytest.raises(SpecValidationError) as err:
+            build_spec("v", decls, Equation(ref("x"), ref("b")), "S")
+        assert str(err.value) == "operand x: vectors have a single column"
+
+    def test_scalar_of_m_rows(self):
+        decls = [
+            self._decl("a", KIND_SCALAR, "m", "1"),
+            self._decl("x", KIND_MATRIX, "m", "m", ROLE_UNKNOWN),
+        ]
+        with pytest.raises(SpecValidationError) as err:
+            build_spec("s", decls, Equation(ref("x"), ref("a")), "S")
+        assert str(err.value) == "operand a: scalars are 1 x 1"
+
+    def test_solution_operator_in_postcondition(self):
+        decls = [
+            self._decl("A", KIND_MATRIX, "m", "m"),
+            self._decl("X", KIND_MATRIX, "m", "m", ROLE_UNKNOWN),
+        ]
+        post = Equation(ref("X"), SolvedBy("F", (ref("A"),)))
+        with pytest.raises(SpecValidationError) as err:
+            build_spec("f", decls, post, "S")
+        assert str(err.value) == "postconditions may not contain solution operators"

@@ -386,7 +386,7 @@ class TestCheckPme:
     def test_corrupted_pme_caught(self, cholesky_spec):
         (pme,) = derive_all(cholesky_spec, seed_builtins())
         # drop the subtraction of the solved block's contribution
-        broken_cell = pme.cell("BR")
+        broken_cell = {q.position: q for q in pme.all_cells()}["BR"]
         bad_eq = Equation(
             broken_cell.equation.lhs, solved_by("Gamma", [ref("A_BR")])
         )
