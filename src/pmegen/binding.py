@@ -34,10 +34,7 @@ from .expr import (
     Equation,
     Expression,
     Inverse,
-    Minus,
     OperandRef,
-    Plus,
-    SolvedBy,
     Times,
     Transpose,
     Zero,
@@ -148,12 +145,8 @@ def _visit(
         if spec.operand(e.name).is_structured:
             dsu.union(r, c)
         return (r, c)
-    if isinstance(e, SolvedBy):
-        raise BindingError("solution operators may not appear in postconditions")
     if isinstance(e, Zero):
         raise BindingError("the zero block may not appear in postconditions")
-    if not isinstance(e, (Minus, Transpose, Inverse, Times, Plus, Equation)):
-        raise BindingError(f"unsupported node {type(e).__name__}")
     (r, c), *rest = [_visit(x, spec, dsu, forced_keep) for x in e.children()]
     if isinstance(e, Transpose):
         return (c, r)

@@ -34,6 +34,7 @@ from .binding import (
 from .blockarith import (
     STATUS_SOLVED,
     STATUS_STAR,
+    STATUS_UNSOLVED,
     BlockedOperand,
     QuadrantEquation,
     operand_blockings,
@@ -218,15 +219,16 @@ def pme_from_json_dict(doc: dict) -> PME:
     row_sizes = tuple(doc["row_sizes"])
     col_sizes = tuple(doc["col_sizes"])
     names = position_names(len(row_sizes), len(col_sizes))
-    by_pos = {
-        c["position"]: QuadrantEquation(
+    by_pos = {}
+    for c in doc["cells"]:
+        if c["status"] not in (STATUS_UNSOLVED, STATUS_SOLVED, STATUS_STAR):
+            raise ValueError(f"unknown cell status {c['status']!r}")
+        by_pos[c["position"]] = QuadrantEquation(
             position=c["position"],
             equation=parse_prefix_equation(c["equation"]),
             status=c["status"],
             partner=c["partner"],
         )
-        for c in doc["cells"]
-    }
     cells = tuple(
         tuple(by_pos[names[i][j]] for j in range(len(col_sizes)))
         for i in range(len(row_sizes))

@@ -59,6 +59,8 @@ from .blockarith import (
     operand_blockings,
 )
 from .expr import (
+    _IDENT,
+    _RESERVED,
     Dimension,
     Equation,
     Expression,
@@ -147,6 +149,8 @@ def pattern_from_spec(spec: OperationSpec, provenance: str) -> Pattern:
         raise PatternConflictError(
             f"operation {spec.name}: patterns need exactly one unknown operand"
         )
+    if not spec.inputs():
+        raise PatternConflictError(f"operation {spec.name}: patterns need a known operand")
     solved = Equation(
         OperandRef(outputs[0].name),
         solved_by(spec.solution_operator, [OperandRef(d.name) for d in spec.inputs()]),
@@ -1049,12 +1053,16 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
             elif head == "provenance":
                 record["provenance"] = fields[1]
             elif head == "solve":
+                if fields[1] != "-" and not _IDENT.match(fields[1]):
+                    raise KnowledgeBaseError(f"invalid solution operator {fields[1]!r}")
                 record["solve"] = None if fields[1] == "-" else fields[1]
             elif head == "slot":
                 if len(fields) < 6:
                     raise KnowledgeBaseError(
                         "slot records need name, kind, role, rows and cols"
                     )
+                if not _IDENT.match(fields[1]) or fields[1] in _RESERVED:
+                    raise KnowledgeBaseError(f"invalid slot name {fields[1]!r}")
                 if fields[2] not in (KIND_MATRIX, KIND_VECTOR, KIND_SCALAR):
                     raise KnowledgeBaseError(f"unknown slot kind {fields[2]!r}")
                 if fields[3] not in (ROLE_KNOWN, ROLE_UNKNOWN):
@@ -1088,7 +1096,6 @@ def _close_record(
         solved = record["solved"]
     except KeyError as exc:
         raise KnowledgeBaseError(f"record missing field {exc}") from exc
-    assert isinstance(template, Equation) and isinstance(solved, Equation)
     if normalize(template) != template:
         raise KnowledgeBaseError(f"pattern {name}: template is not normalized")
     if kb.get(name) is not None:

@@ -24,6 +24,9 @@ The smart constructors are the normalizer: a tree built from normal trees
 through them is normal.  So :func:`normalize` runs only where trees come
 in from outside, on the postcondition in ``opspec.build_spec`` and on a
 stored pattern's template and solved form in ``engine._close_record``.
+Nodes check nothing when built: the prefix reader and the ``.op`` parser
+check names, arity and flatness where text enters, and the smart
+constructors keep them; only an :class:`Equation` checks its sides.
 
 A grouped inverse such as ``inv(L * trans(L))`` is deliberately left
 alone by :func:`normalize`; expanding or contracting product inverses is
@@ -54,7 +57,7 @@ _PREFIX_DEPTH = 4 * MAX_DEPTH
 
 
 class StructuralError(ValueError):
-    """A node was built with the wrong arity or a malformed child."""
+    """A prefix form or an equation is malformed: wrong arity, name or child."""
 
 
 class _Node:
@@ -84,20 +87,11 @@ class Expression(_Node):
     __slots__ = ()
 
 
-def _check_child(e: object) -> None:
-    if not isinstance(e, Expression):
-        raise StructuralError(f"expected an Expression, got {type(e).__name__}")
-
-
 @dataclass(frozen=True, slots=True)
 class OperandRef(Expression):
     """Reference to a named operand or block (``A``, ``L_TL``)."""
 
     name: str
-
-    def __post_init__(self) -> None:
-        if not _IDENT.match(self.name) or self.name in _RESERVED:
-            raise StructuralError(f"invalid operand name: {self.name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,14 +109,6 @@ class Plus(Expression):
     head = "plus"
     terms: tuple[Expression, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.terms) < 2:
-            raise StructuralError("Plus needs at least two terms")
-        for t in self.terms:
-            _check_child(t)
-            if isinstance(t, Plus):
-                raise StructuralError("Plus may not contain a direct Plus child")
-
     def children(self) -> tuple[Expression, ...]:
         return self.terms
 
@@ -137,14 +123,6 @@ class Times(Expression):
     head = "times"
     factors: tuple[Expression, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.factors) < 2:
-            raise StructuralError("Times needs at least two factors")
-        for f in self.factors:
-            _check_child(f)
-            if isinstance(f, Times):
-                raise StructuralError("Times may not contain a direct Times child")
-
     def children(self) -> tuple[Expression, ...]:
         return self.factors
 
@@ -157,9 +135,6 @@ class _Unary(Expression):
     """Shape shared by the one-operand nodes."""
 
     operand: Expression
-
-    def __post_init__(self) -> None:
-        _check_child(self.operand)
 
     def children(self) -> tuple[Expression, ...]:
         return (self.operand,)
@@ -201,14 +176,6 @@ class SolvedBy(Expression):
     operator_name: str
     arguments: tuple[Expression, ...]
 
-    def __post_init__(self) -> None:
-        if not _IDENT.match(self.operator_name):
-            raise StructuralError(f"invalid operator name: {self.operator_name!r}")
-        if not self.arguments:
-            raise StructuralError("SolvedBy needs at least one argument")
-        for a in self.arguments:
-            _check_child(a)
-
     def children(self) -> tuple[Expression, ...]:
         return self.arguments
 
@@ -225,8 +192,9 @@ class Equation(_Node):
     rhs: Expression
 
     def __post_init__(self) -> None:
-        _check_child(self.lhs)
-        _check_child(self.rhs)
+        for side in (self.lhs, self.rhs):
+            if not isinstance(side, Expression):
+                raise StructuralError(f"expected an Expression, got {type(side).__name__}")
 
     def children(self) -> tuple[Expression, ...]:
         return (self.lhs, self.rhs)
@@ -282,6 +250,8 @@ def _read(toks: list[str], i: int, depth: int) -> tuple[Expression, int]:
     if t != "(":
         if t == "0":
             return ZERO, i + 1
+        if not _IDENT.match(t) or t in _RESERVED:
+            raise StructuralError(f"invalid operand name: {t!r}")
         return OperandRef(t), i + 1
     if depth == _PREFIX_DEPTH:
         raise StructuralError(f"prefix form nested deeper than {_PREFIX_DEPTH} levels")
@@ -303,11 +273,20 @@ def _read(toks: list[str], i: int, depth: int) -> tuple[Expression, int]:
         raise StructuralError("missing ')' in prefix form")
     i += 1
     if cls is SolvedBy:
+        if not _IDENT.match(op_name):
+            raise StructuralError(f"invalid operator name: {op_name!r}")
+        if not args:
+            raise StructuralError("SolvedBy needs at least one argument")
         return SolvedBy(op_name, tuple(args)), i
     if issubclass(cls, _Unary):
         if len(args) != 1:
             raise StructuralError(f"{head} takes exactly one argument")
         return cls(args[0]), i
+    name, items = cls.__name__, "terms" if cls is Plus else "factors"
+    if len(args) < 2:
+        raise StructuralError(f"{name} needs at least two {items}")
+    if any(isinstance(a, cls) for a in args):
+        raise StructuralError(f"{name} may not contain a direct {name} child")
     return cls(tuple(args)), i
 
 

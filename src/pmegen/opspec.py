@@ -526,8 +526,6 @@ def equation_to_text(eq: Equation) -> str:
 
 def render_spec(spec: OperationSpec) -> str:
     """Emit DSL text; parsing it back yields an equal spec."""
-    if not spec.operands:
-        raise SpecValidationError("refusing to render a spec without operands")
     lines = [f"operation {spec.name}"]
     for d in spec.operands:
         if d.kind == KIND_MATRIX:

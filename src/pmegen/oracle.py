@@ -260,9 +260,7 @@ def _compile(
             return solver(*[child(values, sizes) for child in children])
 
     else:
-        unary = {Minus: operator.neg, Transpose: _TRANSPOSE, Inverse: inverse}.get(type(e))
-        if unary is None:
-            raise OracleError(f"cannot evaluate node {type(e).__name__}")
+        unary = {Minus: operator.neg, Transpose: _TRANSPOSE, Inverse: inverse}[type(e)]
         (child,) = children
 
         def run(values, sizes):

@@ -18,14 +18,13 @@ from pmegen.binding import (
     analyze,
     enumerate_combinations,
 )
-from pmegen.expr import ZERO, Dimension, Equation, SolvedBy, ref
+from pmegen.expr import ZERO, Dimension, Equation, ref
 from pmegen.opspec import (
     KIND_MATRIX,
     KIND_SCALAR,
     KIND_VECTOR,
     ROLE_UNKNOWN,
     OperandDecl,
-    OperationSpec,
     build_spec,
     parse_operation,
 )
@@ -94,16 +93,6 @@ class TestBindDimensions:
             "  solve: Omega\n"
         )
         assert set(analyze(reordered).groups) == set(analyze(sylvester_spec).groups)
-
-    def test_solution_operator_rejected(self, cholesky_spec):
-        bad = OperationSpec(
-            "bad",
-            cholesky_spec.operands,
-            Equation(ref("L"), SolvedBy("Gamma", (ref("A"),))),
-            "Gamma",
-        )
-        with pytest.raises(BindingError):
-            analyze(bad)
 
     def test_zero_block_rejected(self):
         decl = OperandDecl("X", KIND_MATRIX, Dimension("m", "m"), ROLE_UNKNOWN, frozenset())

@@ -58,6 +58,9 @@ KB_ERRORS = [
     ("pattern a\nweird x\n", 2, "unknown field 'weird'"),
     ("pattern a\n", 1, "unterminated pattern record"),
     ("pattern a\npost (eq X A)\nend\n", 3, "record missing field 'solved'"),
+    ("pattern a\nsolve 9T\n", 2, "invalid solution operator '9T'"),
+    ("pattern a\nslot 9Z matrix known m m\n", 2, "invalid slot name '9Z'"),
+    ("pattern a\nslot plus matrix known m m\n", 2, "invalid slot name 'plus'"),
     (
         "pattern cholesky\nslot A matrix known m m\nslot A matrix unknown m m\n"
         "post (eq A A)\nsolved (eq A (solved Gamma A))\nend\n",
@@ -79,6 +82,10 @@ PREFIX_ERRORS = [
     ("(eq X (times (times A B) C))", "Times may not contain a direct Times child"),
     ("(eq X (solved 9F A))", "invalid operator name: '9F'"),
     ("(eq X (solved F))", "SolvedBy needs at least one argument"),
+    ("(eq X (plus A))", "Plus needs at least two terms"),
+    ("(eq X (times A))", "Times needs at least two factors"),
+    ("(eq X 9bad)", "invalid operand name: '9bad'"),
+    ("(eq X (trans plus))", "invalid operand name: 'plus'"),
     # only the root may be an equation
     ("(eq X (eq A B))", "unknown prefix head: 'eq'"),
 ]
@@ -126,6 +133,19 @@ class TestDerive:
         bad.write_text("operation oops\n  operand ! : matrix(m,m) , known\n")
         code, _, err = run_main(["derive", str(bad)], capsys)
         assert code == EXIT_PARSE and "line 2" in err
+
+    def test_operation_without_known_operand_exit(self, tmp_path, capsys):
+        # its solved form would apply the operator to no argument
+        op = tmp_path / "square.op"
+        op.write_text(
+            "operation square\n"
+            "  operand X : matrix(m,m) , unknown\n"
+            "  postcondition: X * X = X\n"
+            "  solve: F\n"
+        )
+        code, out, err = run_main(["derive", str(op)], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: operation square: patterns need a known operand\n"
 
     def test_no_viable_partitionings_exit(self, tmp_path, capsys):
         op = tmp_path / "scalar.op"
@@ -611,6 +631,16 @@ class TestCheck:
         pme_file = tmp_path / "edited.json"
         pme_file.write_text(json.dumps(doc))
         return str(pme_file)
+
+    def test_unknown_cell_status_rejected(self, tmp_path, capsys):
+        code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
+        doc = json.loads(out)
+        next(c for c in doc["pmes"][0]["cells"] if c["position"] == "TR")["status"] = "bogus"
+        pme_file = tmp_path / "edited.json"
+        pme_file.write_text(json.dumps(doc))
+        code, out, err = run_main(["check", CHOLESKY_OP, str(pme_file), "--trials", "2"], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: cannot read {pme_file}: unknown cell status 'bogus'\n"
 
     def test_cell_not_assigning_a_block_rejected(self, tmp_path, capsys):
         code, out, _ = run_main(["derive", CHOLESKY_OP, "--format", "json"], capsys)
@@ -1113,6 +1143,17 @@ class TestImports:
                     if public and outside == 0 and f"{path.stem}.{qualname}" not in exempt:
                         uncalled.append(f"{path.stem}.{qualname}")
         assert uncalled == []
+
+    def test_no_source_line_past_100_columns(self):
+        # the line count of the source is a reported metric, so lines are
+        # not joined past the width the code is written to
+        long = [
+            f"{path.name}:{n}"
+            for path in sorted(pathlib.Path(pmegen.__file__).parent.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100
+        ]
+        assert long == []
 
     def test_every_test_module_names_a_source_module(self):
         # a test module is named for the module it exercises, so a module

@@ -36,10 +36,14 @@ from pmegen.engine import (
     seed_builtins,
 )
 from pmegen.expr import (
+    _IDENT,
+    _RESERVED,
     ZERO,
     Dimension,
     Equation,
     Expression,
+    OperandRef,
+    SolvedBy,
     _local_variants,
     inv,
     minus,
@@ -51,6 +55,7 @@ from pmegen.expr import (
     solved_by,
     times,
     trans,
+    walk,
 )
 from pmegen.opspec import (
     KIND_MATRIX,
@@ -1173,7 +1178,8 @@ class TestDeriveAll:
 
     def test_derive_path_trees_are_normal(self, corpus_run):
         """The smart constructors keep every tree the derivation builds
-        normal, so only the input boundaries call normalize."""
+        normal, so only the input boundaries call normalize.  Nodes check
+        nothing when built, so the names they carry are checked here."""
         equations = [eq for p in seed_builtins().builtins for eq in (p.template, p.solved)]
         solved_cells = 0
         for spec, _, results in corpus_run["derived"]:
@@ -1198,6 +1204,13 @@ class TestDeriveAll:
             assert normalize(eq) == eq, serialize(eq)
         for f in facts:
             assert normalize(f.expression) == f.expression, serialize(f.expression)
+        cells = [q.equation for grid in corpus_run["grids"] for q in grid.all_cells()]
+        for e in [*equations, *cells, *(f.expression for f in facts)]:
+            for node in walk(e):
+                if isinstance(node, OperandRef):
+                    assert _IDENT.match(node.name) and node.name not in _RESERVED, node.name
+                elif isinstance(node, SolvedBy):
+                    assert _IDENT.match(node.operator_name) and node.arguments, serialize(node)
 
     def test_derive_output_matches_bench_golden(self, corpus_run):
         """Every ``derive`` entry of bench/golden.json, judged by the
@@ -1326,6 +1339,20 @@ class TestKnowledgeBaseFile:
         # byte-stable on rewrite
         save_kb(loaded, path + ".2")
         assert open(path).read() == open(path + ".2").read()
+
+    def test_record_without_operator_round_trips(self, tmp_path):
+        text = (
+            "# pattern knowledge base\n"
+            "pattern p\nprovenance learned-from:p\nsolve -\n"
+            "slot X matrix unknown m n\nslot E matrix known m n\n"
+            "post (eq X E)\nsolved (eq X E)\nend\n"
+        )
+        path = tmp_path / "p.kb"
+        path.write_text(text)
+        kb = load_kb(str(path))
+        assert kb.get("p").solution_operator is None
+        save_kb(kb, str(tmp_path / "again.kb"))
+        assert (tmp_path / "again.kb").read_text() == text
 
     def test_failed_write_leaves_no_temporary_file(self, cholesky_spec, tmp_path, monkeypatch):
         def no_replace(src, dst):

@@ -96,12 +96,15 @@ class TestNormalize:
         assert normalize(Plus((Minus(A), Minus(A), A))) == minus(A)
 
     def test_arity_validation(self):
-        with pytest.raises(StructuralError):
-            Plus((A,))
-        with pytest.raises(StructuralError):
-            Times((A,))
-        with pytest.raises(StructuralError):
-            OperandRef("9bad")
+        # nodes check nothing when built; the prefix reader checks what enters
+        for text, message in (
+            ("(eq X (plus A))", "Plus needs at least two terms"),
+            ("(eq X (times A))", "Times needs at least two factors"),
+            ("(eq X 9bad)", "invalid operand name: '9bad'"),
+        ):
+            with pytest.raises(StructuralError) as err:
+                parse_prefix_equation(text)
+            assert str(err.value) == message
 
 
 def _nodes(e: Expression):
