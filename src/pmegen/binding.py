@@ -138,25 +138,26 @@ def _visit(
     forced_keep: set[DimensionVar],
 ) -> tuple[DimensionVar, DimensionVar]:
     """Row and column variables of ``e``, merging the groups it ties."""
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         r, c = DimensionVar(e.name, "r"), DimensionVar(e.name, "c")
         dsu.add(r)
         dsu.add(c)
         if spec.operand(e.name).is_structured:
             dsu.union(r, c)
         return (r, c)
-    if isinstance(e, Zero):
+    if kind is Zero:
         raise BindingError("the zero block may not appear in postconditions")
     (r, c), *rest = [_visit(x, spec, dsu, forced_keep) for x in e.children()]
-    if isinstance(e, Transpose):
+    if kind is Transpose:
         return (c, r)
-    if isinstance(e, Inverse):
+    if kind is Inverse:
         dsu.union(r, c)
         # blocked inverses of partitioned operands are out of scope, so
         # an inverted subtree pins its dimension group to "keep"
         forced_keep.add(r)
     for xr, xc in rest:
-        if isinstance(e, Times):
+        if kind is Times:
             dsu.union(c, xr)
             c = xc
         else:  # Plus, or an Equation, which ties its sides as a sum its terms

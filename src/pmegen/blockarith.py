@@ -41,7 +41,6 @@ from .expr import (
     Plus,
     Times,
     Transpose,
-    known_only,
     minus,
     operand_names,
     plus,
@@ -131,7 +130,7 @@ def apply_rule(decl: OperandDecl, rule: PartitionRule) -> BlockedOperand:
     facts: list[PropertyFact] = []
     for i, row in enumerate(grid):
         for j, cell in enumerate(row):
-            if isinstance(cell, OperandRef):
+            if type(cell) is OperandRef:
                 dims[cell.name] = Dimension(row_sizes[i], col_sizes[j])
                 if i == j:
                     facts += [PropertyFact(cell, p) for p in sorted(props, key=lambda p: p.value)]
@@ -253,20 +252,21 @@ def _mul(a: _Grid, b: _Grid) -> _Grid:
 def _eval_blocked(
     e: Expression, blocks: dict[str, BlockedOperand]
 ) -> _Grid | BlockedOperand:
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         return blocks[e.name]
     grid, *rest = [_eval_blocked(x, blocks) for x in e.children()]
     rows, cols = grid.row_sizes, grid.col_sizes
-    if isinstance(e, Times):
+    if kind is Times:
         for other in rest:
             grid = _mul(grid, other)
         return grid
-    if isinstance(e, Plus):
+    if kind is Plus:
         summands = [grid.cells, *(other.cells for other in rest)]
         return _Grid(tuple(tuple(map(plus, *row)) for row in zip(*summands)), rows, cols)
-    if isinstance(e, Minus):
+    if kind is Minus:
         return _Grid(tuple(tuple(map(minus, row)) for row in grid.cells), rows, cols)
-    if isinstance(e, Transpose):
+    if kind is Transpose:
         return _Grid(tuple(tuple(map(trans, col)) for col in zip(*grid.cells)), cols, rows)
     return _Grid(((inv(grid.cells[0][0]),),), rows, cols)
 
@@ -320,10 +320,8 @@ def _blocked_grid(
         out_row: list[QuadrantEquation] = []
         for q in row:
             eq = to_canonical_equation(q.equation, known)
-            status = STATUS_UNSOLVED
-            # a canonical right side is known, so a known left side is enough
-            if known_only(eq.lhs, known) and eq.lhs == eq.rhs:
-                status = STATUS_SOLVED
+            # a canonical right side is known, so equal sides are known too
+            status = STATUS_SOLVED if eq.lhs == eq.rhs else STATUS_UNSOLVED
             out_row.append(QuadrantEquation(q.position, eq, status))
         rows.append(tuple(out_row))
     grid = BlockedEquationGrid(tuple(rows), raw.row_sizes, raw.col_sizes)

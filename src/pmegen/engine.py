@@ -264,19 +264,20 @@ def learn(spec: OperationSpec, kb: KnowledgeBase) -> KnowledgeBase:
 
 
 def _match_expr(tpl: Expression, sub: Expression, binds: dict[str, Expression]) -> bool:
-    if isinstance(tpl, OperandRef):
+    kind = type(tpl)
+    if kind is OperandRef:
         if tpl.name in binds:
             return binds[tpl.name] == sub
         binds[tpl.name] = sub
         return True
-    if type(tpl) is not type(sub):
+    if kind is not type(sub):
         return False
     tpl_kids, sub_kids = tpl.children(), sub.children()
     if len(tpl_kids) != len(sub_kids):
         return False
-    if isinstance(tpl, Plus):
+    if kind is Plus:
         return _match_terms(list(tpl_kids), list(sub_kids), binds)
-    if isinstance(tpl, SolvedBy) and tpl.operator_name != sub.operator_name:
+    if kind is SolvedBy and tpl.operator_name != sub.operator_name:
         return False
     # a failure leaves partial binds: _match_terms restores its own, and
     # match_equation drops them
@@ -361,20 +362,21 @@ def _initial_state(spec: OperationSpec, blocks: dict[str, BlockedOperand]) -> De
 
 
 def _dims_of(e: Expression, dims: dict[str, Dimension]) -> Optional[Dimension]:
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         return dims.get(e.name)
-    if isinstance(e, (Minus, Inverse)):
+    if kind in (Minus, Inverse):
         return _dims_of(e.operand, dims)
-    if isinstance(e, Transpose):
+    if kind is Transpose:
         d = _dims_of(e.operand, dims)
         return Dimension(d.cols, d.rows) if d else None
-    if isinstance(e, Times):
+    if kind is Times:
         first = _dims_of(e.factors[0], dims)
         last = _dims_of(e.factors[-1], dims)
         if first and last:
             return Dimension(first.rows, last.cols)
         return None
-    if isinstance(e, Plus):
+    if kind is Plus:
         for t in e.terms:
             d = _dims_of(t, dims)
             if d:
@@ -396,18 +398,19 @@ def _established(e: Expression, prop: Property, state: DerivationState) -> bool:
             return True
     if prop is Property.SYMMETRIC and trans(e) == e:
         return True
-    if isinstance(e, Zero):
+    kind = type(e)
+    if kind is Zero:
         return prop in (
             Property.LOWER_TRIANGULAR,
             Property.UPPER_TRIANGULAR,
             Property.SYMMETRIC,
             Property.DIAGONAL,
         )
-    if isinstance(e, Minus) and prop is not Property.SPD:
+    if kind is Minus and prop is not Property.SPD:
         return _established(e.operand, prop, state)
-    if isinstance(e, Plus) and prop is not Property.SPD:
+    if kind is Plus and prop is not Property.SPD:
         return all(_established(t, prop, state) for t in e.terms)
-    if isinstance(e, Transpose):
+    if kind is Transpose:
         flip = {
             Property.LOWER_TRIANGULAR: Property.UPPER_TRIANGULAR,
             Property.UPPER_TRIANGULAR: Property.LOWER_TRIANGULAR,
@@ -421,11 +424,11 @@ def _established(e: Expression, prop: Property, state: DerivationState) -> bool:
 
 def _is_plain_general(e: Expression, state: DerivationState) -> bool:
     """A bare block reference with no structural property on record."""
-    if not isinstance(e, OperandRef):
+    if type(e) is not OperandRef:
         return False
     return not any(
         f.property in STRUCTURAL
-        and isinstance(f.expression, OperandRef)
+        and type(f.expression) is OperandRef
         and f.expression.name == e.name
         for f in state.facts
     )
@@ -472,7 +475,7 @@ def _check_guards(
         if bound is None:
             return f"slot {slot.name} unbound"
         if slot.io_role == ROLE_UNKNOWN:
-            if not isinstance(bound, OperandRef):
+            if type(bound) is not OperandRef:
                 return f"slot {slot.name} must bind a single unknown block"
             if bound.name in state.known:
                 return f"{bound.name} is already known"
@@ -544,7 +547,7 @@ def match_equation(
 
 
 def _substitute(e: Expression | Equation, binds: dict[str, Expression]) -> Expression | Equation:
-    if isinstance(e, OperandRef):
+    if type(e) is OperandRef:
         return binds.get(e.name, e)
     return e.rebuild([_substitute(c, binds) for c in e.children()])
 
@@ -648,7 +651,7 @@ def _counter_model_refutes(
     solved = [
         (i, r.lhs.name, r.rhs)
         for i, r in enumerate(rules)
-        if isinstance(r.lhs, OperandRef) and r.lhs.name not in operand_names(r.rhs)
+        if type(r.lhs) is OperandRef and r.lhs.name not in operand_names(r.rhs)
     ]
     exprs = [start, *targets, *rules]
     free = sorted(set().union(*map(operand_names, exprs)) - {x for _, x, _ in solved})
@@ -661,7 +664,7 @@ def _counter_model_refutes(
             model[name] = (state >> 33) % (p - 1) + 1
         try:
             for i, x, f in solved:
-                if not isinstance(f, SolvedBy):
+                if type(f) is not SolvedBy:
                     model[x] = _model_value(f, model)
                     continue
                 if i == 0:
@@ -690,18 +693,19 @@ def _counter_model_refutes(
 
 def _model_value(e: Expression, model: dict) -> int:
     """``e`` in a :func:`_counter_model_refutes` model; KeyError or ValueError if none."""
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         return model[e.name]
-    if isinstance(e, Zero):
+    if kind is Zero:
         return 0
     values = [_model_value(c, model) for c in e.children()]
-    if isinstance(e, SolvedBy):
+    if kind is SolvedBy:
         return model[(e.operator_name, *values)]
-    if isinstance(e, Inverse):
+    if kind is Inverse:
         return pow(values[0], -1, _FIELD_PRIME)
-    if isinstance(e, Minus):
+    if kind is Minus:
         return -values[0] % _FIELD_PRIME
-    if isinstance(e, Plus):
+    if kind is Plus:
         return sum(values) % _FIELD_PRIME
     return prod(values) % _FIELD_PRIME  # Transpose is the identity
 
@@ -1026,6 +1030,13 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         raise
 
 
+def _kb_value(fields: list[str], what: str) -> str:
+    """The value of a one-value KB line; a line without one names ``what`` it lacks."""
+    if len(fields) < 2:
+        raise KnowledgeBaseError(f"{fields[0]!r} needs {what}")
+    return fields[1]
+
+
 def load_kb(path: Optional[str]) -> KnowledgeBase:
     """Builtins plus the learned patterns stored at ``path`` (if any)."""
     kb = seed_builtins()
@@ -1046,16 +1057,20 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
             if head == "pattern":
                 if record is not None:
                     raise KnowledgeBaseError("record not closed with 'end'")
-                record = {"name": fields[1]}
+                name = _kb_value(fields, "a pattern name")
+                if not _IDENT.match(name):
+                    raise KnowledgeBaseError(f"invalid pattern name {name!r}")
+                record = {"name": name}
                 slots = []
             elif record is None:
                 raise KnowledgeBaseError(f"unexpected {head!r} outside a record")
             elif head == "provenance":
-                record["provenance"] = fields[1]
+                record["provenance"] = _kb_value(fields, "a source")
             elif head == "solve":
-                if fields[1] != "-" and not _IDENT.match(fields[1]):
-                    raise KnowledgeBaseError(f"invalid solution operator {fields[1]!r}")
-                record["solve"] = None if fields[1] == "-" else fields[1]
+                op = _kb_value(fields, "a solution operator or '-'")
+                if op != "-" and not _IDENT.match(op):
+                    raise KnowledgeBaseError(f"invalid solution operator {op!r}")
+                record["solve"] = None if op == "-" else op
             elif head == "slot":
                 if len(fields) < 6:
                     raise KnowledgeBaseError(
@@ -1106,12 +1121,26 @@ def _close_record(
     used = operand_names(template)
     if not used <= slot_names:
         raise KnowledgeBaseError(f"pattern {name}: template uses undeclared slots")
+    # what pattern_from_spec guarantees for a learned pattern: its solved
+    # form assigns the one unknown slot from known slots alone
+    unknown = [s.name for s in slots if s.io_role == ROLE_UNKNOWN]
+    if len(unknown) != 1:
+        raise KnowledgeBaseError(f"pattern {name}: needs exactly one unknown slot")
+    (out,) = unknown
+    solved = normalize(solved)
+    if solved.lhs != OperandRef(out):
+        raise KnowledgeBaseError(f"pattern {name}: solved form must assign the unknown slot {out}")
+    stray = sorted(operand_names(solved.rhs) - (slot_names - {out}))
+    if stray:
+        raise KnowledgeBaseError(
+            f"pattern {name}: solved form must read only known slots, not {', '.join(stray)}"
+        )
     pattern = Pattern(
         name=name,
         solution_operator=record.get("solve"),  # type: ignore[arg-type]
         slots=tuple(slots),
         template=template,
-        solved=normalize(solved),
+        solved=solved,
         provenance=str(record.get("provenance", "learned-from:unknown")),
     )
     return kb.with_learned(pattern)

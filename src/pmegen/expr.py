@@ -28,6 +28,13 @@ Nodes check nothing when built: the prefix reader and the ``.op`` parser
 check names, arity and flatness where text enters, and the smart
 constructors keep them; only an :class:`Equation` checks its sides.
 
+The nine node classes (:class:`OperandRef`, :class:`Zero`, :class:`Plus`,
+:class:`Times`, :class:`Minus`, :class:`Transpose`, :class:`Inverse`,
+:class:`SolvedBy` and :class:`Equation`) are final, so a walker that asks
+which node it holds compares the exact class (``type(e) is Plus``) instead
+of walking the class hierarchy; only the bases ``Expression`` and
+``_Unary`` are tested through it.
+
 A grouped inverse such as ``inv(L * trans(L))`` is deliberately left
 alone by :func:`normalize`; expanding or contracting product inverses is
 one of the steps :func:`rewrite_candidates` offers, next to ground
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, final
 
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -87,6 +94,7 @@ class Expression(_Node):
     __slots__ = ()
 
 
+@final
 @dataclass(frozen=True, slots=True)
 class OperandRef(Expression):
     """Reference to a named operand or block (``A``, ``L_TL``)."""
@@ -94,6 +102,7 @@ class OperandRef(Expression):
     name: str
 
 
+@final
 @dataclass(frozen=True, slots=True)
 class Zero(Expression):
     """The zero block; its dimensions are implied by context."""
@@ -102,6 +111,7 @@ class Zero(Expression):
 ZERO = Zero()
 
 
+@final
 @dataclass(frozen=True, slots=True)
 class Plus(Expression):
     """Flat n-ary sum, at least two terms, no direct Plus children."""
@@ -116,6 +126,7 @@ class Plus(Expression):
         return plus(*children)
 
 
+@final
 @dataclass(frozen=True, slots=True)
 class Times(Expression):
     """Flat ordered n-ary product; matrix product is non-commutative."""
@@ -140,6 +151,7 @@ class _Unary(Expression):
         return (self.operand,)
 
 
+@final
 class Minus(_Unary):
     """Unary negation."""
 
@@ -150,6 +162,7 @@ class Minus(_Unary):
         return minus(*children)
 
 
+@final
 class Transpose(_Unary):
     __slots__ = ()
     head = "trans"
@@ -158,6 +171,7 @@ class Transpose(_Unary):
         return trans(*children)
 
 
+@final
 class Inverse(_Unary):
     """Formal inverse; no invertibility check happens at this layer."""
 
@@ -168,6 +182,7 @@ class Inverse(_Unary):
         return inv(*children)
 
 
+@final
 @dataclass(frozen=True, slots=True)
 class SolvedBy(Expression):
     """Application of a solution operator, e.g. ``Gamma(A_TL)``."""
@@ -183,6 +198,7 @@ class SolvedBy(Expression):
         return SolvedBy(self.operator_name, tuple(children))
 
 
+@final
 @dataclass(frozen=True, slots=True)
 class Equation(_Node):
     """``lhs = rhs``; a node only at the root, never a child."""
@@ -223,12 +239,13 @@ def serialize(e: _Node) -> str:
     key = getattr(e, "_key", None)
     if key is not None:
         return key
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         key = e.name
-    elif isinstance(e, Zero):
+    elif kind is Zero:
         key = "0"
     else:
-        head = f"solved {e.operator_name}" if isinstance(e, SolvedBy) else e.head
+        head = f"solved {e.operator_name}" if kind is SolvedBy else e.head
         key = f"({head} {' '.join([serialize(c) for c in e.children()])})"
     object.__setattr__(e, "_key", key)
     return key
@@ -285,7 +302,7 @@ def _read(toks: list[str], i: int, depth: int) -> tuple[Expression, int]:
     name, items = cls.__name__, "terms" if cls is Plus else "factors"
     if len(args) < 2:
         raise StructuralError(f"{name} needs at least two {items}")
-    if any(isinstance(a, cls) for a in args):
+    if any(type(a) is cls for a in args):
         raise StructuralError(f"{name} may not contain a direct {name} child")
     return cls(tuple(args)), i
 
@@ -306,16 +323,17 @@ def parse_prefix_equation(text: str) -> Equation:
 
 
 def plus(*terms: Expression) -> Expression:
-    if len(terms) == 1 and not isinstance(terms[0], Plus):
+    if len(terms) == 1 and type(terms[0]) is not Plus:
         return terms[0]
     # one entry per core term x, in order of first appearance: the count
     # of x minus the count of -x, the first x and the first -x
     net: dict[str, list] = {}
     for t in terms:
-        if isinstance(t, Zero):
+        kind = type(t)
+        if kind is Zero:
             continue
-        for u in t.terms if isinstance(t, Plus) else (t,):
-            if isinstance(u, Minus):
+        for u in t.terms if kind is Plus else (t,):
+            if type(u) is Minus:
                 key, sign, slot = serialize(u.operand), -1, 2
             else:
                 key, sign, slot = serialize(u), 1, 1
@@ -347,12 +365,13 @@ def times(*factors: Expression) -> Expression:
     stack.reverse()
     while stack:
         f = stack.pop()
-        while isinstance(f, Minus):
+        while type(f) is Minus:
             negative = not negative
             f = f.operand
-        if isinstance(f, Zero):
+        kind = type(f)
+        if kind is Zero:
             return ZERO
-        if isinstance(f, Times):
+        if kind is Times:
             stack.extend(reversed(f.factors))
         else:
             flat.append(f)
@@ -363,35 +382,38 @@ def times(*factors: Expression) -> Expression:
 
 
 def minus(e: Expression) -> Expression:
-    if isinstance(e, Zero):
+    kind = type(e)
+    if kind is Zero:
         return ZERO
-    if isinstance(e, Minus):
+    if kind is Minus:
         return e.operand
-    if isinstance(e, Plus):
+    if kind is Plus:
         return plus(*(minus(t) for t in e.terms))
     return Minus(e)
 
 
 def trans(e: Expression) -> Expression:
-    if isinstance(e, Zero):
+    kind = type(e)
+    if kind is Zero:
         return ZERO
-    if isinstance(e, Transpose):
+    if kind is Transpose:
         return e.operand
-    if isinstance(e, Times):
+    if kind is Times:
         return times(*(trans(f) for f in reversed(e.factors)))
-    if isinstance(e, Plus):
+    if kind is Plus:
         return plus(*(trans(t) for t in e.terms))
-    if isinstance(e, Minus):
+    if kind is Minus:
         return minus(trans(e.operand))
     return Transpose(e)
 
 
 def inv(e: Expression) -> Expression:
-    if isinstance(e, Inverse):
+    kind = type(e)
+    if kind is Inverse:
         return e.operand
-    if isinstance(e, Transpose):
+    if kind is Transpose:
         return trans(inv(e.operand))
-    if isinstance(e, Minus):
+    if kind is Minus:
         return minus(inv(e.operand))
     return Inverse(e)
 
@@ -426,7 +448,7 @@ def _leaf_names(e: _Node) -> Iterator[str]:
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, OperandRef):
+        if type(node) is OperandRef:
             yield node.name
         else:
             stack.extend(node.children())
@@ -439,9 +461,10 @@ def operand_names(e: _Node) -> frozenset[str]:
 
 def additive_terms(e: Expression) -> tuple[Expression, ...]:
     """Top-level summands of a normalized expression (zero has none)."""
-    if isinstance(e, Plus):
+    kind = type(e)
+    if kind is Plus:
         return e.terms
-    if isinstance(e, Zero):
+    if kind is Zero:
         return ()
     return (e,)
 
@@ -484,7 +507,7 @@ def to_canonical_equation(eq: Equation, known: frozenset[str] | set[str]) -> Equ
             new_r.append(t)
     if not new_l:
         return eq
-    if all(isinstance(t, Minus) for t in new_l):
+    if all(type(t) is Minus for t in new_l):
         new_l = [minus(t) for t in new_l]
         new_r = [minus(t) for t in new_r]
     elif len(new_l) == stayed == len(lhs_terms):
@@ -517,9 +540,9 @@ def replace_all(e: Expression, target: Expression, replacement: Expression) -> E
 
 def _uninvert(e: Expression) -> Optional[Expression]:
     """Return ``x`` with ``e == inv(x)`` when that shape is recognizable."""
-    if isinstance(e, Inverse):
+    if type(e) is Inverse:
         return e.operand
-    if isinstance(e, Transpose) and isinstance(e.operand, Inverse):
+    if type(e) is Transpose and type(e.operand) is Inverse:
         return trans(e.operand.operand)
     return None
 
@@ -527,7 +550,7 @@ def _uninvert(e: Expression) -> Optional[Expression]:
 def _local_variants(e: Expression) -> list[Expression]:
     """Inverse-group moves available at this node (not in children)."""
     out: list[Expression] = []
-    if isinstance(e, Times):
+    if type(e) is Times:
         fs = e.factors
         for i in range(len(fs) - 1):
             a, b = fs[i], fs[i + 1]
@@ -540,7 +563,7 @@ def _local_variants(e: Expression) -> list[Expression]:
                 rest = fs[:i] + fs[i + 2 :]
                 if rest:
                     out.append(times(*rest))
-    if isinstance(e, Inverse) and isinstance(e.operand, Times):
+    if type(e) is Inverse and type(e.operand) is Times:
         out.append(times(*(inv(f) for f in reversed(e.operand.factors))))
     return out
 

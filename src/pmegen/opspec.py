@@ -193,12 +193,13 @@ def build_spec(
 
 def _weight(e: Expression | Equation) -> int:
     """A product's weight sums its factors'; another node's is its heaviest child's."""
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         return 1
-    if isinstance(e, SolvedBy):
+    if kind is SolvedBy:
         raise SpecValidationError("postconditions may not contain solution operators")
     weights = [_weight(c) for c in e.children()]
-    return sum(weights) if isinstance(e, Times) else max(weights, default=0)
+    return sum(weights) if kind is Times else max(weights, default=0)
 
 
 def _assemble(
@@ -479,26 +480,27 @@ _LATEX = _InfixStyle(
 
 def _infix(e: Expression, style: _InfixStyle) -> str:
     """Infix rendering; sums print positive terms before negated ones."""
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         return style.name(e.name)
-    if isinstance(e, Zero):
+    if kind is Zero:
         return "0"
-    if isinstance(e, SolvedBy):
+    if kind is SolvedBy:
         args = ", ".join(_infix(a, style) for a in e.arguments)
         return f"{style.operator(e.operator_name)}({args})"
-    if isinstance(e, (Transpose, Inverse)):
+    if kind in (Transpose, Inverse):
         if style.postfix is None:
             return f"{e.head}({_infix(e.operand, style)})"
         inner, mark = e.operand, style.postfix[e.head]
-        if {type(e), type(inner)} == {Transpose, Inverse}:
+        if {kind, type(inner)} == {Transpose, Inverse}:
             inner, mark = inner.operand, style.postfix["inv trans"]
         return _operand(inner, style) + mark
-    if isinstance(e, Minus):
+    if kind is Minus:
         return "-" + _operand(e.operand, style)
-    if isinstance(e, Times):
+    if kind is Times:
         return style.product.join(_operand(f, style) for f in e.factors)
-    pos = [t for t in e.terms if not isinstance(t, Minus)]
-    neg = [t.operand for t in e.terms if isinstance(t, Minus)]
+    pos = [t for t in e.terms if type(t) is not Minus]
+    neg = [t.operand for t in e.terms if type(t) is Minus]
     parts = [_infix(t, style) for t in pos]
     head = " + ".join(parts) if parts else "-" + _infix(neg.pop(0), style)
     return head + "".join(" - " + _infix(t, style) for t in neg)
@@ -506,7 +508,7 @@ def _infix(e: Expression, style: _InfixStyle) -> str:
 
 def _operand(e: Expression, style: _InfixStyle) -> str:
     text = _infix(e, style)
-    if isinstance(e, style.bracketed):
+    if type(e) in style.bracketed:
         return style.brackets[0] + text + style.brackets[1]
     return text
 

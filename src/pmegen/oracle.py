@@ -220,7 +220,8 @@ def _compile(
     Errors that depend on the trial (an unbound name, an operator without
     a solver, a singular kernel) are raised when the closure runs.
     """
-    if isinstance(e, OperandRef):
+    kind = type(e)
+    if kind is OperandRef:
         name = e.name
 
         def run(values, sizes):
@@ -230,7 +231,7 @@ def _compile(
                 raise UnboundOperandError(f"operand {name} is unbound") from None
 
         return run
-    if isinstance(e, Zero):
+    if kind is Zero:
 
         def run(values, sizes):
             if shape is None:
@@ -239,10 +240,10 @@ def _compile(
 
         return run
     # only a sum or a negation hands a zero block's shape down
-    down = shape if isinstance(e, (Plus, Minus)) else None
+    down = shape if kind in (Plus, Minus) else None
     children = [_compile(c, reused, down) for c in e.children()]
-    if isinstance(e, (Plus, Times)):
-        combine = operator.add if isinstance(e, Plus) else operator.matmul
+    if kind in (Plus, Times):
+        combine = operator.add if kind is Plus else operator.matmul
         first, *rest = children
 
         def run(values, sizes):
@@ -251,7 +252,7 @@ def _compile(
                 acc = combine(acc, child(values, sizes))
             return acc
 
-    elif isinstance(e, SolvedBy):
+    elif kind is SolvedBy:
         operator_name, solver = e.operator_name, BASE_SOLVERS.get(e.operator_name)
 
         def run(values, sizes):
@@ -260,7 +261,7 @@ def _compile(
             return solver(*[child(values, sizes) for child in children])
 
     else:
-        unary = {Minus: operator.neg, Transpose: _TRANSPOSE, Inverse: inverse}[type(e)]
+        unary = {Minus: operator.neg, Transpose: _TRANSPOSE, Inverse: inverse}[kind]
         (child,) = children
 
         def run(values, sizes):
@@ -383,7 +384,7 @@ def _check_pme(
             for j, (cols, cell) in enumerate(zip(b.col_sizes, row))
         ]
         if decl.is_input:
-            named = [(i, j, cell.name) for i, j, cell, _ in cells if isinstance(cell, OperandRef)]
+            named = [(i, j, cell.name) for i, j, cell, _ in cells if type(cell) is OperandRef]
             draw = _sampler(decl.kind, decl.properties)
             inputs.append((decl.name, draw, b.row_sizes, b.col_sizes, named))
         else:
@@ -396,12 +397,12 @@ def _check_pme(
     steps = []
     for pos in pme.order:
         equation, rows, cols = where[pos]
-        if not isinstance(equation.lhs, OperandRef):
+        if type(equation.lhs) is not OperandRef:
             raise OracleError(f"cell {pos} does not assign a single block")
         # a base solver takes a fixed number of blocks; an operator without
         # one fails at its first evaluation
         for node in walk(equation.rhs):
-            solver = isinstance(node, SolvedBy) and BASE_SOLVERS.get(node.operator_name)
+            solver = type(node) is SolvedBy and BASE_SOLVERS.get(node.operator_name)
             if solver and solver.__code__.co_argcount != len(node.arguments):
                 raise OracleError(
                     f"cell {pos} applies operator {node.operator_name} to "
@@ -415,7 +416,7 @@ def _check_pme(
     post = spec.postcondition
     roots = [rhs for _, rhs, _ in steps] + [c[2] for *_, cells in outputs for c in cells]
     nodes = (n for root in (*roots, post.lhs, post.rhs) for n in walk(root))
-    keys = [serialize(n) for n in nodes if isinstance(n, _REUSABLE)]
+    keys = [serialize(n) for n in nodes if type(n) in _REUSABLE]
     reused = frozenset(key for key, count in Counter(keys).items() if count > 1)
     steps = [(name, _compile(rhs, reused, shape)) for name, rhs, shape in steps]
     outputs = [

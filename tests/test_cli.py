@@ -33,10 +33,10 @@ from pmegen.cli import (
     render_pme_latex,
     render_pme_text,
 )
-from pmegen import binding, blockarith, cli, engine
+from pmegen import binding, blockarith, cli, engine, expr
 from pmegen.engine import derive_all, seed_builtins
 
-from conftest import OPS_DIR, cli_env
+from conftest import OPS_DIR, bench_corpus, cli_env
 
 CHOLESKY_OP = os.path.join(OPS_DIR, "cholesky.op")
 SYLVESTER_OP = os.path.join(OPS_DIR, "sylvester.op")
@@ -50,6 +50,19 @@ def run_main(args, capsys):
     return code, captured.out, captured.err
 
 
+# the expression node classes that no class may derive from
+FINAL_NODES = (
+    expr.OperandRef,
+    expr.Zero,
+    expr.Plus,
+    expr.Times,
+    expr.Minus,
+    expr.Transpose,
+    expr.Inverse,
+    expr.SolvedBy,
+    expr.Equation,
+)
+
 # a KB file that load_kb rejects, the line it names, and the message
 KB_ERRORS = [
     ("pattern a\npattern b\n", 2, "record not closed with 'end'"),
@@ -61,6 +74,10 @@ KB_ERRORS = [
     ("pattern a\nsolve 9T\n", 2, "invalid solution operator '9T'"),
     ("pattern a\nslot 9Z matrix known m m\n", 2, "invalid slot name '9Z'"),
     ("pattern a\nslot plus matrix known m m\n", 2, "invalid slot name 'plus'"),
+    ("pattern 9bad(x\n", 1, "invalid pattern name '9bad(x'"),
+    ("pattern\n", 1, "'pattern' needs a pattern name"),
+    ("pattern a\nprovenance\n", 2, "'provenance' needs a source"),
+    ("pattern a\nsolve\n", 2, "'solve' needs a solution operator or '-'"),
     (
         "pattern cholesky\nslot A matrix known m m\nslot A matrix unknown m m\n"
         "post (eq A A)\nsolved (eq A (solved Gamma A))\nend\n",
@@ -414,6 +431,22 @@ class TestLearnAndKb:
         )
         assert code == EXIT_OK
         assert "L_BL = Trsm(L_TL, A_BL)" in out
+
+    def test_edited_solved_form_is_rejected(self, tmp_path, capsys):
+        # a solved form that assigns a known slot used to derive the PME
+        # cell ``A_BL = Trsm(L_TL, L_BL)`` with exit 0, which ``check``
+        # then failed on the unbound L_BL
+        kb = tmp_path / "kb.txt"
+        code, _, _ = run_main(["derive", TRSM_OP, "--kb", str(kb), "--learn"], capsys)
+        assert code == EXIT_OK
+        text = kb.read_text()
+        assert "solved (eq X (solved Trsm L B))\nend\n" in text
+        kb.write_text(text.replace("(eq X (solved Trsm L B))", "(eq B (solved Trsm L X))"))
+        code, out, err = run_main(
+            ["derive", CHOLESKY_OP, "--kb", str(kb), "--no-builtin", "trsm"], capsys
+        )
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {kb}:10: pattern trsm: solved form must assign the unknown slot X\n"
 
 
 class TestCheck:
@@ -1154,6 +1187,48 @@ class TestImports:
             if len(line) > 100
         ]
         assert long == []
+
+    def test_no_isinstance_test_of_a_final_node_class(self):
+        # walkers compare a node's exact class; an ``isinstance`` test of a
+        # final node class would walk the class hierarchy for nothing.  A
+        # class is named directly, as a module attribute, or through a
+        # module-level tuple; base classes and other records stay allowed
+        final = {cls.__name__: cls for cls in FINAL_NODES}
+
+        def names_final(node, module):
+            if isinstance(node, ast.Tuple):
+                return any(names_final(e, module) for e in node.elts)
+            if isinstance(node, ast.Attribute):
+                return node.attr in final
+            value = vars(module).get(node.id) if isinstance(node, ast.Name) else None
+            return any(v in FINAL_NODES for v in (value if isinstance(value, tuple) else (value,)))
+
+        found = []
+        for path in sorted(pathlib.Path(pmegen.__file__).parent.glob("*.py")):
+            module = pmegen if path.stem == "__init__" else importlib.import_module(
+                f"pmegen.{path.stem}"
+            )
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and names_final(node.args[1], module)
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_node_classes_are_final(self):
+        # exact-type dispatch equals ``isinstance`` only while no class
+        # derives from a node class, in the package, the tests or the bench
+        for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+            importlib.import_module(path.stem)
+        bench_corpus()
+        assert {cls.__name__: cls.__subclasses__() for cls in FINAL_NODES} == {
+            cls.__name__: [] for cls in FINAL_NODES
+        }
+        assert all(cls.__final__ for cls in FINAL_NODES)
 
     def test_every_test_module_names_a_source_module(self):
         # a test module is named for the module it exercises, so a module

@@ -1452,6 +1452,56 @@ class TestKnowledgeBaseFile:
         with pytest.raises(KnowledgeBaseError, match=f"badslot.kb:4: {message}"):
             load_kb(path)
 
+    @pytest.mark.parametrize(
+        "roles, solved, message",
+        [
+            # a learned pattern solves for exactly one unknown slot
+            (
+                ("known", "unknown", "unknown"),
+                "(eq X (solved Trsm L B))",
+                "pattern trsm: needs exactly one unknown slot",
+            ),
+            (
+                ("known", "known", "known"),
+                "(eq X (solved Trsm L B))",
+                "pattern trsm: needs exactly one unknown slot",
+            ),
+            # the solved form assigns that slot, not a known one
+            (
+                ("known", "known", "unknown"),
+                "(eq B (solved Trsm L X))",
+                "pattern trsm: solved form must assign the unknown slot X",
+            ),
+            # and reads known slots only: not the unknown, nor an undeclared name
+            (
+                ("known", "known", "unknown"),
+                "(eq X (solved Trsm L X))",
+                "pattern trsm: solved form must read only known slots, not X",
+            ),
+            (
+                ("known", "known", "unknown"),
+                "(eq X (solved Trsm L Q))",
+                "pattern trsm: solved form must read only known slots, not Q",
+            ),
+        ],
+    )
+    def test_solved_form_must_assign_its_unknown_slot(self, tmp_path, roles, solved, message):
+        # a record that breaks these would emit a PME whose cell assigns a
+        # known block, or reads an unbound one
+        path = str(tmp_path / "solved.kb")
+        slots = [
+            f"slot {name} matrix {role} {dims}"
+            for (name, dims), role in zip((("L", "n n"), ("B", "m n"), ("X", "m n")), roles)
+        ]
+        with open(path, "w") as fh:
+            fh.write(
+                "pattern trsm\nprovenance learned-from:trsm\nsolve Trsm\n"
+                + "\n".join(slots)
+                + f"\npost (eq (times X (trans L)) B)\nsolved {solved}\nend\n"
+            )
+        with pytest.raises(KnowledgeBaseError, match=f"solved.kb:9: {message}$"):
+            load_kb(path)
+
 
 def test_records_stay_immutable(cholesky_spec):
     (pme,) = derive_all(cholesky_spec, seed_builtins())
