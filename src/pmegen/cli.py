@@ -229,12 +229,14 @@ def pme_from_json_dict(doc: dict) -> PME:
             status=c["status"],
             partner=c["partner"],
         )
+    if len(doc["cells"]) != len(row_sizes) * len(col_sizes) or any(
+        n not in by_pos for row in names for n in row
+    ):
+        raise ValueError("cells must hold one cell per position of the grid")
     cells = tuple(
         tuple(by_pos[names[i][j]] for j in range(len(col_sizes)))
         for i in range(len(row_sizes))
     )
-    if len(doc["cells"]) != len(row_sizes) * len(col_sizes):
-        raise ValueError("cells must hold one cell per position of the grid")
     return PME(
         operation=doc["operation"],
         combination=combination,
@@ -379,10 +381,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         with open(args.pme_json, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("a PME document must be an object")
         records = doc["pmes"] if "pmes" in doc else [doc]
+        if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
+            raise ValueError("'pmes' must be a list of objects")
         pmes = [pme_from_json_dict(d) for d in records]
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot read {args.pme_json}: {exc}", file=sys.stderr)
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: cannot read {args.pme_json}: {reason}", file=sys.stderr)
         return EXIT_PARSE
     # the spec decides the blocking: every PME matches it before any trial;
     # the spec is analyzed once, and each operand blocked once per rule

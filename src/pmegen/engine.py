@@ -440,6 +440,20 @@ class MatchResult(NamedTuple):
     outputs: tuple[str, ...]
 
 
+def _role_failure(slot: OperandDecl, bound: Expression | None, known: set[str]) -> Optional[str]:
+    """Why ``bound`` cannot fill ``slot`` whatever its size, or None."""
+    if bound is None:
+        return f"slot {slot.name} unbound"
+    if slot.io_role == ROLE_UNKNOWN:
+        if type(bound) is not OperandRef:
+            return f"slot {slot.name} must bind a single unknown block"
+        if bound.name in known:
+            return f"{bound.name} is already known"
+    elif not known_only(bound, known):
+        return f"slot {slot.name} binds unknown quantities ({serialize(bound)})"
+    return None
+
+
 def _check_guards(
     pattern: Pattern, binds: dict[str, Expression], state: DerivationState
 ) -> Optional[str]:
@@ -449,7 +463,10 @@ def _check_guards(
     binding the pattern's size symbols.  A slot whose bound expression has
     no determinable dimensions (a bare zero block, say) contributes no
     constraints; everything else must be explainable by one consistent
-    assignment of pattern symbols.
+    assignment of pattern symbols.  Then each slot in turn must pass
+    :func:`_role_failure`, bind an output no other slot binds, fit a scalar
+    slot and have its properties established.  A stuck note reports the
+    first failure in this order.
     """
     assignment: dict[str, str] = {}
     sizes: dict[str, Optional[Dimension]] = {}
@@ -472,22 +489,12 @@ def _check_guards(
     outputs_seen: set[str] = set()
     for slot in pattern.slots:
         bound = binds.get(slot.name)
-        if bound is None:
-            return f"slot {slot.name} unbound"
+        if (failure := _role_failure(slot, bound, state.known)) is not None:
+            return failure
         if slot.io_role == ROLE_UNKNOWN:
-            if type(bound) is not OperandRef:
-                return f"slot {slot.name} must bind a single unknown block"
-            if bound.name in state.known:
-                return f"{bound.name} is already known"
             if bound.name in outputs_seen:
                 return f"{bound.name} bound to two output slots"
             outputs_seen.add(bound.name)
-        else:
-            if not known_only(bound, state.known):
-                return (
-                    f"slot {slot.name} binds unknown quantities "
-                    f"({serialize(bound)})"
-                )
         d = sizes[slot.name]
         if slot.kind == KIND_SCALAR and (d is None or d != Dimension("1", "1")):
             return f"slot {slot.name} must bind a scalar"
@@ -514,9 +521,13 @@ def match_equation(
 ) -> Optional[MatchResult]:
     """First of ``patterns`` that matches the equation and passes all guards.
 
-    Guard failures of patterns that matched structurally are appended to
-    ``notes`` when given.  A template side whose root is neither a slot
-    nor of the equation side's type cannot match, so it is not tried.
+    Without ``notes`` the search needs a verdict alone, so a structural
+    match first faces every slot's :func:`_role_failure`, which needs no
+    sizes; each failure there is one of :func:`_check_guards` too, so the
+    verdict is the same.  With ``notes`` the guards explain: the first
+    failure in :func:`_check_guards`'s order is appended.  A template side
+    whose root is neither a slot nor of the equation side's type cannot
+    match, so it is not tried.
     """
     subject = eq.equation
     lhs, rhs = type(subject.lhs), type(subject.rhs)
@@ -527,6 +538,10 @@ def match_equation(
         binds: dict[str, Expression] = {}
         if not (
             _match_expr(tpl.lhs, subject.lhs, binds) and _match_expr(tpl.rhs, subject.rhs, binds)
+        ):
+            continue
+        if notes is None and any(
+            _role_failure(s, binds.get(s.name), state.known) for s in pattern.slots
         ):
             continue
         failure = _check_guards(pattern, binds, state)
@@ -733,7 +748,8 @@ class StuckDerivation(Exception):
     """No unsolved quadrant matched anything in a full sweep.
 
     The derivation core returns it as a combination's result; only
-    :func:`derive_pme` raises it.
+    :func:`derive_pme` raises it.  It keeps the patterns and state of the
+    final sweep, which nothing changes afterwards, to explain it on request.
     """
 
     def __init__(
@@ -741,17 +757,26 @@ class StuckDerivation(Exception):
         operation: str,
         combination: RuleCombination,
         unsolved: Sequence[QuadrantEquation],
-        notes: Sequence[str],
+        patterns: Sequence[Pattern],
+        state: DerivationState,
     ) -> None:
         self.operation = operation
         self.combination = combination
         self.unsolved = tuple(unsolved)
-        self.notes = tuple(notes)
+        self._patterns = tuple(patterns)
+        self._state = state
         positions = ", ".join(q.position for q in self.unsolved)
         super().__init__(
             f"operation {operation}, combination {combination.index}: "
             f"stuck with unsolved quadrant(s) {positions}"
         )
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Why the final sweep solved nothing, written when read."""
+        notes: list[str] = []
+        _first_match(self.unsolved, self._patterns, self._state, notes)
+        return tuple(notes)
 
 
 class AllCombinationsStuck(Exception):
@@ -853,37 +878,26 @@ def _derive_pme(
     patterns = [self_pattern, *kb.match_order()]
     tried_nested: set[str] = set()
     while unsolved := [q for q in state.cells.values() if q.status == STATUS_UNSOLVED]:
-        notes: list[str] = []
-        for q in unsolved:
-            # the cell is canonical, so its right side is known
-            if known_only(q.equation.lhs, state.known):
-                notes.append(
-                    f"{q.position}: no unknowns left but sides differ "
-                    f"({serialize(q.equation)})"
+        if (found := _first_match(unsolved, patterns, state)) is None:
+            if _try_nested(spec, kb, ops, depth, state, patterns, tried_nested):
+                continue
+            return StuckDerivation(spec.name, rules, unsolved, patterns, state)
+        q, result = found
+        state.cells[q.position] = QuadrantEquation(q.position, result.solved, STATUS_SOLVED)
+        state.known.update(result.outputs)
+        # both the identity the quadrant now encodes and its solved form
+        # feed later rewriting
+        for taut in (q.equation, result.solved):
+            if taut not in state.tautologies:
+                state.tautologies.append(taut)
+        state.trace.append(
+            TraceStep(q.position, result.pattern.name, result.outputs, len(state.known))
+        )
+        for pos, other in state.cells.items():
+            if other.status == STATUS_UNSOLVED:
+                state.cells[pos] = other._replace(
+                    equation=to_canonical_equation(other.equation, state.known)
                 )
-                continue
-            result = match_equation(q, patterns, state, notes)
-            if result is None:
-                continue
-            state.cells[q.position] = QuadrantEquation(q.position, result.solved, STATUS_SOLVED)
-            state.known.update(result.outputs)
-            # both the identity the quadrant now encodes and its solved
-            # form feed later rewriting
-            for taut in (q.equation, result.solved):
-                if taut not in state.tautologies:
-                    state.tautologies.append(taut)
-            state.trace.append(
-                TraceStep(q.position, result.pattern.name, result.outputs, len(state.known))
-            )
-            for pos, other in state.cells.items():
-                if other.status == STATUS_UNSOLVED:
-                    state.cells[pos] = other._replace(
-                        equation=to_canonical_equation(other.equation, state.known)
-                    )
-            break
-        else:
-            if not _try_nested(spec, kb, ops, depth, state, patterns, tried_nested):
-                return StuckDerivation(spec.name, rules, unsolved, notes)
     return PME(
         operation=spec.name,
         combination=rules,
@@ -893,6 +907,27 @@ def _derive_pme(
         order=tuple(t.position for t in state.trace),
         trace=tuple(state.trace),
     )
+
+
+def _first_match(
+    unsolved: Sequence[QuadrantEquation],
+    patterns: Sequence[Pattern],
+    state: DerivationState,
+    notes: Optional[list[str]] = None,
+) -> Optional[tuple[QuadrantEquation, MatchResult]]:
+    """One sweep: the first of ``unsolved`` that ``patterns`` solve, with the
+    match.  With ``notes``, why each quadrant before it failed is appended."""
+    for q in unsolved:
+        # the cell is canonical, so its right side is known
+        if known_only(q.equation.lhs, state.known):
+            if notes is not None:
+                text = serialize(q.equation)
+                notes.append(f"{q.position}: no unknowns left but sides differ ({text})")
+            continue
+        result = match_equation(q, patterns, state, notes)
+        if result is not None:
+            return q, result
+    return None
 
 
 def _try_nested(
@@ -1031,9 +1066,12 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
 
 
 def _kb_value(fields: list[str], what: str) -> str:
-    """The value of a one-value KB line; a line without one names ``what`` it lacks."""
+    """The value of a one-value KB line; a line without one names ``what`` it
+    lacks, and a line with more names how many values it holds."""
     if len(fields) < 2:
         raise KnowledgeBaseError(f"{fields[0]!r} needs {what}")
+    if len(fields) > 2:
+        raise KnowledgeBaseError(f"{fields[0]!r} takes one value, got {len(fields) - 1}")
     return fields[1]
 
 
@@ -1091,6 +1129,8 @@ def load_kb(path: Optional[str]) -> KnowledgeBase:
             elif head == "solved":
                 record["solved"] = parse_prefix_equation(line[len("solved ") :])
             elif head == "end":
+                if len(fields) > 1:
+                    raise KnowledgeBaseError(f"'end' takes no value, got {len(fields) - 1}")
                 kb = _close_record(kb, record, slots)
                 record = None
             else:

@@ -78,6 +78,14 @@ KB_ERRORS = [
     ("pattern\n", 1, "'pattern' needs a pattern name"),
     ("pattern a\nprovenance\n", 2, "'provenance' needs a source"),
     ("pattern a\nsolve\n", 2, "'solve' needs a solution operator or '-'"),
+    ("pattern a b\n", 1, "'pattern' takes one value, got 2"),
+    ("pattern a\nprovenance a b c\n", 2, "'provenance' takes one value, got 3"),
+    ("pattern a\nsolve - extra\n", 2, "'solve' takes one value, got 2"),
+    (
+        "pattern a\nslot X matrix unknown m m\npost (eq X X)\nsolved (eq X X)\nend junk\n",
+        5,
+        "'end' takes no value, got 1",
+    ),
     (
         "pattern cholesky\nslot A matrix known m m\nslot A matrix unknown m m\n"
         "post (eq A A)\nsolved (eq A (solved Gamma A))\nend\n",
@@ -562,6 +570,24 @@ class TestCheck:
         assert err.startswith(f"error: cannot read {pme_file}: ")
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[]", "a PME document must be an object"),
+            ("3", "a PME document must be an object"),
+            ('{"pmes": 3}', "'pmes' must be a list of objects"),
+            ('{"pmes": [1]}', "'pmes' must be a list of objects"),
+            ("{}", "missing field 'combination'"),
+            ('{"pmes": [{"combination": {"index": 1}}]}', "missing field 'rules'"),
+        ],
+        ids=["list", "number", "int_pmes", "int_record", "no_combination", "no_rules"],
+    )
+    def test_malformed_pme_document_named(self, content, message, tmp_path, capsys):
+        pme_file = tmp_path / "shape.json"
+        pme_file.write_text(content)
+        code, out, err = run_main(["check", CHOLESKY_OP, str(pme_file)], capsys)
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: cannot read {pme_file}: {message}\n")
+
+    @pytest.mark.parametrize(
         "edit,message",
         [
             ({"shape": "1x1"}, "1x1 rule for L: split_rows mismatch"),
@@ -713,6 +739,13 @@ class TestCheck:
     def test_repeated_cell_rejected(self, tmp_path, capsys):
         doc = self._sylvester_doc(capsys)
         doc["pmes"][0]["cells"].append(doc["pmes"][0]["cells"][0])
+        err = self._check_rejects(doc, tmp_path, capsys)
+        message = "cells must hold one cell per position of the grid"
+        assert err == f"error: cannot read {tmp_path / 'mutated.json'}: {message}\n"
+
+    def test_cell_at_no_position_of_the_grid_rejected(self, tmp_path, capsys):
+        doc = self._sylvester_doc(capsys)
+        doc["pmes"][0]["cells"][0]["position"] = "ZZ"
         err = self._check_rejects(doc, tmp_path, capsys)
         message = "cells must hold one cell per position of the grid"
         assert err == f"error: cannot read {tmp_path / 'mutated.json'}: {message}\n"

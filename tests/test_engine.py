@@ -61,6 +61,7 @@ from pmegen.opspec import (
     KIND_MATRIX,
     KIND_SCALAR,
     OperandDecl,
+    OperationSpec,
     Property,
     parse_operation,
     render_spec,
@@ -71,6 +72,7 @@ from conftest import (
     bench_corpus,
     bench_worker,
     cholesky_lower,
+    corpus_specs,
     load_op,
     min_symmetric_eigenvalue,
     random_spec,
@@ -537,6 +539,89 @@ def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
                     skipped += 1
                     assert not real_shape(p.template, q.equation), (p.name, q)
     assert skipped > 40000 and matched > 10000
+
+
+def _verdict_corpus() -> list[OperationSpec]:
+    """Fuzz seeds 0-299, the shipped ops, the spd family and the probes."""
+    corpus = bench_corpus()
+    texts = [text for _, text in corpus.spd_family() + corpus.probes()]
+    return [spec for _, spec in corpus_specs()] + [parse_operation(t) for t in texts]
+
+
+def _derive_corpus(
+    specs: Sequence[OperationSpec],
+) -> list[tuple[OperationSpec, PME | StuckDerivation]]:
+    """Each spec with each combination's result of ``derive_each`` with
+    ``ops/``; a spec that has no pattern or no viable partitioning has none."""
+    results = []
+    for spec in specs:
+        try:
+            results += [(spec, r) for r in derive_each(spec, seed_builtins(), ops_dir=OPS_DIR)]
+        except (binding.BindingError, PatternConflictError):
+            continue
+    return results
+
+
+def test_search_verdict_is_the_explained_verdict(monkeypatch):
+    """Each structural match met while deriving the corpus, tested alone: the
+    search's verdict (no notes) rejects it exactly when the explained guards
+    do, whichever guard fails first."""
+    real = engine.match_equation
+    matched = rejected = 0
+
+    def both_ways(eq, patterns, state, notes=None):
+        nonlocal matched, rejected
+        for p in patterns:
+            explained: list[str] = []
+            verdict, explanation = real(eq, [p], state), real(eq, [p], state, explained)
+            assert (verdict is None) == (explanation is None), (p.name, eq, explained)
+            matched += explanation is not None or bool(explained)
+            rejected += bool(explained)
+        return real(eq, patterns, state, notes)
+
+    monkeypatch.setattr(engine, "match_equation", both_ways)
+    _derive_corpus(_verdict_corpus())
+    assert matched > 19000 and rejected > 18000
+
+
+def test_search_builds_no_notes(monkeypatch):
+    """``derive_all`` asks the guards for verdicts alone: over a corpus slice
+    no ``match_equation`` call gets a notes list.  A stuck combination writes
+    its notes when they are read, the same tuple each time, and the
+    ``StuckDerivation`` that ``derive_pme`` raises has the notes of the
+    matching ``derive_each`` entry."""
+    real = engine.match_equation
+    given = []
+
+    def recording(eq, patterns, state, notes=None):
+        given.append(notes)
+        return real(eq, patterns, state, notes)
+
+    monkeypatch.setattr(engine, "match_equation", recording)
+    specs = [load_op(n) for n in ("cholesky", "sylvester", "trsm")]
+    specs += [random_spec(np.random.default_rng(s)) for s in range(60)]
+    stuck = 0
+    for spec in specs:
+        try:
+            derive_all(spec, seed_builtins(), ops_dir=OPS_DIR)
+        except AllCombinationsStuck as exc:
+            stuck += len(exc.failures)
+        except NoViablePartitioningsError:
+            continue
+    assert len(given) > 3000 and stuck > 300
+    assert all(notes is None for notes in given)
+
+    entries = [(s, r) for s, r in _derive_corpus(specs) if isinstance(r, StuckDerivation)]
+    given.clear()
+    read = 0
+    for spec, entry in entries[::5]:
+        notes = entry.notes
+        assert entry.notes == notes
+        read += len(notes)
+        with pytest.raises(StuckDerivation) as err:
+            derive_pme(spec, entry.combination, seed_builtins(), ops_dir=OPS_DIR)
+        assert err.value.notes == notes
+    assert read > 500 and any(notes is not None for notes in given)
 
 
 class TestEstablished:
