@@ -61,7 +61,6 @@ from pmegen.opspec import (
     KIND_MATRIX,
     KIND_SCALAR,
     OperandDecl,
-    OperationSpec,
     Property,
     parse_operation,
     render_spec,
@@ -541,47 +540,33 @@ def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
     assert skipped > 40000 and matched > 10000
 
 
-def _verdict_corpus() -> list[OperationSpec]:
-    """Fuzz seeds 0-299, the shipped ops, the spd family and the probes."""
-    corpus = bench_corpus()
-    texts = [text for _, text in corpus.spd_family() + corpus.probes()]
-    return [spec for _, spec in corpus_specs()] + [parse_operation(t) for t in texts]
-
-
-def _derive_corpus(
-    specs: Sequence[OperationSpec],
-) -> list[tuple[OperationSpec, PME | StuckDerivation]]:
-    """Each spec with each combination's result of ``derive_each`` with
-    ``ops/``; a spec that has no pattern or no viable partitioning has none."""
-    results = []
-    for spec in specs:
-        try:
-            results += [(spec, r) for r in derive_each(spec, seed_builtins(), ops_dir=OPS_DIR)]
-        except (binding.BindingError, PatternConflictError):
-            continue
-    return results
-
-
 def test_search_verdict_is_the_explained_verdict(monkeypatch):
-    """Each structural match met while deriving the corpus, tested alone: the
-    search's verdict (no notes) rejects it exactly when the explained guards
-    do, whichever guard fails first."""
+    """Over every structural match met while deriving the corpus, the
+    search's verdicts (no notes) are the explained ones: each sweep finds
+    the same match either way, so the two reject the same patterns before
+    it, whichever guard fails first."""
     real = engine.match_equation
     matched = rejected = 0
 
     def both_ways(eq, patterns, state, notes=None):
         nonlocal matched, rejected
-        for p in patterns:
-            explained: list[str] = []
-            verdict, explanation = real(eq, [p], state), real(eq, [p], state, explained)
-            assert (verdict is None) == (explanation is None), (p.name, eq, explained)
-            matched += explanation is not None or bool(explained)
-            rejected += bool(explained)
-        return real(eq, patterns, state, notes)
+        explained: list[str] = []
+        verdict = real(eq, patterns, state, notes)
+        assert real(eq, patterns, state, explained) == verdict, (eq, explained)
+        matched += len(explained) + (verdict is not None)
+        rejected += len(explained)
+        return verdict
 
     monkeypatch.setattr(engine, "match_equation", both_ways)
-    _derive_corpus(_verdict_corpus())
-    assert matched > 19000 and rejected > 18000
+    # fuzz seeds 0-299, the shipped ops, the spd family and the probes
+    corpus = bench_corpus()
+    texts = [text for _, text in corpus.spd_family() + corpus.probes()]
+    for spec in [s for _, s in corpus_specs()] + [parse_operation(t) for t in texts]:
+        try:
+            derive_each(spec, seed_builtins(), ops_dir=OPS_DIR)
+        except (binding.BindingError, PatternConflictError):
+            continue  # no viable partitioning, or no pattern
+    assert matched > 16000 and rejected > 15000
 
 
 def test_search_builds_no_notes(monkeypatch):
@@ -600,28 +585,27 @@ def test_search_builds_no_notes(monkeypatch):
     monkeypatch.setattr(engine, "match_equation", recording)
     specs = [load_op(n) for n in ("cholesky", "sylvester", "trsm")]
     specs += [random_spec(np.random.default_rng(s)) for s in range(60)]
-    stuck = 0
+    stuck = []
     for spec in specs:
         try:
             derive_all(spec, seed_builtins(), ops_dir=OPS_DIR)
         except AllCombinationsStuck as exc:
-            stuck += len(exc.failures)
+            stuck += [(spec, entry) for entry in exc.failures]
         except NoViablePartitioningsError:
             continue
-    assert len(given) > 3000 and stuck > 300
+    assert len(given) > 3000 and len(stuck) > 300
     assert all(notes is None for notes in given)
 
-    entries = [(s, r) for s, r in _derive_corpus(specs) if isinstance(r, StuckDerivation)]
     given.clear()
     read = 0
-    for spec, entry in entries[::5]:
+    for spec, entry in stuck[::5]:
         notes = entry.notes
         assert entry.notes == notes
         read += len(notes)
         with pytest.raises(StuckDerivation) as err:
             derive_pme(spec, entry.combination, seed_builtins(), ops_dir=OPS_DIR)
         assert err.value.notes == notes
-    assert read > 500 and any(notes is not None for notes in given)
+    assert read > 400 and any(notes is not None for notes in given)
 
 
 class TestEstablished:
