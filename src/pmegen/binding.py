@@ -232,23 +232,26 @@ def _combinations(
             f"{2**MAX_PARTITIONABLE_GROUPS - 1} ({g} partitionable dimension groups, "
             f"at most {MAX_PARTITIONABLE_GROUPS})"
         )
+    # each operand's groups and its rules for every (row, column) keep/split
+    # choice, built once: choice (r, c) is entry 2 * r + c
+    operands = []
+    for decl in spec.operands:
+        rg = analysis.var_group[DimensionVar(decl.name, "r")]
+        cg = analysis.var_group[DimensionVar(decl.name, "c")]
+        rows, cols = (None, f"k{rg + 1}"), (None, f"k{cg + 1}")
+        table = [(decl.name, PartitionRule(decl.name, r, c)) for r in rows for c in cols]
+        operands.append((rg, cg, table))
     out: list[RuleCombination] = []
     for mask in range(1, 2**g):
         split_groups = {
             part_idx[i] for i in range(g) if mask & (1 << (g - 1 - i))
         }
-        rules: list[tuple[str, PartitionRule]] = []
-        for decl in spec.operands:
-            rg = analysis.var_group[DimensionVar(decl.name, "r")]
-            cg = analysis.var_group[DimensionVar(decl.name, "c")]
-            srows = f"k{rg + 1}" if rg in split_groups else None
-            scols = f"k{cg + 1}" if cg in split_groups else None
-            rules.append((decl.name, PartitionRule(decl.name, srows, scols)))
+        rules = tuple(t[2 * (rg in split_groups) + (cg in split_groups)] for rg, cg, t in operands)
         choices = tuple(
             (i, "split" if i in split_groups else "keep")
             for i in range(len(analysis.groups))
         )
         out.append(
-            RuleCombination(index=len(out) + 1, rules=tuple(rules), group_choices=choices)
+            RuleCombination(index=len(out) + 1, rules=rules, group_choices=choices)
         )
     return tuple(out)

@@ -208,19 +208,29 @@ def _rule_from_json(r: dict) -> PartitionRule:
     return rule
 
 
+def _field(record: dict, key: str, kind: type, objects: bool = False) -> Any:
+    """``record[key]``, which must be a ``kind`` (a dict or a list); with
+    ``objects``, a list of dicts.  A wrong type is named with the field."""
+    value = record[key]
+    if not isinstance(value, kind) or objects and not all(isinstance(v, dict) for v in value):
+        what = "an object" if kind is dict else "a list of objects" if objects else "a list"
+        raise ValueError(f"{key!r} must be {what}")
+    return value
+
+
 def pme_from_json_dict(doc: dict) -> PME:
-    combo = doc["combination"]
-    rules = tuple((r["operand"], _rule_from_json(r)) for r in combo["rules"])
+    combo = _field(doc, "combination", dict)
+    rules = tuple((r["operand"], _rule_from_json(r)) for r in _field(combo, "rules", list, True))
     combination = RuleCombination(
         index=int(combo["index"]),
         rules=rules,
-        group_choices=tuple((int(g), str(c)) for g, c in combo["group_choices"]),
+        group_choices=tuple((int(g), str(c)) for g, c in _field(combo, "group_choices", list)),
     )
-    row_sizes = tuple(doc["row_sizes"])
-    col_sizes = tuple(doc["col_sizes"])
+    row_sizes = tuple(_field(doc, "row_sizes", list))
+    col_sizes = tuple(_field(doc, "col_sizes", list))
     names = position_names(len(row_sizes), len(col_sizes))
     by_pos = {}
-    for c in doc["cells"]:
+    for c in _field(doc, "cells", list, True):
         if c["status"] not in (STATUS_UNSOLVED, STATUS_SOLVED, STATUS_STAR):
             raise ValueError(f"unknown cell status {c['status']!r}")
         by_pos[c["position"]] = QuadrantEquation(
@@ -243,7 +253,7 @@ def pme_from_json_dict(doc: dict) -> PME:
         row_sizes=row_sizes,
         col_sizes=col_sizes,
         cells=cells,
-        order=tuple(doc["order"]),
+        order=tuple(_field(doc, "order", list)),
     )
 
 
@@ -383,9 +393,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("a PME document must be an object")
-        records = doc["pmes"] if "pmes" in doc else [doc]
-        if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
-            raise ValueError("'pmes' must be a list of objects")
+        records = _field(doc, "pmes", list, True) if "pmes" in doc else [doc]
         pmes = [pme_from_json_dict(d) for d in records]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc

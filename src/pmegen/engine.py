@@ -61,6 +61,7 @@ from .blockarith import (
 from .expr import (
     _IDENT,
     _RESERVED,
+    _leaf_names,
     Dimension,
     Equation,
     Expression,
@@ -455,7 +456,7 @@ def _role_failure(slot: OperandDecl, bound: Expression | None, known: set[str]) 
 
 
 def _check_guards(
-    pattern: Pattern, binds: dict[str, Expression], state: DerivationState
+    pattern: Pattern, binds: dict[str, Expression], state: DerivationState, roles: bool = True
 ) -> Optional[str]:
     """Why a structurally matching pattern is rejected, or None.
 
@@ -464,9 +465,9 @@ def _check_guards(
     no determinable dimensions (a bare zero block, say) contributes no
     constraints; everything else must be explainable by one consistent
     assignment of pattern symbols.  Then each slot in turn must pass
-    :func:`_role_failure`, bind an output no other slot binds, fit a scalar
-    slot and have its properties established.  A stuck note reports the
-    first failure in this order.
+    :func:`_role_failure` (unless ``roles`` is false, when the caller has
+    passed every slot already), fit a scalar slot and have its properties
+    established.  A stuck note reports the first failure in this order.
     """
     assignment: dict[str, str] = {}
     sizes: dict[str, Optional[Dimension]] = {}
@@ -486,15 +487,10 @@ def _check_guards(
                     f"slot {slot.name}: size {symbol} would need to be both "
                     f"{assignment[symbol]} and {size}"
                 )
-    outputs_seen: set[str] = set()
     for slot in pattern.slots:
         bound = binds.get(slot.name)
-        if (failure := _role_failure(slot, bound, state.known)) is not None:
+        if roles and (failure := _role_failure(slot, bound, state.known)) is not None:
             return failure
-        if slot.io_role == ROLE_UNKNOWN:
-            if bound.name in outputs_seen:
-                return f"{bound.name} bound to two output slots"
-            outputs_seen.add(bound.name)
         d = sizes[slot.name]
         if slot.kind == KIND_SCALAR and (d is None or d != Dimension("1", "1")):
             return f"slot {slot.name} must bind a scalar"
@@ -523,17 +519,21 @@ def match_equation(
 
     Without ``notes`` the search needs a verdict alone, so a structural
     match first faces every slot's :func:`_role_failure`, which needs no
-    sizes; each failure there is one of :func:`_check_guards` too, so the
-    verdict is the same.  With ``notes`` the guards explain: the first
-    failure in :func:`_check_guards`'s order is appended.  A template side
-    whose root is neither a slot nor of the equation side's type cannot
-    match, so it is not tried.
+    sizes, and :func:`_check_guards` does not repeat it; each failure there
+    is one of :func:`_check_guards` too, so the verdict is the same.  With
+    ``notes`` the guards explain: the first failure in
+    :func:`_check_guards`'s order is appended.  A template side whose root
+    is neither a slot nor of the equation side's type cannot match, so it
+    is not tried, nor, in the search, a bare slot on a left side that is no
+    single block: the search's cells hold an unknown on the left, so a known
+    slot cannot bind that side, and the unknown slot binds one block.
     """
     subject = eq.equation
     lhs, rhs = type(subject.lhs), type(subject.rhs)
+    left_roots = (lhs,) if notes is None else (OperandRef, lhs)
     for pattern in patterns:
         tpl = pattern.template
-        if type(tpl.lhs) not in (OperandRef, lhs) or type(tpl.rhs) not in (OperandRef, rhs):
+        if type(tpl.lhs) not in left_roots or type(tpl.rhs) not in (OperandRef, rhs):
             continue
         binds: dict[str, Expression] = {}
         if not (
@@ -544,7 +544,7 @@ def match_equation(
             _role_failure(s, binds.get(s.name), state.known) for s in pattern.slots
         ):
             continue
-        failure = _check_guards(pattern, binds, state)
+        failure = _check_guards(pattern, binds, state, roles=notes is not None)
         if failure is not None:
             if notes is not None:
                 notes.append(f"{eq.position}: pattern {pattern.name}: {failure}")
@@ -879,7 +879,7 @@ def _derive_pme(
     tried_nested: set[str] = set()
     while unsolved := [q for q in state.cells.values() if q.status == STATUS_UNSOLVED]:
         if (found := _first_match(unsolved, patterns, state)) is None:
-            if _try_nested(spec, kb, ops, depth, state, patterns, tried_nested):
+            if _try_nested(spec, kb, ops, depth, unsolved, state, patterns, tried_nested):
                 continue
             return StuckDerivation(spec.name, rules, unsolved, patterns, state)
         q, result = found
@@ -916,13 +916,20 @@ def _first_match(
     notes: Optional[list[str]] = None,
 ) -> Optional[tuple[QuadrantEquation, MatchResult]]:
     """One sweep: the first of ``unsolved`` that ``patterns`` solve, with the
-    match.  With ``notes``, why each quadrant before it failed is appended."""
+    match.  With ``notes``, why each quadrant before it failed is appended.
+
+    Every pattern has one unknown slot, which binds one block, and known
+    slots bind known blocks only, so a cell naming two unknown blocks
+    matches nothing; without ``notes`` it is not tried."""
     for q in unsolved:
         # the cell is canonical, so its right side is known
-        if known_only(q.equation.lhs, state.known):
+        unknowns = _unknown_blocks(q.equation.lhs, state.known)
+        if not unknowns:
             if notes is not None:
                 text = serialize(q.equation)
                 notes.append(f"{q.position}: no unknowns left but sides differ ({text})")
+            continue
+        if unknowns > 1 and notes is None:
             continue
         result = match_equation(q, patterns, state, notes)
         if result is not None:
@@ -930,26 +937,37 @@ def _first_match(
     return None
 
 
+def _unknown_blocks(e: Expression, known: set[str]) -> int:
+    """How many distinct blocks outside ``known`` ``e`` names, counted up to 2."""
+    unknown = (name for name in _leaf_names(e) if name not in known)
+    first = next(unknown, None)
+    return 0 if first is None else 1 + any(name != first for name in unknown)
+
+
 def _try_nested(
     spec: OperationSpec,
     kb: KnowledgeBase,
     ops: _OpsDir,
     depth: int,
+    unsolved: Sequence[QuadrantEquation],
     state: DerivationState,
     patterns: list[Pattern],
     tried: set[str],
 ) -> bool:
-    """Acquire a pattern from the operations directory for a stuck equation."""
+    """Acquire a pattern from the operations directory for a stuck equation
+    of ``unsolved``; as in :func:`_first_match`, only a cell naming one
+    unknown block can match a candidate."""
     if not ops.path or depth >= NESTED_DEPTH_LIMIT:
+        return False
+    cells = [q for q in unsolved if _unknown_blocks(q.equation.lhs, state.known) == 1]
+    if not cells:
         return False
     candidates = [
         (cand, pattern)
         for cand, pattern in ops.candidates
         if cand.name != spec.name and cand.name not in tried and kb.get(cand.name) is None
     ]
-    for q in state.cells.values():
-        if q.status != STATUS_UNSOLVED:
-            continue
+    for q in cells:
         for cand, pattern in candidates:
             if match_equation(q, [pattern], state) is None:
                 continue

@@ -578,8 +578,19 @@ class TestCheck:
             ('{"pmes": [1]}', "'pmes' must be a list of objects"),
             ("{}", "missing field 'combination'"),
             ('{"pmes": [{"combination": {"index": 1}}]}', "missing field 'rules'"),
+            ('{"pmes": [{"combination": 3}]}', "'combination' must be an object"),
+            ('{"pmes": [{"combination": {"rules": 5}}]}', "'rules' must be a list of objects"),
         ],
-        ids=["list", "number", "int_pmes", "int_record", "no_combination", "no_rules"],
+        ids=[
+            "list",
+            "number",
+            "int_pmes",
+            "int_record",
+            "no_combination",
+            "no_rules",
+            "int_combination",
+            "int_rules",
+        ],
     )
     def test_malformed_pme_document_named(self, content, message, tmp_path, capsys):
         pme_file = tmp_path / "shape.json"

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from pmegen import binding, blockarith, engine
 from pmegen.binding import NoViablePartitioningsError, enumerate_combinations
-from pmegen.blockarith import STATUS_SOLVED, STATUS_STAR, PropertyFact, QuadrantEquation
+from pmegen.blockarith import (
+    STATUS_SOLVED,
+    STATUS_STAR,
+    STATUS_UNSOLVED,
+    PropertyFact,
+    QuadrantEquation,
+)
 from pmegen.cli import render_pme_text
 from pmegen.engine import (
     PME,
@@ -48,6 +54,7 @@ from pmegen.expr import (
     inv,
     minus,
     normalize,
+    operand_names,
     plus,
     ref,
     rewrite_candidates,
@@ -60,6 +67,7 @@ from pmegen.expr import (
 from pmegen.opspec import (
     KIND_MATRIX,
     KIND_SCALAR,
+    ROLE_UNKNOWN,
     OperandDecl,
     Property,
     parse_operation,
@@ -466,19 +474,13 @@ class TestMatchEquation:
                 2, "T", "X m k unknown, A k n known, B m n known",
                 Equation(times(ref("X"), ref("A")), ref("B")), "L_TL is already known",
             ),
-            # both unknown slots bind L_TL
-            (
-                "cholesky", 1, "TL", "X m m unknown, Y m m unknown, B m m known",
-                Equation(times(ref("X"), trans(ref("Y"))), ref("B")),
-                "L_TL bound to two output slots",
-            ),
             # a scalar slot with no dims passes the sizing, then fails its kind
             (
                 "trsm", 2, "T", "X m n unknown, A - - known, B m n known",
                 Equation(times(ref("X"), ref("A")), ref("B")), "slot A must bind a scalar",
             ),
         ],
-        ids=["unbound", "known", "two-outputs", "scalar"],
+        ids=["unbound", "known", "scalar"],
     )
     def test_guard_failure_note(self, op, combination, position, slots, template, failure):
         """A pattern that matches a cell's shape but fails one guard leaves
@@ -508,8 +510,11 @@ class TestMatchEquation:
 def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
     """``match_equation`` tries the shape of a pattern only when the root
     types of its template sides fit the cell's.  Over every cell of every
-    corpus state, each builtin and the spec's own pattern that it skips is
-    one whose shape does not match."""
+    corpus state, each builtin and the spec's own pattern that the explained
+    path skips is one whose shape does not match; each that the search skips
+    either does not match or is rejected by the explained path for that
+    cell (a bare-slot left side on a cell whose left side is not one
+    block)."""
     tried = []
 
     def real_shape(template, eq):
@@ -518,46 +523,82 @@ def test_root_filter_skips_only_failing_shapes(corpus_run, monkeypatch):
             template.rhs, eq.rhs, binds
         )
 
+    def skipped_by(q, patterns, state, notes):
+        tried.clear()
+        # the first side's match records the template side it was given
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_match_expr", lambda tpl, sub, binds: tried.append(tpl))
+            assert match_equation(q, patterns, state, notes) is None
+        return [p for p in patterns if not any(t is p.template.lhs for t in tried)]
+
     builtins = seed_builtins().builtins
     self_patterns = {}
-    skipped = matched = 0
+    skipped = matched = bare = 0
     for spec, state in zip(corpus_run["state_specs"], corpus_run["states"]):
         if id(spec) not in self_patterns:
             self_patterns[id(spec)] = pattern_from_spec(spec, provenance="self")
         patterns = [self_patterns[id(spec)], *builtins]
         for q in state.grid.all_cells():
-            tried.clear()
-            # the first side's match records the template side it was given
-            with monkeypatch.context() as m:
-                m.setattr(engine, "_match_expr", lambda tpl, sub, binds: tried.append(tpl))
-                assert match_equation(q, patterns, state) is None
-            for p in patterns:
-                if any(t is p.template.lhs for t in tried):
-                    matched += real_shape(p.template, q.equation)
-                else:
-                    skipped += 1
-                    assert not real_shape(p.template, q.equation), (p.name, q)
-    assert skipped > 40000 and matched > 10000
+            explained_skips = skipped_by(q, patterns, state, [])
+            for p in explained_skips:
+                skipped += 1
+                assert not real_shape(p.template, q.equation), (p.name, q)
+            matched += sum(real_shape(p.template, q.equation) for p in patterns)
+            for p in skipped_by(q, patterns, state, None):
+                if p in explained_skips or not real_shape(p.template, q.equation):
+                    continue
+                bare += 1
+                assert type(p.template.lhs) is OperandRef, (p.name, q)
+                assert match_equation(q, [p], state, []) is None, (p.name, q)
+    assert skipped > 40000 and matched > 10000 and bare > 5000
 
 
 def test_search_verdict_is_the_explained_verdict(monkeypatch):
-    """Over every structural match met while deriving the corpus, the
-    search's verdicts (no notes) are the explained ones: each sweep finds
-    the same match either way, so the two reject the same patterns before
-    it, whichever guard fails first."""
-    real = engine.match_equation
-    matched = rejected = 0
+    """While deriving the corpus, every search sweep (no notes) finds the
+    cell and match that the explained sweep finds, so the two reject the
+    same patterns before it, whichever guard fails first and whichever
+    cells the search skips; every search call of ``match_equation`` returns
+    the explained verdict; and every candidate that the nested search skips,
+    on a cell without exactly one unknown block, is rejected with notes."""
+    real_sweep, real_match, real_nested = (
+        engine._first_match, engine.match_equation, engine._try_nested
+    )
+    sweeps = calls = rejected = skipped = 0
 
-    def both_ways(eq, patterns, state, notes=None):
-        nonlocal matched, rejected
-        explained: list[str] = []
-        verdict = real(eq, patterns, state, notes)
-        assert real(eq, patterns, state, explained) == verdict, (eq, explained)
-        matched += len(explained) + (verdict is not None)
-        rejected += len(explained)
+    def sweep_both_ways(unsolved, patterns, state, notes=None):
+        nonlocal sweeps, rejected
+        found = real_sweep(unsolved, patterns, state, notes)
+        if notes is None:
+            explained: list[str] = []
+            assert real_sweep(unsolved, patterns, state, explained) == found, explained
+            sweeps += 1
+            rejected += len(explained)
+        return found
+
+    def match_both_ways(eq, patterns, state, notes=None):
+        nonlocal calls
+        verdict = real_match(eq, patterns, state, notes)
+        if notes is None:
+            assert real_match(eq, patterns, state, []) == verdict, eq
+            calls += 1
         return verdict
 
-    monkeypatch.setattr(engine, "match_equation", both_ways)
+    def nested_skips_rejected(spec, kb, ops, depth, unsolved, state, patterns, tried):
+        nonlocal skipped
+        assert list(unsolved) == [
+            q for q in state.cells.values() if q.status == STATUS_UNSOLVED
+        ]
+        if ops.path and depth < engine.NESTED_DEPTH_LIMIT:
+            for q in unsolved:
+                if engine._unknown_blocks(q.equation.lhs, state.known) != 1:
+                    for _, pattern in ops.candidates:
+                        skipped += 1
+                        assert real_match(q, [pattern], state, []) is None, (q, pattern.name)
+        return real_nested(spec, kb, ops, depth, unsolved, state, patterns, tried)
+
+    monkeypatch.setattr(engine, "_first_match", sweep_both_ways)
+    monkeypatch.setattr(engine, "match_equation", match_both_ways)
+    monkeypatch.setattr(engine, "_try_nested", nested_skips_rejected)
     # fuzz seeds 0-299, the shipped ops, the spd family and the probes
     corpus = bench_corpus()
     texts = [text for _, text in corpus.spd_family() + corpus.probes()]
@@ -566,23 +607,53 @@ def test_search_verdict_is_the_explained_verdict(monkeypatch):
             derive_each(spec, seed_builtins(), ops_dir=OPS_DIR)
         except (binding.BindingError, PatternConflictError):
             continue  # no viable partitioning, or no pattern
-    assert matched > 16000 and rejected > 15000
+    assert sweeps > 3000 and calls > 6500 and rejected > 15000 and skipped > 9000
+
+
+def test_every_pattern_solves_one_unknown_slot(tmp_path):
+    """The rule the search relies on to skip cells: a pattern has exactly
+    one unknown slot, and its template names slots only.  It holds for the
+    builtins, for the self pattern of every corpus spec that has one, and
+    for every pattern ``load_kb`` reads back from a KB learned from them."""
+    corpus = bench_corpus()
+    texts = [text for _, text in corpus.spd_family() + corpus.probes()]
+    specs = [s for _, s in corpus_specs()] + [parse_operation(t) for t in texts]
+    kb = seed_builtins()
+    patterns = list(kb.builtins)
+    for spec in specs:
+        try:
+            patterns.append(pattern_from_spec(spec, provenance="self"))
+            kb = learn(spec, kb)
+        except PatternConflictError:
+            continue  # no pattern, or a name learned already
+    path = str(tmp_path / "patterns.kb")
+    save_kb(kb, path)
+    loaded = load_kb(path).learned
+    assert len(loaded) == len(kb.learned) > 30 and len(patterns) > 300
+    for p in patterns + list(loaded):
+        assert [s.io_role for s in p.slots].count(ROLE_UNKNOWN) == 1, p.name
+        assert operand_names(p.template) <= {s.name for s in p.slots}, p.name
 
 
 def test_search_builds_no_notes(monkeypatch):
     """``derive_all`` asks the guards for verdicts alone: over a corpus slice
-    no ``match_equation`` call gets a notes list.  A stuck combination writes
-    its notes when they are read, the same tuple each time, and the
-    ``StuckDerivation`` that ``derive_pme`` raises has the notes of the
-    matching ``derive_each`` entry."""
-    real = engine.match_equation
-    given = []
+    no sweep and no ``match_equation`` call gets a notes list.  A stuck
+    combination writes its notes when they are read, the same tuple each
+    time, and the ``StuckDerivation`` that ``derive_pme`` raises has the
+    notes of the matching ``derive_each`` entry."""
+    given: dict[str, list] = {"_first_match": [], "match_equation": []}
 
-    def recording(eq, patterns, state, notes=None):
-        given.append(notes)
-        return real(eq, patterns, state, notes)
+    def recording(name):
+        real = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "match_equation", recording)
+        def record(*args, **kwargs):
+            given[name].append(args[3] if len(args) > 3 else kwargs.get("notes"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, record)
+
+    for name in given:
+        recording(name)
     specs = [load_op(n) for n in ("cholesky", "sylvester", "trsm")]
     specs += [random_spec(np.random.default_rng(s)) for s in range(60)]
     stuck = []
@@ -593,10 +664,12 @@ def test_search_builds_no_notes(monkeypatch):
             stuck += [(spec, entry) for entry in exc.failures]
         except NoViablePartitioningsError:
             continue
-    assert len(given) > 3000 and len(stuck) > 300
-    assert all(notes is None for notes in given)
+    assert len(given["_first_match"]) > 600 and len(given["match_equation"]) > 1300
+    assert len(stuck) > 300
+    assert all(notes is None for calls in given.values() for notes in calls)
 
-    given.clear()
+    for calls in given.values():
+        calls.clear()
     read = 0
     for spec, entry in stuck[::5]:
         notes = entry.notes
@@ -605,7 +678,8 @@ def test_search_builds_no_notes(monkeypatch):
         with pytest.raises(StuckDerivation) as err:
             derive_pme(spec, entry.combination, seed_builtins(), ops_dir=OPS_DIR)
         assert err.value.notes == notes
-    assert read > 400 and any(notes is not None for notes in given)
+    assert read > 400
+    assert all(any(notes is not None for notes in calls) for calls in given.values())
 
 
 class TestEstablished:
